@@ -3,12 +3,37 @@
 The solver's learnt clauses are all reverse-unit-propagation (RUP) clauses,
 so a forward RUP check over added/deleted clauses is a complete validity
 check for its proofs.  The checker shares no code with the solver's
-propagation engine: it uses a naive repeated-scan unit propagation.
+propagation engine.  It follows drat-trim (Wetzler, Heule & Hunt, SAT 2014)
+with MiniSat's two watched literals (Een & Sorensson, SAT 2003):
+
+- every clause of two or more literals gets an id and two watchers; unit
+  clauses sit in their own list;
+- a multiset index maps each clause's set of literals to its live ids, so a
+  ``d`` step removes exactly one live copy whatever order its literals come
+  in (the solver reorders a clause's literals in place), and deleting a
+  clause that is not live does nothing;
+- a deleted clause leaves its watchers behind; a propagation scan that
+  reaches one drops it;
+- an ``a`` step starts from the empty assignment, assumes the negation of
+  every literal of the clause, asserts the live unit clauses and propagates
+  over the watches.  A conflict makes the clause RUP; every assignment is
+  then undone, so any two literals of a new clause are valid watches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
+
+class DratError(ValueError):
+    """Malformed DRAT text."""
+
+
+def format_step(kind: str, lits) -> str:
+    """One ASCII DRAT line, without its newline."""
+    body = " ".join(map(str, [*lits, 0]))
+    return body if kind == "a" else "d " + body
 
 
 @dataclass
@@ -27,11 +52,8 @@ class DratProof:
         return any(kind == "a" and not lits for kind, lits in self.steps)
 
     def to_text(self) -> str:
-        out = []
-        for kind, lits in self.steps:
-            body = " ".join(str(l) for l in lits) + (" " if lits else "") + "0"
-            out.append(body if kind == "a" else "d " + body)
-        return "\n".join(out) + ("\n" if out else "")
+        return "".join(format_step(kind, lits) + "\n"
+                       for kind, lits in self.steps)
 
 
 class DratFileSink:
@@ -44,13 +66,11 @@ class DratFileSink:
 
     def add(self, lits):
         self.proof.add(lits)
-        body = " ".join(str(l) for l in lits) + (" " if lits else "") + "0"
-        self._fh.write(body + "\n")
+        self._fh.write(format_step("a", lits) + "\n")
 
     def delete(self, lits):
         self.proof.delete(lits)
-        body = " ".join(str(l) for l in lits) + " 0"
-        self._fh.write("d " + body + "\n")
+        self._fh.write(format_step("d", lits) + "\n")
 
     def close(self):
         self._fh.close()
@@ -67,45 +87,15 @@ def parse_drat(text: str) -> DratProof:
             kind = "d"
             toks = toks[1:]
         if not toks or toks[-1] != "0":
-            raise ValueError(f"malformed DRAT line {line!r}")
-        lits = tuple(int(t) for t in toks[:-1])
+            raise DratError(f"malformed DRAT line {line!r}")
+        try:
+            lits = tuple(int(t) for t in toks[:-1])
+        except ValueError:
+            raise DratError(f"bad literal in DRAT line {line!r}") from None
+        if 0 in lits:
+            raise DratError(f"literal 0 inside DRAT line {line!r}")
         proof.steps.append((kind, lits))
     return proof
-
-
-def _propagate(db: list[tuple[int, ...]], assumed: list[int]) -> bool:
-    """Naive unit propagation; True iff a conflict is derived."""
-    values: dict[int, bool] = {}
-    for lit in assumed:
-        v, want = abs(lit), lit > 0
-        if values.get(v, want) != want:
-            return True
-        values[v] = want
-    changed = True
-    while changed:
-        changed = False
-        for clause in db:
-            unassigned = None
-            satisfied = False
-            count_free = 0
-            for lit in clause:
-                v = abs(lit)
-                if v not in values:
-                    unassigned = lit
-                    count_free += 1
-                    if count_free > 1:
-                        break
-                elif values[v] == (lit > 0):
-                    satisfied = True
-                    break
-            if satisfied or count_free > 1:
-                continue
-            if count_free == 0:
-                return True  # conflict
-            v, want = abs(unassigned), unassigned > 0
-            values[v] = want
-            changed = True
-    return False
 
 
 def check_proof(clauses: list[list[int]], proof: DratProof) -> tuple[bool, str]:
@@ -114,23 +104,105 @@ def check_proof(clauses: list[list[int]], proof: DratProof) -> tuple[bool, str]:
     Returns (ok, reason).  ok requires every added clause to be RUP at its
     point in the proof and the proof to derive the empty clause.
     """
-    db: list[tuple[int, ...]] = [tuple(cl) for cl in clauses]
+    added = (lits for _, lits in proof.steps)
+    nvars = max((abs(l) for cl in chain(clauses, added) for l in cl), default=0)
+    # value[lit] is 1 when lit is true, -1 when false, 0 when unassigned.  A
+    # negative literal indexes from the end, so lit and -lit own distinct
+    # cells; the same holds for watches[lit], the ids of clauses watching lit.
+    size = 2 * nvars + 1
+    value = [0] * size
+    watches: list[list[int]] = [[] for _ in range(size)]
+    db: list[list[int] | None] = []  # clause id -> literals, None once deleted
+    units: list[int] = []            # ids of live clauses of < 2 literals
+    live: dict[frozenset[int], list[int]] = {}
+
+    def attach(lits):
+        lits = list(dict.fromkeys(lits))
+        cid = len(db)
+        db.append(lits)
+        live.setdefault(frozenset(lits), []).append(cid)
+        if len(lits) < 2:
+            units.append(cid)
+        else:
+            watches[lits[0]].append(cid)
+            watches[lits[1]].append(cid)
+
+    def is_rup(lits) -> bool:
+        trail: list[int] = []
+        try:
+            for lit in lits:
+                if value[lit] == 1:
+                    return True  # lit and -lit both in the clause
+                if value[lit] == 0:
+                    value[lit], value[-lit] = -1, 1
+                    trail.append(-lit)
+            for cid in units:
+                if not db[cid]:
+                    return True  # a live empty clause
+                lit = db[cid][0]
+                if value[lit] == -1:
+                    return True
+                if value[lit] == 0:
+                    value[lit], value[-lit] = 1, -1
+                    trail.append(lit)
+            head = 0
+            while head < len(trail):
+                false_lit = -trail[head]
+                head += 1
+                ws = watches[false_lit]
+                i = j = 0
+                n = len(ws)
+                while i < n:
+                    cid = ws[i]
+                    i += 1
+                    c = db[cid]
+                    if c is None:
+                        continue  # deleted clause: drop its watcher
+                    if c[0] == false_lit:
+                        c[0], c[1] = c[1], false_lit
+                    first = c[0]
+                    if value[first] != 1:
+                        for k in range(2, len(c)):
+                            other = c[k]
+                            if value[other] != -1:
+                                c[1], c[k] = other, false_lit
+                                watches[other].append(cid)
+                                break
+                        else:
+                            ws[j] = cid
+                            j += 1
+                            if value[first] == -1:
+                                ws[j:] = ws[i:]
+                                return True
+                            value[first], value[-first] = 1, -1
+                            trail.append(first)
+                        continue
+                    ws[j] = cid
+                    j += 1
+                del ws[j:]
+            return False
+        finally:
+            for lit in trail:
+                value[lit] = value[-lit] = 0
+
+    for cl in clauses:
+        attach(cl)
     derived_empty = False
     for step_no, (kind, lits) in enumerate(proof.steps):
         if kind == "d":
-            key = tuple(lits)
-            try:
-                db.remove(key)
-            except ValueError:
-                pass  # deleting an absent clause is harmless
+            ids = live.get(frozenset(lits))
+            if ids:
+                cid = ids.pop()
+                if len(db[cid]) < 2:
+                    units.remove(cid)
+                db[cid] = None
             continue
-        # RUP: assuming the negation of every literal must yield a conflict
-        if not _propagate(db, [-l for l in lits]):
+        if not is_rup(lits):
             return False, f"step {step_no}: clause {list(lits)} is not RUP"
         if not lits:
             derived_empty = True
             break
-        db.append(tuple(lits))
+        attach(lits)
     if not derived_empty:
         return False, "proof does not derive the empty clause"
     return True, "ok"

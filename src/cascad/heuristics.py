@@ -259,7 +259,11 @@ def adaptive_solve(cnf, policy: AdaptiveUnsatPolicy,
     if outcome.status is not Status.UNKNOWN:
         return AdaptiveOutcome(outcome, 1, stage1_wall, proof1)
 
-    proof2 = DratProof() if want_proof else None
+    proof2 = None
+    if want_proof:
+        # imported clauses are RUP only given the probe's own learnts, some
+        # of which the probe has since deleted: replay the probe's proof
+        proof2 = DratProof(list(proof1.steps) if policy.carry_learnts else [])
     stage2 = Solver(cnf, policy.unsat_config, drat_sink=proof2)
     if policy.carry_learnts:
         probe.pause_at_level0()

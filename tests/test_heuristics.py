@@ -14,7 +14,7 @@ from cascad.heuristics import (AdaptiveOutcome, AdaptiveUnsatPolicy,
                                make_phase_hook, phase_hook,
                                refresh_phase_policy, run_clause_filter,
                                score_clauses)
-from cascad.solver import LearntSnapshot, Solver, Status, solve
+from cascad.solver import LearntSnapshot, Solver, SolverConfig, Status, solve
 
 from conftest import enum_cnf_sat, random_3cnf, random_circuit
 
@@ -339,11 +339,16 @@ class TestAdaptive:
 
     def test_stage2_carry_learnts(self):
         cnf = self.hard_unsat()
-        policy = AdaptiveUnsatPolicy(probe_budget_seconds=0.001,
-                                     carry_learnts=True)
+        # the conflict budget ends the probe, not the clock; the short reduce
+        # interval makes the probe delete learnts before stage 2 imports the rest
+        probe = SolverConfig(conflict_budget=200, reduce_interval=50)
+        policy = AdaptiveUnsatPolicy(probe_budget_seconds=600.0,
+                                     probe_config=probe, carry_learnts=True)
         result = adaptive_solve(cnf, policy)
         assert result.stage == 2
         assert result.outcome.status is Status.UNSAT
+        ok, why = check_proof(cnf.clauses, result.proof)
+        assert ok, why
 
     def test_no_proof_requested(self, toy_and):
         c, *_ = toy_and

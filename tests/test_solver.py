@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascad.cnf import CnfFormula
-from cascad.drat import (DratFileSink, DratProof, check_proof, parse_drat)
+from cascad.drat import (DratError, DratFileSink, DratProof, check_proof,
+                         parse_drat)
 from cascad.solver import (LearntSnapshot, Solver, SolverConfig, Status,
                            UNSAT_TUNED, luby, solve)
 
@@ -129,6 +130,143 @@ class TestDrat:
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="malformed"):
             parse_drat("1 2\n")
+
+    @pytest.mark.parametrize("text", ["1 x 0\n", "d 1 2.5 0\n", "1 0 2 0\n",
+                                      "d\n", "0 0\n"])
+    def test_bad_tokens_raise_drat_error(self, text):
+        with pytest.raises(DratError):
+            parse_drat(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.sampled_from(["d", "c", "0", "1", "-2", "+3", "--1", "x",
+                                  "1.5", "", " ", "\t", "\n", "\r\n"]))
+        .map(" ".join)))
+    def test_parse_drat_raises_only_drat_error(self, text):
+        try:
+            proof = parse_drat(text)
+        except DratError:
+            return
+        for kind, lits in proof.steps:
+            assert kind in ("a", "d") and 0 not in lits
+
+    def test_sink_and_text_share_line_format(self, tmp_path):
+        path = tmp_path / "p.drat"
+        sink = DratFileSink(str(path))
+        sink.add([1, -2])
+        sink.delete([])
+        sink.delete([-2, 1])
+        sink.add([])
+        sink.close()
+        text = path.read_text()
+        assert text == sink.proof.to_text() == "1 -2 0\nd 0\nd -2 1 0\n0\n"
+
+    @pytest.mark.parametrize("clauses, deleted", [
+        ([[1, 2], [-1], [-2]], [2, 1]),       # literals in another order
+        ([[1, 2, 3], [-1], [-2], [-3]], [3, 1, 2]),
+        ([[1], [-1]], [1]),                   # a unit clause
+    ])
+    def test_checker_honours_deletion_in_any_order(self, clauses, deleted):
+        proof = DratProof()
+        proof.delete(deleted)
+        proof.add([])
+        ok, why = check_proof(clauses, proof)
+        assert not ok and why == "step 1: clause [] is not RUP"
+
+    def test_deleting_one_copy_keeps_the_other(self):
+        clauses = [[1, 2], [1, 2], [-1], [-2]]
+        proof = DratProof()
+        proof.delete([2, 1])
+        proof.add([])
+        assert check_proof(clauses, proof) == (True, "ok")
+        proof.steps.insert(1, ("d", (1, 2)))
+        ok, why = check_proof(clauses, proof)
+        assert not ok and "not RUP" in why
+
+    def test_deleting_absent_clause_is_harmless(self):
+        proof = DratProof()
+        proof.delete([5, 6])
+        proof.delete([1, -1])
+        proof.add([])
+        assert check_proof([[1], [-1]], proof) == (True, "ok")
+
+
+def rescan_propagate(db: list[tuple[int, ...]], assumed: list[int]) -> bool:
+    """Naive unit propagation; True iff a conflict is derived."""
+    values: dict[int, bool] = {}
+    for lit in assumed:
+        v, want = abs(lit), lit > 0
+        if values.get(v, want) != want:
+            return True
+        values[v] = want
+    changed = True
+    while changed:
+        changed = False
+        for clause in db:
+            unassigned = None
+            satisfied = False
+            count_free = 0
+            for lit in clause:
+                v = abs(lit)
+                if v not in values:
+                    unassigned = lit
+                    count_free += 1
+                    if count_free > 1:
+                        break
+                elif values[v] == (lit > 0):
+                    satisfied = True
+                    break
+            if satisfied or count_free > 1:
+                continue
+            if count_free == 0:
+                return True  # conflict
+            v, want = abs(unassigned), unassigned > 0
+            values[v] = want
+            changed = True
+    return False
+
+
+def rescan_check(clauses, proof: DratProof) -> tuple[bool, str]:
+    """Reference forward RUP checker: rescans the whole clause list until
+    nothing changes, and deletes the first clause with the same literal set."""
+    db = [tuple(cl) for cl in clauses]
+    for step_no, (kind, lits) in enumerate(proof.steps):
+        if kind == "d":
+            hit = [i for i, cl in enumerate(db) if set(cl) == set(lits)]
+            if hit:
+                del db[hit[0]]
+            continue
+        if not rescan_propagate(db, [-l for l in lits]):
+            return False, f"step {step_no}: clause {list(lits)} is not RUP"
+        if not lits:
+            return True, "ok"
+        db.append(tuple(lits))
+    return False, "proof does not derive the empty clause"
+
+
+class TestCheckerAgainstRescan:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_watched_checker_agrees_with_rescan(self, seed):
+        rng = random.Random(seed)
+        while True:
+            n = rng.randint(8, 18)
+            clauses = random_3cnf(rng, n, ratio=rng.uniform(4.5, 7.0))
+            proof = DratProof()
+            # a short reduce interval puts deletions into small proofs
+            config = SolverConfig(reduce_interval=rng.randint(2, 12), keep_lbd=1)
+            if solve(cnf(n, clauses), config, drat_sink=proof).status \
+                    is Status.UNSAT:
+                break
+        assert check_proof(clauses, proof) == (True, "ok")
+        adds = [i for i, (kind, lits) in enumerate(proof.steps)
+                if kind == "a" and lits]
+        if not adds:
+            return
+        dropped = DratProof(list(proof.steps))
+        del dropped.steps[rng.choice(adds)]
+        assert check_proof(clauses, dropped) == rescan_check(clauses, dropped)
 
 
 class TestBudgetsAndResume:
