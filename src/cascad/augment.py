@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import (Circuit, Cone, GateKind, ShapeError, fanin_cone,
-                      fanout_cone)
+from .circuit import Circuit, GateKind, ShapeError, fanin_cone, fanout_cone
 
 INFLUENCE_DEPTH = 10  # logic levels, both for anchor search and fanout bound
 

@@ -15,20 +15,21 @@ import multiprocessing as mp
 import os
 import random
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 
 from .circuit import (Circuit, Gate, GateKind, MutationError, build_miter,
-                      emit_aiger, mutate_circuit, parse_aiger)
+                      emit_aiger, mutate_circuit, parse_aiger, rebuild)
 from .cnf import tseitin_encode
-from .estimator import Backend, Estimator, EstimatorConfig
+from .estimator import (EXACT_PI_CAP, Estimator, EstimatorConfig,
+                        default_backend)
 from .heuristics import (ClauseFilterPolicy, build_phase_policy,
                          make_phase_hook, run_clause_filter)
 from .sim import exact_truth_table
-from .solver import Solver, SolverConfig, Status
+from .solver import Solver, SolverConfig
 
-VERIFY_PI_CAP = 16
 MUTATION_RETRIES = 20
 
 
@@ -82,20 +83,15 @@ def double_negate(circuit: Circuit, seed: int) -> Circuit:
     target = rng.choice(ands)
     slot = rng.randrange(2)
     out = Circuit()
-    node_map: dict[int, int] = {}
-    for i, g in enumerate(circuit.gates):
-        if g.kind is GateKind.PI:
-            node_map[i] = out.add_pi()
-        elif g.kind is GateKind.CONST0:
-            node_map[i] = out.add_const0()
-        elif g.kind is GateKind.NOT:
-            node_map[i] = out._append(Gate(GateKind.NOT, (node_map[g.fanins[0]],)))
-        else:
-            a, b = (node_map[f] for f in g.fanins)
-            if i == target:
-                repl = _raw_not(out, _raw_not(out, a if slot == 0 else b))
-                a, b = (repl, b) if slot == 0 else (a, repl)
-            node_map[i] = out.add_and(a, b)
+
+    def edit(i, fanins):
+        if i != target:
+            return None
+        a, b = fanins
+        repl = _raw_not(out, _raw_not(out, a if slot == 0 else b))
+        return out.add_and(*((repl, b) if slot == 0 else (a, repl)))
+
+    node_map = rebuild(circuit, out, {}, edit)
     out.set_outputs([node_map[p] for p in circuit.primary_outputs])
     return out
 
@@ -127,21 +123,16 @@ def reassociate(circuit: Circuit, seed: int) -> Circuit:
     top, slot = rng.choice(sites)
     inner = circuit.gates[top].fanins[slot]
     a, b = circuit.gates[inner].fanins
-    c = circuit.gates[top].fanins[1 - slot]
     out = Circuit()
     node_map: dict[int, int] = {}
-    for i, g in enumerate(circuit.gates):
-        if g.kind is GateKind.PI:
-            node_map[i] = out.add_pi()
-        elif g.kind is GateKind.CONST0:
-            node_map[i] = out.add_const0()
-        elif g.kind is GateKind.NOT:
-            node_map[i] = out.add_not(node_map[g.fanins[0]])
-        elif i == top:
-            inner_new = out.add_and(node_map[b], node_map[c])
-            node_map[i] = out.add_and(node_map[a], inner_new)
-        else:
-            node_map[i] = out.add_and(*(node_map[f] for f in g.fanins))
+
+    def edit(i, fanins):
+        if i != top:
+            return None
+        inner_new = out.add_and(node_map[b], fanins[1 - slot])
+        return out.add_and(node_map[a], inner_new)
+
+    rebuild(circuit, out, node_map, edit)
     out.set_outputs([node_map[p] for p in circuit.primary_outputs])
     return out
 
@@ -171,7 +162,7 @@ def gen_suite(bases: list[Circuit], n_sat: int, n_unsat: int,
         recipe = rng.choice(names)
         tseed = rng.randrange(2**32)
         twin = TRANSFORMS[recipe](base, tseed)
-        verifiable = len(base.primary_inputs) <= VERIFY_PI_CAP
+        verifiable = len(base.primary_inputs) <= EXACT_PI_CAP
         if verifiable and not _functionally_equal(base, twin):
             raise SuiteError(f"transform {recipe} changed the function")
         cases.append(BenchCase(
@@ -180,7 +171,7 @@ def gen_suite(bases: list[Circuit], n_sat: int, n_unsat: int,
             provenance={"base": k % len(bases), "recipe": recipe, "seed": tseed}))
     for k in range(n_sat):
         base = bases[k % len(bases)]
-        verifiable = len(base.primary_inputs) <= VERIFY_PI_CAP
+        verifiable = len(base.primary_inputs) <= EXACT_PI_CAP
         mutant = None
         mseed = None
         for _ in range(MUTATION_RETRIES):
@@ -236,10 +227,9 @@ def run_case(case: BenchCase, config: BenchConfig) -> dict:
     phase_hook = None
     estimator = None
     if config.kind in ("phase", "clause_filter"):
-        backend = (Backend.EXACT if len(case.miter.primary_inputs) <= VERIFY_PI_CAP
-                   else Backend.SIMULATION)
         t0 = time.monotonic()
-        estimator = Estimator(case.miter, EstimatorConfig(backend=backend))
+        estimator = Estimator(case.miter, EstimatorConfig(
+            backend=default_backend(case.miter)))
         if config.kind == "phase":
             policy = build_phase_policy(
                 estimator, case.miter.primary_outputs[0], vmap, config.tau)
@@ -251,7 +241,6 @@ def run_case(case: BenchCase, config: BenchConfig) -> dict:
     if config.kind == "clause_filter":
         filter_policy = ClauseFilterPolicy(conflict_budget=config.conflict_budget,
                                            threshold=config.threshold)
-        t1 = time.monotonic()
         report = run_clause_filter(solver, filter_policy, estimator, vmap)
         outcome = report.outcome
     else:
@@ -285,15 +274,14 @@ def run_suite(cases: list[BenchCase], configs: list[BenchConfig],
     cutoff; records are appended to out_path (JSON lines) as they finish."""
     tasks = [(case, cfg) for case in cases for cfg in configs]
     records: list[dict] = []
-    active: list[tuple] = []
+    active: dict = {}  # result pipe -> (process, case, config, deadline)
     sink = open(out_path, "a") if out_path else None
 
-    def finish(record):
+    def finish(record, case):
         records.append(record)
         if sink:
             sink.write(json.dumps(record) + "\n")
             sink.flush()
-        case = next(c for c in cases if c.id == record["case"])
         if case.expected in ("SAT", "UNSAT") and \
                 record["status"] in ("SAT", "UNSAT") and \
                 record["status"] != case.expected:
@@ -309,36 +297,33 @@ def run_suite(cases: list[BenchCase], configs: list[BenchConfig],
                 proc = mp.Process(target=_worker, args=(case, cfg, child))
                 proc.start()
                 child.close()
-                active.append((proc, parent, case, cfg, time.monotonic()))
-            time.sleep(0.01)
-            still = []
-            for proc, parent, case, cfg, start in active:
-                elapsed = time.monotonic() - start
-                if parent.poll():
-                    record = parent.recv()
+                active[parent] = (proc, case, cfg, time.monotonic() + cutoff)
+            nearest = min(deadline for *_, deadline in active.values())
+            ready = wait(list(active), max(0.0, nearest - time.monotonic()))
+            now = time.monotonic()
+            for conn, (proc, case, cfg, deadline) in list(active.items()):
+                if conn in ready:
+                    try:
+                        record = conn.recv()
+                    except EOFError:  # the worker died without a record
+                        record = {"case": case.id, "config": cfg.label,
+                                  "status": "ERROR"}
                     proc.join()
-                    if record["status"] == "ERROR":
-                        record.update(wall_seconds=cutoff, solving_seconds=cutoff,
-                                      inference_seconds=0.0, stats={})
-                    finish(record)
-                elif not proc.is_alive():
-                    proc.join()
-                    finish({"case": case.id, "config": cfg.label,
-                            "status": "ERROR", "wall_seconds": cutoff,
-                            "solving_seconds": cutoff, "inference_seconds": 0.0,
-                            "stats": {}})
-                elif elapsed > cutoff:
+                elif now >= deadline:
                     proc.terminate()
                     proc.join()
-                    finish({"case": case.id, "config": cfg.label,
-                            "status": "TIMEOUT", "wall_seconds": cutoff,
-                            "solving_seconds": cutoff, "inference_seconds": 0.0,
-                            "stats": {}})
+                    record = {"case": case.id, "config": cfg.label,
+                              "status": "TIMEOUT"}
                 else:
-                    still.append((proc, parent, case, cfg, start))
-            active = still
+                    continue
+                if record["status"] in ("ERROR", "TIMEOUT"):
+                    record.update(wall_seconds=cutoff, solving_seconds=cutoff,
+                                  inference_seconds=0.0, stats={})
+                del active[conn]
+                conn.close()
+                finish(record, case)
     finally:
-        for proc, *_ in active:
+        for proc, *_ in active.values():
             proc.terminate()
         if sink:
             sink.close()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -288,6 +288,8 @@ def parse_aiger(data: bytes) -> Circuit:
         m, i, l, o, a = (int(x) for x in header[1:6])
     except ValueError as e:
         raise AigerParseError(f"malformed header counts: {data[:nl]!r}") from e
+    if min(m, i, l, o, a) < 0:
+        raise AigerParseError(f"negative header count: {data[:nl]!r}")
     if l > 0:
         raise AigerParseError(f"sequential AIGER rejected: {l} latches")
 
@@ -392,7 +394,10 @@ def _parse_binary_body(body: bytes, m, i, o, a):
         nl = body.find(b"\n", pos)
         if nl < 0:
             raise AigerParseError(f"truncated output section at byte {pos}")
-        outputs.append(int(body[pos:nl]))
+        try:
+            outputs.append(int(body[pos:nl]))
+        except ValueError as e:
+            raise AigerParseError(f"non-numeric output literal {body[pos:nl]!r}") from e
         pos = nl + 1
 
     def read_delta() -> int:
@@ -453,22 +458,29 @@ def emit_aiger(circuit: Circuit) -> bytes:
 # -- miters and mutation ------------------------------------------------------
 
 
-def _import_gates(dst: Circuit, src: Circuit, pi_map: dict[int, int]) -> dict[int, int]:
-    """Copy src's non-virtual gates into dst, identifying PIs via pi_map."""
-    node_map = dict(pi_map)
+def rebuild(src: Circuit, dst: Circuit, node_map: dict[int, int],
+            edit=None) -> dict[int, int]:
+    """Copy src's Boolean gates into dst in order, extending node_map.
+
+    Gates already in node_map are taken as mapped, unmapped PIs become new
+    PIs of dst, and virtual gates are skipped.  NOTs go through add_not, so
+    they are shared and a NOT of a NOT collapses.  For AND gate i,
+    edit(i, fanins), given the fanins already mapped into dst, may return
+    the dst node to use in place of AND(fanins).
+    """
     for i, g in enumerate(src.gates):
-        if i in node_map:
-            continue
-        if g.kind in VIRTUAL_KINDS:
+        if i in node_map or g.kind in VIRTUAL_KINDS:
             continue
         if g.kind is GateKind.PI:
-            raise ShapeError(f"unmapped PI {i}")
-        if g.kind is GateKind.CONST0:
+            node_map[i] = dst.add_pi()
+        elif g.kind is GateKind.CONST0:
             node_map[i] = dst.add_const0()
         elif g.kind is GateKind.NOT:
             node_map[i] = dst.add_not(node_map[g.fanins[0]])
         else:
-            node_map[i] = dst.add_and(node_map[g.fanins[0]], node_map[g.fanins[1]])
+            fanins = (node_map[g.fanins[0]], node_map[g.fanins[1]])
+            node = edit(i, fanins) if edit is not None else None
+            node_map[i] = dst.add_and(*fanins) if node is None else node
     return node_map
 
 
@@ -490,8 +502,8 @@ def build_miter(left: Circuit, right: Circuit,
 
     miter = Circuit()
     shared = [miter.add_pi() for _ in left.primary_inputs]
-    lmap = _import_gates(miter, left, dict(zip(left.primary_inputs, shared)))
-    rmap = _import_gates(miter, right, dict(zip(right.primary_inputs, shared)))
+    lmap = rebuild(left, miter, dict(zip(left.primary_inputs, shared)))
+    rmap = rebuild(right, miter, dict(zip(right.primary_inputs, shared)))
 
     def xor(x: int, y: int) -> int:
         a = miter.add_and(x, miter.add_not(y))
@@ -514,6 +526,8 @@ class MutationError(CircuitError):
 def mutate_circuit(circuit: Circuit, seed: int) -> Circuit:
     """Apply one seeded local change: flip a fanin inversion or swap a fanin
     with another same-level signal."""
+    if any(g.kind in VIRTUAL_KINDS for g in circuit.gates):
+        raise MutationError("cannot mutate a circuit with virtual gates")
     rng = random.Random(seed)
     # prefer gates observable at an output so the change is usually effective
     observable: set[int] = set()
@@ -531,30 +545,23 @@ def mutate_circuit(circuit: Circuit, seed: int) -> Circuit:
 
     levels = circuit.levels
     # candidates must precede the target so they are already rebuilt
-    same_level = [i for i, g in enumerate(circuit.gates)
-                  if levels[i] == levels[old_fanin] and i != old_fanin
-                  and g.kind not in VIRTUAL_KINDS and i < target]
+    same_level = [i for i in range(target)
+                  if levels[i] == levels[old_fanin] and i != old_fanin]
     do_swap = bool(same_level) and rng.random() < 0.5
 
     mutated = Circuit()
     node_map: dict[int, int] = {}
-    for i, g in enumerate(circuit.gates):
-        if g.kind is GateKind.PI:
-            node_map[i] = mutated.add_pi()
-        elif g.kind is GateKind.CONST0:
-            node_map[i] = mutated.add_const0()
-        elif g.kind is GateKind.NOT:
-            node_map[i] = mutated.add_not(node_map[g.fanins[0]])
-        elif g.kind is GateKind.AND:
-            a, b = (node_map[f] for f in g.fanins)
-            if i == target:
-                if do_swap:
-                    repl = node_map[rng.choice(same_level)]
-                else:
-                    repl = mutated.add_not(node_map[old_fanin])
-                a, b = (repl, b) if slot == 0 else (a, repl)
-            node_map[i] = mutated.add_and(a, b)
+
+    def edit(i, fanins):
+        if i != target:
+            return None
+        if do_swap:
+            repl = node_map[rng.choice(same_level)]
         else:
-            raise MutationError("cannot mutate a circuit with virtual gates")
+            repl = mutated.add_not(node_map[old_fanin])
+        a, b = fanins
+        return mutated.add_and(*((repl, b) if slot == 0 else (a, repl)))
+
+    rebuild(circuit, mutated, node_map, edit)
     mutated.set_outputs([node_map[p] for p in circuit.primary_outputs])
     return mutated

@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import bench as bench_mod
 from .augment import chain_conditions, insert_cond
 from .circuit import parse_aiger
 from .cnf import parse_dimacs, tseitin_encode
 from .drat import DratFileSink
-from .estimator import Backend, Estimator, EstimatorConfig
+from .estimator import Estimator, EstimatorConfig, default_backend
 from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                          build_phase_policy, adaptive_solve, make_phase_hook,
                          run_clause_filter, RefreshingPhaseHook)
@@ -79,9 +78,8 @@ def _print_outcome(outcome):
 
 def cmd_solve(args):
     cnf = parse_dimacs(_read(args.file))
-    config = SolverConfig(seed=args.seed)
     sink = DratFileSink(args.drat) if args.drat else None
-    solver = Solver(cnf, config, drat_sink=sink)
+    solver = Solver(cnf, SolverConfig(), drat_sink=sink)
     outcome = solver.solve(conflict_budget=args.conflicts, time_budget=args.time)
     if sink:
         sink.close()
@@ -94,8 +92,7 @@ def cmd_csat(args):
     circuit = parse_aiger(_read(args.file))
     po = circuit.primary_outputs[0]
     cnf, vmap = tseitin_encode(circuit, [(po, True)])
-    backend = Backend.EXACT if len(circuit.primary_inputs) <= 16 else Backend.SIMULATION
-    estimator = Estimator(circuit, EstimatorConfig(backend=backend))
+    estimator = Estimator(circuit, EstimatorConfig(backend=default_backend(circuit)))
 
     if args.mode == "phase":
         refresh_k, max_conds = 0, 8
@@ -199,7 +196,6 @@ def main(argv=None):
     p.add_argument("--drat")
     p.add_argument("--conflicts", type=int)
     p.add_argument("--time", type=float)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("csat", help="solve an AIG with probability-guided heuristics")

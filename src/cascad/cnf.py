@@ -95,7 +95,10 @@ def emit_dimacs(cnf: CnfFormula, comments: list[str] | None = None) -> bytes:
 
 def parse_dimacs(data: bytes) -> CnfFormula:
     if isinstance(data, bytes):
-        data = data.decode()
+        try:
+            data = data.decode()
+        except UnicodeDecodeError as e:
+            raise CnfError(f"DIMACS input is not UTF-8: {e}") from e
     num_vars = None
     num_clauses = None
     clauses: list[list[int]] = []
@@ -108,12 +111,20 @@ def parse_dimacs(data: bytes) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfError(f"line {lineno}: malformed problem line {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            try:
+                num_vars, num_clauses = int(parts[2]), int(parts[3])
+            except ValueError as e:
+                raise CnfError(f"line {lineno}: malformed problem line {line!r}") from e
+            if num_vars < 0 or num_clauses < 0:
+                raise CnfError(f"line {lineno}: negative count in {line!r}")
             continue
         if num_vars is None:
             raise CnfError(f"line {lineno}: clause before problem line")
-        for tok in line.split():
-            lit = int(tok)
+        try:
+            lits = [int(tok) for tok in line.split()]
+        except ValueError as e:
+            raise CnfError(f"line {lineno}: non-integer literal in {line!r}") from e
+        for lit in lits:
             if lit == 0:
                 clauses.append(current)
                 current = []
@@ -122,25 +133,10 @@ def parse_dimacs(data: bytes) -> CnfFormula:
                     raise CnfError(f"line {lineno}: literal {lit} exceeds "
                                    f"declared {num_vars} variables")
                 current.append(lit)
+    if num_vars is None:
+        raise CnfError("no problem line")
     if current:
         raise CnfError("unterminated final clause (missing 0)")
     if num_clauses is not None and len(clauses) != num_clauses:
         raise CnfError(f"header declares {num_clauses} clauses, body has {len(clauses)}")
     return CnfFormula(num_vars, clauses)
-
-
-def emit_map(vmap: VarGateMap) -> bytes:
-    lines = [f"v {v} g {g}" for v, g in sorted(vmap.var_to_gate.items())]
-    return ("\n".join(lines) + "\n").encode() if lines else b""
-
-
-def parse_map(data: bytes) -> VarGateMap:
-    vmap = VarGateMap()
-    for lineno, line in enumerate(data.decode().splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "v" or parts[2] != "g":
-            raise CnfError(f"map line {lineno}: expected 'v <var> g <gate>'")
-        vmap.add(int(parts[3]), int(parts[1]))
-    return vmap

@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 import select
 import subprocess
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,6 +25,10 @@ from .circuit import Circuit
 from .cnf import VarGateMap, lit_to_signal
 from .sim import (PatternTraces, SimulationPlan, exact_truth_table,
                   sample_patterns, simulate, _tail_mask, _num_bytes)
+
+
+# widest circuit whose exhaustive truth table is the default trace set
+EXACT_PI_CAP = 16
 
 
 class EstimatorError(Exception):
@@ -36,20 +41,24 @@ class Backend(Enum):
     EXTERNAL = "external"
 
 
+def default_backend(circuit: Circuit) -> Backend:
+    """EXACT up to EXACT_PI_CAP primary inputs, SIMULATION beyond."""
+    if len(circuit.primary_inputs) <= EXACT_PI_CAP:
+        return Backend.EXACT
+    return Backend.SIMULATION
+
+
 @dataclass
 class EstimatorConfig:
     backend: Backend = Backend.EXACT
     num_patterns: int = 20_000
     seed: int = 0
     workload: float | list[float] = 0.5
-    polar_threshold: float = 0.1
     denominator_floor: float | None = None  # default 1/num_patterns (SIMULATION), 0 (EXACT)
     external_command: list[str] | None = None
     external_timeout: float = 10.0
 
     def __post_init__(self):
-        if not (0.0 < self.polar_threshold < 0.5):
-            raise EstimatorError(f"polar_threshold {self.polar_threshold} outside (0, 0.5)")
         if self.denominator_floor is not None and self.denominator_floor < 0:
             raise EstimatorError("denominator_floor must be >= 0")
 
@@ -220,33 +229,12 @@ class Estimator:
             acc |= self._row(*sig)
         return self._count(acc) / t.num_patterns
 
-    def is_polar(self, gate: int) -> bool:
-        p = self.node_prob(gate)
-        return min(p, 1.0 - p) < self.config.polar_threshold
-
-    def phase_table(self, po: int) -> dict[int, float | None]:
-        """P(gate=1 | po=1) for every non-virtual gate; None = no information."""
-        t = self.traces
-        po_row = self._row(po, True)
-        n_po = self._count(po_row)
-        table: dict[int, float | None] = {}
-        if n_po == 0:
-            for g in range(len(self.circuit)):
-                if not self.circuit.is_virtual(g):
-                    table[g] = None
-            return table
-        joint = np.bitwise_count(t.bits & po_row[None, :]).sum(axis=1)
-        for g in range(len(self.circuit)):
-            if self.circuit.is_virtual(g):
-                continue
-            table[g] = float(joint[g]) / n_po
-        return table
-
-    def phase_table_conditioned(self, po: int,
-                                extra_conditions: list[tuple[int, bool]]
-                                ) -> dict[int, float | None]:
-        """Like phase_table, but conditioned on po=1 AND every extra condition
-        (the chained-condition semantics, evaluated on shared traces)."""
+    def phase_table(self, po: int,
+                    extra_conditions: Sequence[tuple[int, bool]] = ()
+                    ) -> dict[int, float | None]:
+        """P(gate=1 | po=1 and every extra condition) for every non-virtual
+        gate, evaluated on the shared traces; None = the condition never
+        holds, so there is no information."""
         conditions = [(po, True)] + [c for c in extra_conditions if c[0] != po]
         cond_row = self._condition_row(conditions)
         n_cond = self._count(cond_row)

@@ -76,7 +76,7 @@ def refresh_phase_policy(policy: PhaseSelectionPolicy, estimator: Estimator,
         if sig is not None and sig[0] != po:
             conditions.append(sig)
     try:
-        gate_table = estimator.phase_table_conditioned(po, conditions)
+        gate_table = estimator.phase_table(po, conditions)
     except Exception:
         return policy
     table: dict[int, float | None] = {}

@@ -9,7 +9,7 @@ plan always yields the same bits regardless of evaluation order.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,10 +77,6 @@ class PatternTraces:
 
     def count(self, gate: int) -> int:
         return int(np.bitwise_count(self.trace(gate)).sum())
-
-
-# TruthTable is a PatternTraces over the exhaustive enumeration
-TruthTable = PatternTraces
 
 
 def _num_bytes(n: int) -> int:
@@ -158,7 +154,7 @@ def exhaustive_patterns(num_pis: int) -> PatternBlock:
     return PatternBlock(out, n)
 
 
-def exact_truth_table(circuit: Circuit) -> TruthTable:
+def exact_truth_table(circuit: Circuit) -> PatternTraces:
     block = exhaustive_patterns(len(circuit.primary_inputs))
     return simulate(circuit, block)
 
@@ -201,6 +197,7 @@ def run_workload_suite(circuit: Circuit, num_sims: int = 200,
 
 _MAGIC = b"CTRC"
 _VERSION = 1
+_HEADER = len(_MAGIC) + struct.calcsize("<III")
 
 
 def write_traces(traces: PatternTraces, path: str):
@@ -214,15 +211,20 @@ def write_traces(traces: PatternTraces, path: str):
 
 def read_traces(path: str) -> PatternTraces:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise SimError(f"bad trace file magic {magic!r}")
-        version, num_gates, num_patterns = struct.unpack("<III", fh.read(12))
-        if version != _VERSION:
-            raise SimError(f"unsupported trace file version {version}")
-        flags = np.frombuffer(fh.read(_num_bytes(num_gates)), dtype=np.uint8)
-        has_trace = np.unpackbits(flags, bitorder="little")[:num_gates].astype(bool)
-        nb = _num_bytes(num_patterns)
-        bits = np.frombuffer(fh.read(num_gates * nb), dtype=np.uint8)
-        bits = bits.reshape(num_gates, nb).copy()
-    return PatternTraces(bits, num_patterns, has_trace)
+        data = fh.read()
+    if data[:4] != _MAGIC:
+        raise SimError(f"bad trace file magic {data[:4]!r}")
+    if len(data) < _HEADER:
+        raise SimError(f"truncated trace file header: {len(data)} bytes")
+    version, num_gates, num_patterns = struct.unpack_from("<III", data, 4)
+    if version != _VERSION:
+        raise SimError(f"unsupported trace file version {version}")
+    nflags = _num_bytes(num_gates)
+    nb = _num_bytes(num_patterns)
+    if len(data) < _HEADER + nflags + num_gates * nb:
+        raise SimError(f"truncated trace file: {len(data)} bytes for {num_gates} "
+                       f"gates x {num_patterns} patterns")
+    flags = np.frombuffer(data, np.uint8, nflags, _HEADER)
+    has_trace = np.unpackbits(flags, bitorder="little")[:num_gates].astype(bool)
+    bits = np.frombuffer(data, np.uint8, num_gates * nb, _HEADER + nflags)
+    return PatternTraces(bits.reshape(num_gates, nb).copy(), num_patterns, has_trace)

@@ -10,9 +10,9 @@ learnt-clause database, and resume.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 
 from .cnf import CnfFormula
 
@@ -32,7 +32,6 @@ class SolverConfig:
     var_decay: float = 0.95
     conflict_budget: int | None = None
     time_budget: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.phase_default not in ("saved", "false", "true"):
@@ -223,8 +222,7 @@ class Solver:
             self.var_inc *= 1e-100
             self._order = [(-self.activity[u], u) for u in range(1, self.nvars + 1)
                            if self.values[u] == 0]
-            import heapq
-            heapq.heapify(self._order)
+            heapify(self._order)
             return
         heappush(self._order, (-self.activity[v], v))
 
@@ -468,8 +466,6 @@ class Solver:
             model = {v: self.values[v] == 1 if self.values[v] != 0 else False
                      for v in range(1, self.nvars + 1)}
             self._verify_model(model)
-        if outcome is Status.UNKNOWN and self.decision_level > 0:
-            pass  # leave trail intact: caller may resume
         return SolveOutcome(outcome, model, self.stats)
 
     def pause_at_level0(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -8,7 +9,7 @@ from cascad.bench import (BenchCase, BenchConfig, CorrectnessAlarm, SuiteError,
                           TRANSFORMS, commute_fanins, double_negate, gen_suite,
                           load_suite, par2, par2_by_config, parse_report_csv,
                           reassociate, report, run_case, run_suite, save_suite)
-from cascad.circuit import Circuit, GateKind, build_miter
+from cascad.circuit import Circuit, GateKind, build_miter, mutate_circuit
 from cascad.sim import exact_truth_table
 from cascad.solver import SolverConfig
 
@@ -89,6 +90,26 @@ class TestGenSuite:
         c.set_outputs([c.add_pi()])
         with pytest.raises(SuiteError, match="mutation"):
             gen_suite([c], n_sat=1, n_unsat=0, seed=0)
+
+
+class TestCopyPin:
+    # SHA-256 over the gate lists the copying transforms produced before
+    # their four copy loops became circuit.rebuild; any change to gate order,
+    # NOT sharing or PI numbering shows here
+    DIGEST = "c89b77270b232128b03b10de5ff566174f7010be5114f60c9eb811f128025bdc"
+
+    def test_copies_unchanged(self):
+        h = hashlib.sha256()
+        for seed in range(40):
+            c = random_circuit(seed, num_pis=5, num_gates=30)
+            c.set_outputs(c.primary_outputs + [len(c) - 4])
+            twins = [double_negate(c, seed), reassociate(c, seed),
+                     mutate_circuit(c, seed)]
+            cases = gen_suite([c], n_sat=2, n_unsat=2, seed=seed)
+            for out in twins + [build_miter(c, t) for t in twins] + \
+                    [case.miter for case in cases]:
+                h.update(out.to_json().encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestSuiteIO:
@@ -179,6 +200,20 @@ class TestRunSuite:
                             cutoff=0.2)
         assert records[0]["status"] == "TIMEOUT"
         assert records[0]["wall_seconds"] == 0.2
+
+    def test_worker_exit_without_record_is_error(self, monkeypatch):
+        import os
+        import cascad.bench as bench_mod
+
+        def dying_case(case, config):
+            os._exit(3)
+
+        monkeypatch.setattr(bench_mod, "run_case", dying_case)
+        records = run_suite(self.suite()[:1], [BenchConfig("baseline")],
+                            cutoff=5.0)
+        assert records[0]["status"] == "ERROR"
+        assert records[0]["wall_seconds"] == 5.0
+        assert records[0]["stats"] == {}
 
     def test_crash_recorded_as_error(self):
         bad = BenchCase("sat-bad", None, "unknown", {})

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cascad.circuit import (AigerParseError, Circuit, CycleError, GateKind,
-                            MutationError, ShapeError, build_miter, emit_aiger,
-                            fanin_cone, fanout_cone, levelize, mutate_circuit,
-                            parse_aiger)
+from cascad.circuit import (AigerParseError, Circuit, CircuitError, CycleError,
+                            GateKind, MutationError, ShapeError, build_miter,
+                            emit_aiger, fanin_cone, fanout_cone, levelize,
+                            mutate_circuit, parse_aiger, rebuild)
 from cascad.sim import exact_truth_table
 
 from conftest import all_input_rows, eval_circuit, random_circuit
@@ -53,6 +54,22 @@ class TestParseAiger:
         data = b"aig 3 2 0 1 1\n6\n" + bytes([2, 2])
         c = parse_aiger(data)
         assert c.kind(c.primary_outputs[0]) is GateKind.AND
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=60),
+        st.builds(lambda fmt, m, i, o, a, body:
+                  f"{fmt} {m} {i} 0 {o} {a}\n".encode() + body,
+                  st.sampled_from(["aag", "aig"]), *[st.integers(-1, 5)] * 4,
+                  st.one_of(st.binary(max_size=30),
+                            st.text(alphabet="0123456789 -x\n",
+                                    max_size=40).map(str.encode)))))
+    @example(b"aig 1 0 0 1 0\nx\n")
+    def test_fuzz_raises_only_circuit_errors(self, data):
+        try:
+            parse_aiger(data)
+        except CircuitError:
+            pass
 
     def test_shared_not_is_deduplicated(self):
         # two ANDs both consuming NOT(a)
@@ -249,6 +266,25 @@ class TestMiter:
         assert _circuit_sat(miter) == differs
 
 
+class TestRebuild:
+    def test_copies_boolean_gates_and_skips_virtual(self, toy_and):
+        c, a, b, g = toy_and
+        aug = c.copy()
+        aug.add_virtual_and(a, g)
+        dst = Circuit()
+        node_map = rebuild(aug, dst, {})
+        assert [x.kind for x in dst.gates] == \
+            [GateKind.PI, GateKind.PI, GateKind.AND]
+        assert node_map == {a: 0, b: 1, g: 2}
+
+    def test_edit_replaces_one_and(self, toy_and):
+        c, a, b, g = toy_and
+        dst = Circuit()
+        node_map = rebuild(c, dst, {},
+                           lambda i, fanins: dst.add_not(fanins[0]))
+        assert dst.kind(node_map[g]) is GateKind.NOT
+
+
 class TestMutate:
     def test_fanin_inversion(self, toy_and):
         c, a, b, g = toy_and
@@ -268,6 +304,13 @@ class TestMutate:
         c.set_outputs([c.add_pi()])
         with pytest.raises(MutationError):
             mutate_circuit(c, seed=0)
+
+    def test_virtual_gates_rejected(self, toy_and):
+        c, a, b, g = toy_and
+        aug = c.copy()
+        aug.add_virtual_and(a, b)
+        with pytest.raises(MutationError, match="virtual"):
+            mutate_circuit(aug, seed=0)
 
     def test_mutation_usually_changes_function(self):
         c = random_circuit(11, num_pis=5, num_gates=40)

@@ -1,11 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cascad.circuit import Circuit
-from cascad.cnf import (CnfError, CnfFormula, VarGateMap, emit_dimacs,
-                        emit_map, lit_to_signal, parse_dimacs, parse_map,
-                        signal_to_lit, tseitin_encode)
+from cascad.cnf import (CnfError, CnfFormula, emit_dimacs, lit_to_signal,
+                        parse_dimacs, signal_to_lit, tseitin_encode)
 
 from conftest import all_input_rows, enum_cnf_sat, eval_circuit, random_circuit
 
@@ -149,9 +149,28 @@ class TestDimacs:
         with pytest.raises(CnfError, match="declares"):
             parse_dimacs(b"p cnf 2 2\n1 0\n")
 
+    def test_missing_problem_line(self):
+        with pytest.raises(CnfError, match="problem line"):
+            parse_dimacs(b"c only a comment\n")
+
     def test_unterminated_clause(self):
         with pytest.raises(CnfError, match="unterminated"):
             parse_dimacs(b"p cnf 2 1\n1 2\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=60),
+        st.builds(lambda n, m, body: f"p cnf {n} {m}\n{body}".encode(),
+                  st.integers(-1, 4), st.integers(0, 3),
+                  st.text(alphabet="0123-4 x\nc", max_size=40))))
+    @example(b"p cnf 2 1\n1 x 0\n")
+    @example(b"p cnf two 1\n")
+    @example(b"p cnf 1 1\n\xff 0\n")
+    def test_fuzz_raises_only_cnf_error(self, data):
+        try:
+            parse_dimacs(data)
+        except CnfError:
+            pass
 
     def test_satisfiability_preserved(self):
         rng = random.Random(4)
@@ -163,27 +182,6 @@ class TestDimacs:
             cnf = CnfFormula(n, clauses)
             back = parse_dimacs(emit_dimacs(cnf))
             assert enum_cnf_sat(n, back.clauses) == enum_cnf_sat(n, clauses)
-
-
-class TestMapSidecar:
-    def test_round_trip(self):
-        c = random_circuit(1, num_pis=3, num_gates=10)
-        _, vmap = tseitin_encode(c)
-        back = parse_map(emit_map(vmap))
-        assert back.gate_to_var == vmap.gate_to_var
-        assert back.var_to_gate == vmap.var_to_gate
-
-    def test_line_format(self, toy_and):
-        c, *_ = toy_and
-        _, vmap = tseitin_encode(c)
-        assert emit_map(vmap).decode().splitlines()[0] == "v 1 g 0"
-
-    def test_bad_line(self):
-        with pytest.raises(CnfError, match="expected"):
-            parse_map(b"w 1 g 0\n")
-
-    def test_empty(self):
-        assert parse_map(emit_map(VarGateMap())).gate_to_var == {}
 
 
 class TestCnfFormula:

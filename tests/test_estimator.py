@@ -184,12 +184,6 @@ class TestClauseProb:
 
 
 class TestPolarAndPhaseTable:
-    def test_is_polar(self, toy_and):
-        c, a, b, g = toy_and
-        est = exact_estimator(c, polar_threshold=0.3)
-        assert est.is_polar(g)       # 0.25 < 0.3
-        assert not est.is_polar(a)   # 0.5
-
     def test_phase_table_toy(self, toy_and):
         c, a, b, g = toy_and
         table = exact_estimator(c).phase_table(g)
@@ -221,7 +215,7 @@ class TestPolarAndPhaseTable:
                 break
         else:
             pytest.fail("no suitable seed found")
-        table = est.phase_table_conditioned(po, extra)
+        table = est.phase_table(po, extra)
         for g in range(len(c)):
             r = est.cond_prob(ProbQuery((g, True), ((po, True), extra[0])))
             if r.p is None:
@@ -314,11 +308,6 @@ class TestExternalBackend:
 
 
 class TestConfigValidation:
-    def test_polar_threshold_bounds(self):
-        for bad in (0.0, 0.5, -0.1, 0.9):
-            with pytest.raises(EstimatorError, match="polar_threshold"):
-                EstimatorConfig(polar_threshold=bad)
-
     def test_epsilon_defaults(self, toy_and):
         c, *_ = toy_and
         assert exact_estimator(c).epsilon == 0.0

@@ -1,5 +1,10 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cascad.circuit import Circuit
 from cascad.sim import (PatternBlock, SimError, SimulationPlan,
@@ -217,6 +222,27 @@ class TestTraceFile:
         p.write_bytes(b"XXXX" + b"\0" * 16)
         with pytest.raises(SimError, match="magic"):
             read_traces(str(p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=40),
+        st.builds(lambda version, gates, patterns, body, cut:
+                  (b"CTRC" + struct.pack("<III", version, gates, patterns)
+                   + body)[:cut],
+                  st.sampled_from([1, 2]), st.integers(0, 6),
+                  st.integers(0, 20), st.binary(max_size=30),
+                  st.integers(0, 60))))
+    @example(b"CTRC\x01\x00")
+    @example(b"CTRC" + struct.pack("<III", 1, 2, 8) + b"\x03")
+    def test_fuzz_raises_only_sim_error(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.ctrc")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                read_traces(path)
+            except SimError:
+                pass
 
 
 class TestOracleAgreement:
