@@ -6,7 +6,7 @@ from .circuit import (Circuit, Gate, GateKind, build_miter, emit_aiger,
 from .cnf import CnfFormula, VarGateMap, parse_dimacs, emit_dimacs, tseitin_encode
 from .estimator import Backend, Estimator, EstimatorConfig, ProbQuery
 from .sim import (PatternTraces, SimulationPlan, exact_truth_table,
-                  sample_patterns, simulate, trace_probability)
+                  sample_patterns, simulate)
 from .solver import Solver, SolverConfig, SolveOutcome, Status, solve
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Virtual-gate augmentation: joint/conditional observation nodes, condition
-chains, and influence areas.
+"""Virtual-gate augmentation: joint/conditional observation nodes and
+condition chains.
 
 Virtual gates are observation-only sinks: they are never consumed by Boolean
 logic, so augmentation leaves the original circuit semantics untouched.
@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateKind, ShapeError, fanin_cone, fanout_cone
-
-INFLUENCE_DEPTH = 10  # logic levels, both for anchor search and fanout bound
+from .circuit import Circuit, GateKind, ShapeError
 
 
 class AugmentError(Exception):
@@ -30,13 +28,6 @@ class CondNode:
     gate: int  # VIRTUAL_DIV id
     numerator: int  # the JointNode's gate
     denominator: int
-
-
-@dataclass(frozen=True)
-class InfluenceArea:
-    condition: int
-    anchor: int
-    members: frozenset[int]
 
 
 def _check_operand(circuit: Circuit, g: int, name: str):
@@ -116,28 +107,3 @@ def chain_conditions(circuit: Circuit,
         acc = circuit.add_virtual_and(acc, polarized(g, pol))
     return acc
 
-
-def influence_area(circuit: Circuit, condition: int) -> InfluenceArea:
-    """Bounded subregion a condition mostly acts on.
-
-    Anchor = the multi-fanout proper ancestor closest to the condition (at
-    most INFLUENCE_DEPTH levels above, ties broken by smallest id); falls back
-    to the condition itself.  Members = the anchor's depth-bounded fanout cone.
-    """
-    _check_operand(circuit, condition, "condition")
-    levels = circuit.levels
-    fanouts = circuit.fanouts()
-    cone = fanin_cone(circuit, condition, INFLUENCE_DEPTH)
-    candidates = []
-    for g in cone.members:
-        if g == condition:
-            continue
-        boolean_fanouts = sum(1 for s in fanouts[g] if not circuit.is_virtual(s))
-        if boolean_fanouts >= 2 and levels[condition] - levels[g] <= INFLUENCE_DEPTH:
-            candidates.append(g)
-    if candidates:
-        anchor = min(candidates, key=lambda g: (-levels[g], g))
-    else:
-        anchor = condition
-    members = fanout_cone(circuit, anchor, INFLUENCE_DEPTH).members
-    return InfluenceArea(condition, anchor, members)

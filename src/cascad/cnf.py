@@ -21,8 +21,6 @@ class CnfFormula:
 
     def __post_init__(self):
         for cl in self.clauses:
-            if not cl:
-                raise CnfError("empty clause at construction")
             for lit in cl:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise CnfError(f"literal {lit} out of range (num_vars={self.num_vars})")

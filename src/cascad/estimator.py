@@ -18,13 +18,14 @@ import subprocess
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
 from .circuit import Circuit
 from .cnf import VarGateMap, lit_to_signal
 from .sim import (PatternTraces, SimulationPlan, exact_truth_table,
-                  sample_patterns, simulate, _tail_mask, _num_bytes)
+                  sample_patterns, simulate)
 
 
 # widest circuit whose exhaustive truth table is the default trace set
@@ -54,26 +55,14 @@ class EstimatorConfig:
     num_patterns: int = 20_000
     seed: int = 0
     workload: float | list[float] = 0.5
-    denominator_floor: float | None = None  # default 1/num_patterns (SIMULATION), 0 (EXACT)
     external_command: list[str] | None = None
     external_timeout: float = 10.0
-
-    def __post_init__(self):
-        if self.denominator_floor is not None and self.denominator_floor < 0:
-            raise EstimatorError("denominator_floor must be >= 0")
-
-
-class Outcome(Enum):
-    OK = "ok"
-    UNDEFINED_CONDITION = "undefined-condition"
-    LOW_CONFIDENCE_POLAR = "low-confidence-polar"
 
 
 @dataclass(frozen=True)
 class CondResult:
-    p: float | None  # None iff outcome is UNDEFINED_CONDITION
-    outcome: Outcome
-    condition_prob: float
+    p: float | None  # None when the condition never holds
+    condition_prob: float  # nan for the EXTERNAL backend
 
 
 @dataclass(frozen=True)
@@ -83,13 +72,17 @@ class ProbQuery:
 
 
 class Estimator:
-    """Probability oracle over a fixed circuit and one shared trace set."""
+    """Probability oracle over a fixed circuit and one shared trace set.
+
+    EXTERNAL answers node and conditional queries, and phase tables through
+    one conditional query per gate; correlated clause scores and the
+    quotient mode need a trace set and raise EstimatorError there.
+    """
 
     def __init__(self, circuit: Circuit, config: EstimatorConfig | None = None):
         self.circuit = circuit
         self.config = config or EstimatorConfig()
         self._traces: PatternTraces | None = None
-        self._memo: dict = {}
         self._external: _ExternalBackend | None = None
         if self.config.backend is Backend.EXTERNAL:
             if not self.config.external_command:
@@ -98,15 +91,9 @@ class Estimator:
                 self.config.external_command, circuit, self.config.external_timeout)
 
     @property
-    def epsilon(self) -> float:
-        if self.config.denominator_floor is not None:
-            return self.config.denominator_floor
-        if self.config.backend is Backend.SIMULATION:
-            return 1.0 / self.config.num_patterns
-        return 0.0
-
-    @property
     def traces(self) -> PatternTraces:
+        if self._external is not None:
+            raise EstimatorError("the EXTERNAL backend has no trace set")
         if self._traces is None:
             if self.config.backend is Backend.EXACT:
                 self._traces = exact_truth_table(self.circuit)
@@ -117,18 +104,11 @@ class Estimator:
                 self._traces = simulate(self.circuit, block)
         return self._traces
 
-    # -- trace helpers -----------------------------------------------------
-
-    def _row(self, gate: int, polarity: bool) -> np.ndarray:
+    def _condition(self, conditions) -> tuple[np.ndarray, int]:
+        """The row of patterns where every condition holds, and its count."""
         t = self.traces
-        row = t.trace(gate)
-        if polarity:
-            return row
-        mask = _tail_mask(t.num_patterns, row.shape[0])
-        return ~row & mask
-
-    def _count(self, row: np.ndarray) -> int:
-        return int(np.bitwise_count(row).sum())
+        row = reduce(np.bitwise_and, (t.trace(*c) for c in conditions))
+        return row, t.popcount(row)
 
     # -- queries -----------------------------------------------------------
 
@@ -142,45 +122,22 @@ class Estimator:
     def cond_prob(self, query: ProbQuery) -> CondResult:
         if not query.conditions:
             raise EstimatorError("cond_prob requires at least one condition")
-        key = (query.target, tuple(sorted(query.conditions)))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._cond_prob_uncached(query)
-        self._memo[key] = result
-        return result
-
-    def _cond_prob_uncached(self, query: ProbQuery) -> CondResult:
         tgate, tpol = query.target
+        if self._external is not None:
+            p_cond = float("nan")
+        else:
+            t = self.traces
+            cond_row, n_cond = self._condition(query.conditions)
+            p_cond = n_cond / t.num_patterns
         for cgate, cpol in query.conditions:
             if cgate == tgate:
-                p = 1.0 if cpol == tpol else 0.0
-                pc = (float("nan") if self._external is not None
-                      else self._condition_probability(query))
-                return CondResult(p, Outcome.OK, pc)
+                return CondResult(1.0 if cpol == tpol else 0.0, p_cond)
         if self._external is not None:
-            p = self._external.cond_prob(query)
-            return CondResult(p, Outcome.OK, float("nan"))
-        cond_row = self._condition_row(query.conditions)
-        n_cond = self._count(cond_row)
-        p_cond = n_cond / self.traces.num_patterns
+            return CondResult(self._external.cond_prob(query), p_cond)
         if n_cond == 0:
-            return CondResult(None, Outcome.UNDEFINED_CONDITION, 0.0)
-        n_joint = self._count(cond_row & self._row(tgate, tpol))
-        outcome = Outcome.OK
-        if 0.0 < p_cond < self.epsilon:
-            outcome = Outcome.LOW_CONFIDENCE_POLAR
-        return CondResult(n_joint / n_cond, outcome, p_cond)
-
-    def _condition_row(self, conditions) -> np.ndarray:
-        acc = self._row(*conditions[0]).copy()
-        for cond in conditions[1:]:
-            acc &= self._row(*cond)
-        return acc
-
-    def _condition_probability(self, query: ProbQuery) -> float:
-        row = self._condition_row(query.conditions)
-        return self._count(row) / self.traces.num_patterns
+            return CondResult(None, p_cond)
+        n_joint = t.popcount(cond_row & t.trace(tgate, tpol))
+        return CondResult(n_joint / n_cond, p_cond)
 
     def quotient_cond_prob(self, query: ProbQuery, noise: float = 0.0,
                            noise_seed: int = 0) -> float | None:
@@ -188,11 +145,10 @@ class Estimator:
         joint and condition probabilities, optionally perturbed by symmetric
         noise.  Exists to reproduce the division-amplification pathology;
         do not use for solving."""
-        tgate, tpol = query.target
-        cond_row = self._condition_row(query.conditions)
-        n = self.traces.num_patterns
-        p_cond = self._count(cond_row) / n
-        p_joint = self._count(cond_row & self._row(tgate, tpol)) / n
+        t = self.traces
+        cond_row, n_cond = self._condition(query.conditions)
+        p_cond = n_cond / t.num_patterns
+        p_joint = t.popcount(cond_row & t.trace(*query.target)) / t.num_patterns
         if noise:
             rng = np.random.default_rng(noise_seed)
             p_joint += noise * (1 if rng.random() < 0.5 else -1)
@@ -223,33 +179,27 @@ class Estimator:
         if any(sig is None for sig in signals):
             return None
         t = self.traces
-        nb = _num_bytes(t.num_patterns)
-        acc = np.zeros(nb, dtype=np.uint8)
-        for sig in signals:
-            acc |= self._row(*sig)
-        return self._count(acc) / t.num_patterns
+        acc = reduce(np.bitwise_or, (t.trace(*sig) for sig in signals))
+        return t.popcount(acc) / t.num_patterns
 
     def phase_table(self, po: int,
                     extra_conditions: Sequence[tuple[int, bool]] = ()
                     ) -> dict[int, float | None]:
         """P(gate=1 | po=1 and every extra condition) for every non-virtual
-        gate, evaluated on the shared traces; None = the condition never
-        holds, so there is no information."""
-        conditions = [(po, True)] + [c for c in extra_conditions if c[0] != po]
-        cond_row = self._condition_row(conditions)
-        n_cond = self._count(cond_row)
-        table: dict[int, float | None] = {}
+        gate; None = the condition never holds, so there is no information.
+        EXTERNAL asks one cond_prob query per gate."""
+        conditions = ((po, True),) + tuple(c for c in extra_conditions
+                                           if c[0] != po)
+        gates = [g for g in range(len(self.circuit))
+                 if not self.circuit.is_virtual(g)]
+        if self._external is not None:
+            return {g: self.cond_prob(ProbQuery((g, True), conditions)).p
+                    for g in gates}
+        cond_row, n_cond = self._condition(conditions)
         if n_cond == 0:
-            for g in range(len(self.circuit)):
-                if not self.circuit.is_virtual(g):
-                    table[g] = None
-            return table
-        joint = np.bitwise_count(self.traces.bits & cond_row[None, :]).sum(axis=1)
-        for g in range(len(self.circuit)):
-            if self.circuit.is_virtual(g):
-                continue
-            table[g] = float(joint[g]) / n_cond
-        return table
+            return dict.fromkeys(gates)
+        joint = self.traces.counts(cond_row)
+        return {g: float(joint[g]) / n_cond for g in gates}
 
     def close(self):
         if self._external is not None:

@@ -122,8 +122,7 @@ class RefreshingPhaseHook:
 class ClauseFilterPolicy:
     conflict_budget: int = 50_000
     threshold: float = 0.9
-    mode: str = "correlated"       # correlated | independent
-    unmapped_policy: str = "keep"  # keep | treat_half
+    mode: str = "correlated"  # correlated | independent
 
     def __post_init__(self):
         if not (0.0 < self.threshold <= 1.0):
@@ -132,8 +131,6 @@ class ClauseFilterPolicy:
             raise PolicyError("conflict budget must be >= 1")
         if self.mode not in ("correlated", "independent"):
             raise PolicyError(f"bad mode {self.mode!r}")
-        if self.unmapped_policy not in ("keep", "treat_half"):
-            raise PolicyError(f"bad unmapped_policy {self.unmapped_policy!r}")
 
 
 @dataclass
@@ -143,7 +140,7 @@ class FilterReport:
     total: int
     kept: int
     dropped: int
-    kept_unscored: int  # kept under the unmapped-literal policy
+    kept_unscored: int  # kept for want of a score
     estimator_failures: int
     score_histogram: dict[str, int]  # ten 0.1-wide bins
     lbd_buckets: dict[str, dict[str, int]]  # "1" / "2" / "3+" -> counts
@@ -153,54 +150,48 @@ class FilterReport:
 
 def score_clauses(snapshots: list[LearntSnapshot], estimator: Estimator,
                   vmap: VarGateMap, policy: ClauseFilterPolicy):
-    """Score every clause; returns (scores, kept_snapshots, failures)."""
+    """Score every clause; returns (scores, kept_snapshots, failures).
+
+    A clause is kept when its score is below the threshold or when it has
+    no score: no circuit evidence, or an estimator failure (fail-safe)."""
     scores: list[float | None] = []
+    kept = []
     failures = 0
     for snap in snapshots:
         try:
             p = estimator.clause_prob(list(snap.lits), vmap, mode=policy.mode)
-            if p is None and policy.unmapped_policy == "treat_half":
-                # fall back to the product form, unmapped literals at 0.5
-                p = estimator.clause_prob(list(snap.lits), vmap, mode="independent")
-            scores.append(p)
         except Exception:
-            scores.append(None)
+            p = None
             failures += 1
-    kept = []
-    for snap, p in zip(snapshots, scores):
+        scores.append(p)
         if p is None:
-            # no circuit evidence (or estimator failure): fail-safe keep
             kept.append(snap)
         elif p < policy.threshold:
             kept.append(replace(snap, prob=p))
     return scores, kept, failures
 
 
-def _build_report(snapshots, scores, kept, failures, fired_at, mid_solve,
+def _build_report(snapshots, scores, failures, fired_at, mid_solve,
                   threshold) -> FilterReport:
     hist = {f"{k/10:.1f}-{(k+1)/10:.1f}": 0 for k in range(10)}
-    for p in scores:
-        if p is None:
-            continue
-        hist[f"{min(int(p * 10), 9)/10:.1f}-{(min(int(p * 10), 9)+1)/10:.1f}"] += 1
     buckets = {b: {"total": 0, "kept": 0, "low_prob": 0} for b in ("1", "2", "3+")}
-    kept_keys = {frozenset(s.lits) for s in kept}
+    kept = 0
     for snap, p in zip(snapshots, scores):
-        b = str(snap.lbd) if snap.lbd <= 2 else "3+"
-        buckets[b]["total"] += 1
-        if frozenset(snap.lits) in kept_keys:
-            buckets[b]["kept"] += 1
-        if p is not None and p < threshold:
-            buckets[b]["low_prob"] += 1
-    unscored = sum(1 for s, p in zip(snapshots, scores)
-                   if p is None or p >= threshold
-                   if frozenset(s.lits) in kept_keys)
+        low = p is not None and p < threshold
+        keep = p is None or low
+        bucket = buckets[str(snap.lbd) if snap.lbd <= 2 else "3+"]
+        bucket["total"] += 1
+        bucket["kept"] += keep
+        bucket["low_prob"] += low
+        kept += keep
+        if p is not None:
+            k = min(int(p * 10), 9)
+            hist[f"{k/10:.1f}-{(k+1)/10:.1f}"] += 1
     return FilterReport(
         fired_at_conflicts=fired_at, fired_mid_solve=mid_solve,
-        total=len(snapshots), kept=len(kept),
-        dropped=len(snapshots) - len(kept), kept_unscored=unscored,
-        estimator_failures=failures, score_histogram=hist,
-        lbd_buckets=buckets, scores=scores)
+        total=len(snapshots), kept=kept, dropped=len(snapshots) - kept,
+        kept_unscored=scores.count(None), estimator_failures=failures,
+        score_histogram=hist, lbd_buckets=buckets, scores=scores)
 
 
 def run_clause_filter(solver: Solver, policy: ClauseFilterPolicy,
@@ -214,7 +205,7 @@ def run_clause_filter(solver: Solver, policy: ClauseFilterPolicy,
     solver.pause_at_level0()
     snapshots = solver.export_learnts()
     scores, kept, failures = score_clauses(snapshots, estimator, vmap, policy)
-    report = _build_report(snapshots, scores, kept, failures,
+    report = _build_report(snapshots, scores, failures,
                            solver.stats.conflicts, mid_solve, policy.threshold)
     if mid_solve:
         solver.replace_learnts(kept)

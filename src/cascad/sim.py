@@ -70,13 +70,26 @@ class PatternTraces:
     num_patterns: int
     has_trace: np.ndarray  # bool per gate
 
-    def trace(self, gate: int) -> np.ndarray:
+    def trace(self, gate: int, polarity: bool = True) -> np.ndarray:
+        """The gate's packed row, or its complement when polarity is False."""
         if not self.has_trace[gate]:
             raise SimError(f"gate {gate} carries no trace (VIRTUAL_DIV)")
-        return self.bits[gate]
+        row = self.bits[gate]
+        if polarity:
+            return row
+        return ~row & _tail_mask(self.num_patterns, row.shape[0])
+
+    @staticmethod
+    def popcount(row: np.ndarray) -> int:
+        return int(np.bitwise_count(row).sum())
 
     def count(self, gate: int) -> int:
-        return int(np.bitwise_count(self.trace(gate)).sum())
+        return self.popcount(self.trace(gate))
+
+    def counts(self, cond_row: np.ndarray | None = None) -> np.ndarray:
+        """Per-gate popcounts, of the patterns in cond_row when given."""
+        bits = self.bits if cond_row is None else self.bits & cond_row
+        return np.bitwise_count(bits).sum(axis=1)
 
 
 def _num_bytes(n: int) -> int:
@@ -159,10 +172,6 @@ def exact_truth_table(circuit: Circuit) -> PatternTraces:
     return simulate(circuit, block)
 
 
-def trace_probability(traces: PatternTraces, gate: int) -> float:
-    return traces.count(gate) / traces.num_patterns
-
-
 def run_workload_suite(circuit: Circuit, num_sims: int = 200,
                        patterns_per_sim: int = 100, seed: int = 0,
                        workload: float | list[float] = 0.5):
@@ -183,7 +192,7 @@ def run_workload_suite(circuit: Circuit, num_sims: int = 200,
         block = sample_patterns(plan, num_pis)
         traces = simulate(circuit, block)
         has_trace = traces.has_trace
-        per_gate = np.bitwise_count(traces.bits).sum(axis=1)
+        per_gate = traces.counts()
         counts += per_gate.astype(np.int64)
         for k, g in enumerate(circuit.primary_inputs):
             pi_profile[k, s] = per_gate[g] / patterns_per_sim

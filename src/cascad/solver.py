@@ -146,6 +146,9 @@ class Solver:
         lits = list(dict.fromkeys(lits))  # dedupe, keep order
         if any(-l in lits for l in lits):
             return  # tautology constrains nothing
+        if not lits:
+            self._level0_conflict()
+            return
         if len(lits) == 1:
             if not self._enqueue(lits[0], None):
                 self._level0_conflict()

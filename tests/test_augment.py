@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cascad.augment import (AugmentError, INFLUENCE_DEPTH, chain_conditions,
-                            influence_area, insert_cond, insert_joint)
-from cascad.circuit import Circuit, GateKind
+from cascad.augment import (AugmentError, chain_conditions, insert_cond,
+                            insert_joint)
+from cascad.circuit import GateKind
 from cascad.sim import SimulationPlan, sample_patterns, simulate
 
 from conftest import random_circuit
@@ -122,57 +122,3 @@ class TestChainConditions:
         with pytest.raises(AugmentError, match="duplicate"):
             chain_conditions(c, [(a, True), (a, False)])
 
-
-class TestInfluenceArea:
-    def test_fallback_to_condition(self, toy_and):
-        c, a, b, g = toy_and
-        # no multi-fanout ancestor: a feeds only g
-        area = influence_area(c, g)
-        assert area.anchor == g
-        assert g in area.members
-
-    def test_multi_fanout_anchor(self):
-        # s has two boolean fanouts and sits one level below the condition
-        c = Circuit()
-        a, b = c.add_pi(), c.add_pi()
-        s = c.add_and(a, b)
-        u = c.add_and(s, a)
-        v = c.add_and(s, b)
-        c.set_outputs([u, v])
-        area = influence_area(c, u)
-        assert area.anchor == s
-        assert {s, u, v} <= area.members
-
-    def test_tie_breaks_to_highest_level_then_smallest_id(self):
-        c = Circuit()
-        a, b, d = c.add_pi(), c.add_pi(), c.add_pi()
-        lo = c.add_and(a, b)       # level 1, multi-fanout
-        hi1 = c.add_and(lo, d)     # level 2, multi-fanout
-        hi2 = c.add_and(lo, a)     # level 2, multi-fanout
-        cond = c.add_and(hi1, hi2)
-        c.add_and(hi1, d)
-        c.add_and(hi2, d)
-        c.add_and(lo, lo)
-        c.set_outputs([cond])
-        area = influence_area(c, cond)
-        assert area.anchor == hi1  # deepest candidates are hi1/hi2; hi1 has smaller id
-
-    def test_depth_bound_respected(self):
-        # multi-fanout node more than INFLUENCE_DEPTH levels above is ignored
-        c = Circuit()
-        a, b = c.add_pi(), c.add_pi()
-        s = c.add_and(a, b)
-        c.add_and(s, a)  # second fanout makes s multi-fanout
-        acc = s
-        for _ in range(INFLUENCE_DEPTH + 1):
-            acc = c.add_and(acc, b)
-        c.set_outputs([acc])
-        area = influence_area(c, acc)
-        assert area.anchor == acc
-
-    def test_virtual_fanouts_not_counted(self, toy_and):
-        c, a, b, g = toy_and
-        aug = c.copy()
-        aug.add_virtual_and(a, b)  # a now has 2 fanouts but only 1 boolean
-        area = influence_area(aug, g)
-        assert area.anchor == g

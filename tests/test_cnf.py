@@ -4,8 +4,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cascad.circuit import Circuit
+from cascad.cli import main
 from cascad.cnf import (CnfError, CnfFormula, emit_dimacs, lit_to_signal,
                         parse_dimacs, signal_to_lit, tseitin_encode)
+from cascad.drat import check_proof, parse_drat
 
 from conftest import all_input_rows, enum_cnf_sat, eval_circuit, random_circuit
 
@@ -185,9 +187,15 @@ class TestDimacs:
 
 
 class TestCnfFormula:
-    def test_empty_clause_rejected(self):
-        with pytest.raises(CnfError, match="empty"):
-            CnfFormula(2, [[]])
+    def test_empty_clause_loads_and_solves_unsat(self, tmp_path, capsys):
+        data = b"p cnf 2 2\n1 2 0\n0\n"
+        assert parse_dimacs(data).clauses == [[1, 2], []]
+        path, drat_path = tmp_path / "f.cnf", tmp_path / "p.drat"
+        path.write_bytes(data)
+        assert main(["solve", str(path), "--drat", str(drat_path)]) == 20
+        assert capsys.readouterr().out.splitlines()[0] == "s UNSAT"
+        proof = parse_drat(drat_path.read_text())
+        assert check_proof([[1, 2], []], proof) == (True, "ok")
 
     def test_zero_literal_rejected(self):
         with pytest.raises(CnfError, match="range"):

@@ -172,8 +172,6 @@ class TestClauseFilterPolicy:
             ClauseFilterPolicy(conflict_budget=0)
         with pytest.raises(PolicyError, match="mode"):
             ClauseFilterPolicy(mode="weird")
-        with pytest.raises(PolicyError, match="unmapped"):
-            ClauseFilterPolicy(unmapped_policy="drop")
 
 
 class TestScoreClauses:
@@ -208,15 +206,6 @@ class TestScoreClauses:
             ClauseFilterPolicy(threshold=0.5))
         assert scores == [None] and len(kept) == 1 and failures == 0
         assert kept[0].prob is None
-
-    def test_unmapped_treat_half(self, toy_and):
-        c, *_ = toy_and
-        _, vmap = tseitin_encode(c)
-        scores, kept, _ = score_clauses(
-            [self.snap(99, 98)], exact_estimator(c), vmap,
-            ClauseFilterPolicy(threshold=0.5, unmapped_policy="treat_half"))
-        assert scores == [pytest.approx(0.75)]
-        assert kept == []  # 0.75 >= 0.5, and it now has a score
 
     def test_estimator_failure_fail_safe(self, toy_and):
         c, *_ = toy_and
@@ -303,6 +292,10 @@ class TestRunClauseFilter:
         assert sum(report.score_histogram.values()) == scored
         assert sum(b["total"] for b in report.lbd_buckets.values()) == report.total
         assert sum(b["kept"] for b in report.lbd_buckets.values()) == report.kept
+        assert report.kept_unscored == report.scores.count(None)
+        low = sum(1 for p in report.scores if p is not None and p < 0.9)
+        assert sum(b["low_prob"] for b in report.lbd_buckets.values()) == low
+        assert report.kept == report.kept_unscored + low
 
 
 class TestAdaptive:

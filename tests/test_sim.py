@@ -10,7 +10,7 @@ from cascad.circuit import Circuit
 from cascad.sim import (PatternBlock, SimError, SimulationPlan,
                         exact_truth_table, exhaustive_patterns,
                         run_workload_suite, sample_patterns, simulate,
-                        trace_probability, read_traces, write_traces)
+                        read_traces, write_traces)
 
 from conftest import all_input_rows, eval_circuit, random_circuit
 
@@ -109,7 +109,7 @@ class TestSimulate:
             got = list(np.unpackbits(traces.trace(po), bitorder="little")[:8])
             assert got == expect
         # node x probability over the 8 rows
-        assert trace_probability(traces, c.primary_outputs[0]) == 0.5
+        assert traces.count(c.primary_outputs[0]) / traces.num_patterns == 0.5
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_naive_interpreter(self, seed):
@@ -245,6 +245,28 @@ class TestTraceFile:
                 pass
 
 
+class TestPatternTraces:
+    def traces(self):
+        c = random_circuit(5, num_pis=6, num_gates=30)
+        # 13 patterns: three surplus bits in the last packed byte
+        return c, simulate(c, sample_patterns(SimulationPlan(13, 0.5, seed=2), 6))
+
+    def test_negative_row_is_complement(self):
+        c, traces = self.traces()
+        for g in range(len(c)):
+            pos, neg = traces.trace(g), traces.trace(g, polarity=False)
+            assert not (pos & neg).any()
+            assert traces.popcount(pos) + traces.popcount(neg) == 13
+
+    def test_counts_under_condition_row(self):
+        c, traces = self.traces()
+        cond = traces.trace(c.primary_inputs[0], polarity=False)
+        counts = traces.counts(cond)
+        for g in range(len(c)):
+            assert counts[g] == traces.popcount(traces.trace(g) & cond)
+            assert traces.counts()[g] == traces.count(g)
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("seed", range(3))
     def test_sampled_close_to_exact(self, seed):
@@ -253,8 +275,8 @@ class TestOracleAgreement:
         block = sample_patterns(SimulationPlan(20_000, 0.5, seed=seed), 8)
         traces = simulate(c, block)
         for g in range(len(c)):
-            exact = trace_probability(tt, g)
-            sampled = trace_probability(traces, g)
+            exact = tt.count(g) / tt.num_patterns
+            sampled = traces.count(g) / traces.num_patterns
             assert abs(exact - sampled) <= 0.02
 
     def test_exhaustive_patterns_equal_truth_table(self, toy_and):
