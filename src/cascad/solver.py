@@ -2,19 +2,24 @@
 VSIDS decisions, Luby restarts, LBD-tiered clause-DB reduction, and hook
 points for external phase and clause-filter policies.
 
-Literals are DIMACS signed ints.  One Solver instance is single-threaded;
-solve() is resumable, so a caller can stop at a conflict budget, rewrite the
-learnt-clause database, and resume.
+Literals are DIMACS signed ints.  The value and watch arrays are indexed by
+literal: a list of length 2*nvars+1 read with a negative index puts literal
+-k in slot 2*nvars+1-k, so a lookup is values[lit] with no sign flip, and
+values[v] is still variable v's value.  One Solver instance is
+single-threaded; solve() is resumable, so a caller can stop at a conflict
+budget, rewrite the learnt-clause database, and resume.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
-from .cnf import CnfFormula
+from .cnf import CnfError, CnfFormula
 
 
 class Status(Enum):
@@ -106,7 +111,10 @@ class Solver:
         self.original_clauses = [list(cl) for cl in cnf.clauses]
 
         n = self.nvars + 1
-        self.values = [0] * n          # 0 unassigned, 1 true, -1 false
+        # indexed by literal (see the module docstring); 0 unassigned,
+        # 1 true, -1 false
+        self.values = [0] * (2 * n - 1)
+        self.watches: list[list[_Clause]] = [[] for _ in range(2 * n - 1)]
         self.levels = [0] * n
         self.reasons: list[_Clause | None] = [None] * n
         self.saved_phase: list[bool | None] = [None] * n
@@ -115,47 +123,53 @@ class Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: dict[int, list[_Clause]] = {}
         self.learnts: list[_Clause] = []
         self.stats = SolverStats()
         self.unsat = False
-        self._order: list[tuple[float, int]] = []
+        # lazy VSIDS heap of (-activity, v); _queued[v] is the activity at
+        # which v has an entry, -1.0 if it has none.  Every unassigned
+        # variable has an entry at its current activity, so a pick is the
+        # least (-activity, v) over unassigned variables, whatever stale
+        # entries the heap also holds; _backtrack drops those once the heap
+        # outgrows 2*nvars entries.
+        self._order = [(0.0, v) for v in range(1, n)]  # sorted, so a heap
+        self._queued = [0.0] * n
+        self._seen = [False] * n
         self._conflicts_since_restart = 0
         self._restart_count = 0
         self._next_reduce = self.config.reduce_interval
 
-        for v in range(1, n):
-            heappush(self._order, (0.0, v))
+        bad = self._out_of_range(chain.from_iterable(self.original_clauses))
+        if bad is not None:
+            raise CnfError(f"literal {bad} out of range "
+                           f"(num_vars={self.nvars})")
+        watches = self.watches
         for cl in self.original_clauses:
-            self._attach_input_clause(cl)
+            lits = dict.fromkeys(cl)  # dedupe, keep order
+            if not lits.keys().isdisjoint(map(operator.neg, lits)):
+                continue  # tautology constrains nothing
+            lits = list(lits)
+            if len(lits) >= 2:
+                clause = _Clause(lits)
+                watches[lits[0]].append(clause)
+                watches[lits[1]].append(clause)
+            elif not lits or not self._enqueue(lits[0], None):
+                self._level0_conflict()  # empty clause or clashing units
 
     # -- basic machinery ---------------------------------------------------
-
-    def _watchlist(self, lit: int) -> list[_Clause]:
-        return self.watches.setdefault(lit, [])
-
-    def value_of(self, lit: int) -> int:
-        v = self.values[abs(lit)]
-        return v if lit > 0 else -v
 
     @property
     def decision_level(self) -> int:
         return len(self.trail_lim)
 
-    def _attach_input_clause(self, lits: list[int]):
-        lits = list(dict.fromkeys(lits))  # dedupe, keep order
-        if any(-l in lits for l in lits):
-            return  # tautology constrains nothing
-        if not lits:
-            self._level0_conflict()
-            return
-        if len(lits) == 1:
-            if not self._enqueue(lits[0], None):
-                self._level0_conflict()
-            return
-        clause = _Clause(lits)
-        self._watchlist(lits[0]).append(clause)
-        self._watchlist(lits[1]).append(clause)
+    def _out_of_range(self, lits) -> int | None:
+        """The first literal that is 0 or names no variable, else None; an
+        unchecked one would alias another literal's slot."""
+        lits = list(lits)
+        n = self.nvars
+        if lits and (0 in lits or max(lits) > n or min(lits) < -n):
+            return next(l for l in lits if l == 0 or abs(l) > n)
+        return None
 
     def _level0_conflict(self):
         self.unsat = True
@@ -163,14 +177,13 @@ class Solver:
             self.drat.add([])
 
     def _enqueue(self, lit: int, reason: _Clause | None) -> bool:
-        val = self.value_of(lit)
-        if val == 1:
-            return True
-        if val == -1:
-            return False
-        v = abs(lit)
-        self.values[v] = 1 if lit > 0 else -1
-        self.levels[v] = self.decision_level
+        val = self.values[lit]
+        if val:
+            return val == 1
+        self.values[lit] = 1
+        self.values[-lit] = -1
+        v = lit if lit > 0 else -lit
+        self.levels[v] = len(self.trail_lim)
         self.reasons[v] = reason
         self.saved_phase[v] = lit > 0
         self.trail.append(lit)
@@ -178,68 +191,98 @@ class Solver:
 
     def propagate(self) -> _Clause | None:
         """Unit propagation to fixpoint; returns the conflicting clause."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
-            neg = -lit
-            watchers = self.watches.get(neg)
-            if not watchers:
-                continue
+        trail = self.trail
+        values = self.values
+        watches = self.watches
+        levels = self.levels
+        reasons = self.reasons
+        saved_phase = self.saved_phase
+        level = len(self.trail_lim)
+        start = qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            watchers = watches[neg]
             i = 0
-            while i < len(watchers):
+            end = len(watchers)
+            while i < end:
                 clause = watchers[i]
                 lits = clause.lits
                 # make sure the falsified literal sits at position 1
-                if lits[0] == neg:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self.value_of(first) == 1:
+                if first == neg:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = neg
+                val = values[first]
+                if val == 1:
                     i += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
-                    if self.value_of(lits[k]) != -1:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watchlist(lits[1]).append(clause)
-                        watchers[i] = watchers[-1]
+                    other = lits[k]
+                    if values[other] != -1:
+                        lits[1], lits[k] = other, lits[1]
+                        watches[other].append(clause)
+                        end -= 1
+                        watchers[i] = watchers[end]
                         watchers.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # clause is unit or conflicting on lits[0]
-                if not self._enqueue(first, clause):
-                    return clause
-                clause.used = True
-                i += 1
+                else:
+                    # clause is unit or conflicting on lits[0]
+                    if val:
+                        self.qhead = qhead
+                        self.stats.propagations += qhead - start
+                        return clause
+                    values[first] = 1
+                    values[-first] = -1
+                    v = first if first > 0 else -first
+                    levels[v] = level
+                    reasons[v] = clause
+                    saved_phase[v] = first > 0
+                    trail.append(first)
+                    clause.used = True
+                    i += 1
+        self.qhead = qhead
+        self.stats.propagations += qhead - start
         return None
 
     # -- decisions ---------------------------------------------------------
 
-    def _bump(self, v: int):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(1, self.nvars + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-            self._order = [(-self.activity[u], u) for u in range(1, self.nvars + 1)
-                           if self.values[u] == 0]
-            heapify(self._order)
-            return
-        heappush(self._order, (-self.activity[v], v))
+    def _rescale_activity(self):
+        activity = self.activity
+        for u in range(1, self.nvars + 1):
+            activity[u] *= 1e-100
+        self.var_inc *= 1e-100
+        self._rebuild_order()
+
+    def _rebuild_order(self):
+        """Queue exactly the unassigned variables, dropping stale entries."""
+        activity = self.activity
+        values = self.values
+        queued = self._queued
+        order = []
+        for u in range(1, self.nvars + 1):
+            if values[u] == 0:
+                order.append((-activity[u], u))
+                queued[u] = activity[u]
+            else:
+                queued[u] = -1.0
+        heapify(order)
+        self._order = order
 
     def _pick_branch_var(self) -> int | None:
-        while self._order:
-            negact, v = self._order[0]
-            if self.values[v] != 0 or -negact != self.activity[v]:
-                heappop(self._order)
+        order = self._order
+        values = self.values
+        activity = self.activity
+        while order:
+            negact, v = order[0]
+            if values[v] != 0 or -negact != activity[v]:
+                heappop(order)
+                if -negact == activity[v]:
+                    self._queued[v] = -1.0
                 continue
             return v
-        for v in range(1, self.nvars + 1):  # heap may have gone stale
-            if self.values[v] == 0:
-                return v
-        return None
+        return None  # every variable is assigned
 
     def _pick_phase(self, v: int) -> bool:
         if self.phase_hook is not None:
@@ -264,56 +307,90 @@ class Solver:
     # -- conflict analysis -------------------------------------------------
 
     def analyze_conflict(self, conflict: _Clause) -> tuple[list[int], int, int]:
-        """First-UIP learnt clause, backjump level, and LBD."""
+        """First-UIP learnt clause, backjump level, and LBD.
+
+        Bumped variables are all assigned, so _backtrack queues them at
+        their new activity when it unassigns them."""
+        levels = self.levels
+        reasons = self.reasons
+        trail = self.trail
+        activity = self.activity
+        seen = self._seen
+        var_inc = self.var_inc
+        level = len(self.trail_lim)
         learnt = [0]
-        seen = [False] * (self.nvars + 1)
         counter = 0
         lits = conflict.lits
-        idx = len(self.trail) - 1
-        p = None
+        idx = len(trail) - 1
+        p = 0
         while True:
             for q in lits:
-                if p is not None and q == p:
+                if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self.levels[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and levels[v] > 0:
                     seen[v] = True
-                    self._bump(v)
-                    if self.levels[v] == self.decision_level:
+                    act = activity[v] + var_inc
+                    activity[v] = act
+                    if act > 1e100:
+                        self._rescale_activity()
+                        var_inc = self.var_inc
+                    if levels[v] == level:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            p = trail[idx]
+            while not seen[p if p > 0 else -p]:
                 idx -= 1
-            p = self.trail[idx]
-            seen[abs(p)] = False
+                p = trail[idx]
+            v = p if p > 0 else -p
+            seen[v] = False
             counter -= 1
             idx -= 1
             if counter == 0:
                 break
-            lits = self.reasons[abs(p)].lits
+            lits = reasons[v].lits
         learnt[0] = -p
+        for q in learnt:
+            seen[q if q > 0 else -q] = False
 
         if len(learnt) == 1:
-            bj_level = 0
-        else:
-            # move the highest-level tail literal to position 1
-            k = max(range(1, len(learnt)), key=lambda j: self.levels[abs(learnt[j])])
-            learnt[1], learnt[k] = learnt[k], learnt[1]
-            bj_level = self.levels[abs(learnt[1])]
-        lbd = len({self.levels[abs(l)] for l in learnt})
-        return learnt, bj_level, lbd
+            return learnt, 0, 1
+        # move the highest-level tail literal to position 1
+        k, bj_level = 1, -1
+        lbd_levels = {level}
+        for j in range(1, len(learnt)):
+            q = learnt[j]
+            lv = levels[q if q > 0 else -q]
+            lbd_levels.add(lv)
+            if lv > bj_level:
+                k, bj_level = j, lv
+        learnt[1], learnt[k] = learnt[k], learnt[1]
+        return learnt, bj_level, len(lbd_levels)
 
     def _backtrack(self, level: int):
-        while self.trail_lim and len(self.trail_lim) > level:
-            limit = self.trail_lim.pop()
-            while len(self.trail) > limit:
-                lit = self.trail.pop()
-                v = abs(lit)
-                self.values[v] = 0
-                self.reasons[v] = None
-                heappush(self._order, (-self.activity[v], v))
-        self.qhead = len(self.trail)
+        trail_lim = self.trail_lim
+        trail = self.trail
+        if len(trail_lim) > level:
+            values = self.values
+            activity = self.activity
+            queued = self._queued
+            order = self._order
+            limit = trail_lim[level]
+            # reasons[v] of an unassigned variable is never read, so it stays
+            for lit in trail[limit:]:
+                values[lit] = 0
+                values[-lit] = 0
+                v = lit if lit > 0 else -lit
+                act = activity[v]
+                if queued[v] != act:
+                    queued[v] = act
+                    heappush(order, (-act, v))
+            del trail[limit:]
+            del trail_lim[level:]
+            if len(order) > 2 * self.nvars:
+                self._rebuild_order()
+        self.qhead = len(trail)
 
     def _learn(self, learnt: list[int], lbd: int):
         self.stats.learnt_total += 1
@@ -325,8 +402,8 @@ class Solver:
             return
         clause = _Clause(list(learnt), learnt=True, lbd=lbd)
         self.learnts.append(clause)
-        self._watchlist(learnt[0]).append(clause)
-        self._watchlist(learnt[1]).append(clause)
+        self.watches[learnt[0]].append(clause)
+        self.watches[learnt[1]].append(clause)
         self._enqueue(learnt[0], clause)
 
     # -- clause database ---------------------------------------------------
@@ -343,18 +420,20 @@ class Solver:
         self._remove_learnts(drop)
 
     def _remove_learnts(self, clauses: list[_Clause]):
-        locked = {id(self.reasons[abs(l)]) for l in self.trail
-                  if self.reasons[abs(l)] is not None}
-        dead = {id(c) for c in clauses if id(c) not in locked}
+        reasons = self.reasons
+        locked = {id(reasons[l if l > 0 else -l]) for l in self.trail}
+        dead = [c for c in clauses if id(c) not in locked]
         if not dead:
             return
-        for lit in list(self.watches):
-            self.watches[lit] = [c for c in self.watches[lit] if id(c) not in dead]
+        dead_ids = {id(c) for c in dead}
+        # a clause is watched by exactly its first two literals
+        for lit in {l for c in dead for l in c.lits[:2]}:
+            self.watches[lit] = [c for c in self.watches[lit]
+                                 if id(c) not in dead_ids]
         if self.drat is not None:
-            for c in clauses:
-                if id(c) in dead:
-                    self.drat.delete(c.lits)
-        self.learnts = [c for c in self.learnts if id(c) not in dead]
+            for c in dead:
+                self.drat.delete(c.lits)
+        self.learnts = [c for c in self.learnts if id(c) not in dead_ids]
 
     def export_learnts(self) -> list[LearntSnapshot]:
         if self.decision_level != 0:
@@ -373,6 +452,10 @@ class Solver:
         """Install clauses at level 0; importing implied clauses is sound."""
         if self.decision_level != 0:
             raise RuntimeError("import_learnts requires decision level 0")
+        bad = self._out_of_range(l for snap in snapshots for l in snap.lits)
+        if bad is not None:
+            raise ValueError(f"literal {bad} out of range "
+                             f"(num_vars={self.nvars})")
         existing = {frozenset(c.lits) for c in self.learnts}
         for snap in snapshots:
             lits = list(snap.lits)
@@ -384,9 +467,9 @@ class Solver:
                 if not self._enqueue(lits[0], None):
                     self._level0_conflict()
                 continue
-            free = [l for l in lits if self.value_of(l) != -1]
-            if any(self.value_of(l) == 1 for l in lits) or len(free) >= 2:
-                lits.sort(key=lambda l: self.value_of(l), reverse=True)
+            free = [l for l in lits if self.values[l] != -1]
+            if any(self.values[l] == 1 for l in lits) or len(free) >= 2:
+                lits.sort(key=self.values.__getitem__, reverse=True)
             elif len(free) == 1:
                 if not self._enqueue(free[0], None):
                     self._level0_conflict()
@@ -396,8 +479,8 @@ class Solver:
                 continue
             clause = _Clause(lits, learnt=True, lbd=snap.lbd)
             self.learnts.append(clause)
-            self._watchlist(lits[0]).append(clause)
-            self._watchlist(lits[1]).append(clause)
+            self.watches[lits[0]].append(clause)
+            self.watches[lits[1]].append(clause)
         if self.propagate() is not None and self.decision_level == 0:
             self._level0_conflict()
 

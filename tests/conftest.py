@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cascad.circuit import Circuit
+from cascad.cnf import CnfFormula
 
 
 def random_circuit(seed: int, num_pis: int = 6, num_gates: int = 40,
@@ -63,6 +64,17 @@ def random_3cnf(rng: random.Random, num_vars: int, ratio: float = 4.3):
     m = max(1, int(num_vars * ratio))
     return [[rng.choice([1, -1]) * v for v in rng.sample(range(1, num_vars + 1), 3)]
             for _ in range(m)]
+
+
+def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
+    """PHP(pigeons, holes): unsatisfiable by counting when pigeons > holes."""
+    clauses = [[p * holes + h + 1 for h in range(holes)]
+               for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-(p1 * holes + h + 1), -(p2 * holes + h + 1)])
+    return CnfFormula(pigeons * holes, clauses)
 
 
 @pytest.fixture

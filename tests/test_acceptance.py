@@ -24,7 +24,7 @@ from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
 from cascad.sim import exact_truth_table, run_workload_suite
 from cascad.solver import Solver, Status, solve
 
-from conftest import eval_circuit, random_3cnf, random_circuit
+from conftest import eval_circuit, pigeonhole, random_3cnf, random_circuit
 
 
 def _report(capsys, criterion, ok, detail):
@@ -251,23 +251,13 @@ def test_criterion_7_clause_filter_protocol(capsys):
             f"at thresholds {thresholds}")
 
 
-def _pigeonhole(pigeons, holes):
-    clauses = [[p * holes + h + 1 for h in range(holes)]
-               for p in range(pigeons)]
-    for h in range(holes):
-        for p1 in range(pigeons):
-            for p2 in range(p1 + 1, pigeons):
-                clauses.append([-(p1 * holes + h + 1), -(p2 * holes + h + 1)])
-    return CnfFormula(pigeons * holes, clauses)
-
-
 def test_criterion_8_adaptive_switch(capsys):
     """Fast satisfiable cases finish in stage 1; the tuned-config stage 2 is
     only entered after the full 5-second probe; all final statuses match
     their oracles."""
     # generator sanity: small pigeonhole instances agree with enumeration
     for holes in (2, 3):
-        small = _pigeonhole(holes + 1, holes)
+        small = pigeonhole(holes + 1, holes)
         assert not _np_enum_sat(small.num_vars, small.clauses)
 
     sat_ok = True
@@ -280,7 +270,10 @@ def test_criterion_8_adaptive_switch(capsys):
                    and result.outcome.status is Status.SAT
                    and result.stage1_wall < 5.0)
 
-    hard = _pigeonhole(8, 7)  # unsatisfiable by counting
+    # unsatisfiable by counting; the default config needs about 28k
+    # conflicts, far more than a 5 s probe gets through (PHP(8,7) needs
+    # 7.6k, which a fast host can finish inside the probe)
+    hard = pigeonhole(9, 8)
     result = adaptive_solve(hard, AdaptiveUnsatPolicy())
     unsat_ok = (result.stage == 2
                 and result.stage1_wall >= 5.0

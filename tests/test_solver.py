@@ -1,15 +1,20 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cascad.cnf import CnfFormula
+from cascad.bench import reassociate
+from cascad.circuit import build_miter
+from cascad.cnf import CnfError, CnfFormula, tseitin_encode
 from cascad.drat import (DratError, DratFileSink, DratProof, check_proof,
                          parse_drat)
 from cascad.solver import (LearntSnapshot, Solver, SolverConfig, Status,
                            UNSAT_TUNED, luby, solve)
+from cascad.estimator import Backend, Estimator, EstimatorConfig
+from cascad.heuristics import ClauseFilterPolicy, run_clause_filter
 
-from conftest import enum_cnf_sat, random_3cnf
+from conftest import enum_cnf_sat, pigeonhole, random_3cnf, random_circuit
 
 
 def cnf(num_vars, clauses):
@@ -420,6 +425,25 @@ class TestLearntDatabase:
             assert c in s.learnts
 
 
+class TestLiteralRange:
+    @pytest.mark.parametrize("lits", [(0, 1), (1, 3), (-3, 2), (-4,)])
+    def test_import_rejects_out_of_range_literal(self, lits):
+        proof = DratProof()
+        s = Solver(cnf(2, [[1, 2]]), drat_sink=proof)
+        with pytest.raises(ValueError, match="out of range"):
+            s.import_learnts([LearntSnapshot((1, -2), 2),
+                              LearntSnapshot(lits, 1)])
+        assert s.learnts == [] and proof.steps == []
+
+    @pytest.mark.parametrize("clause", [[5], [1, 5], [1, -2, -5], [2, 0, 1],
+                                        [0]])
+    def test_init_rejects_literal_added_after_construction(self, clause):
+        formula = cnf(4, [[1, 2], [3, -4]])
+        formula.clauses.append(clause)  # CnfFormula checks only at creation
+        with pytest.raises(CnfError, match="out of range"):
+            Solver(formula)
+
+
 class TestTunedConfig:
     def test_unsat_tuned_values(self):
         assert UNSAT_TUNED.restart_unit == 512
@@ -435,3 +459,104 @@ class TestTunedConfig:
             b = solve(cnf(n, clauses), SolverConfig(
                 restart_unit=512, keep_lbd=3, phase_default="false")).status
             assert a is b
+
+
+class TestSearchPin:
+    """Each case hashes status, every SolverStats counter but wall time, the
+    model and the DRAT steps of its solves.  A speed-up that keeps the
+    search must reproduce every digest; a change to the search (blockers,
+    binary lists, another heap order, minimisation) re-takes them and says
+    so."""
+
+    DIGESTS = {
+        "random_3cnf":
+            "f06eac66f0ed5950fa08f8c74942c0dda42b3b3ff8fd13ad84b4b7817a41628d",
+        "pigeonhole":
+            "54c69b8537ce9791231e37741e8d7de2393a332a744ddb07eecc837665f477eb",
+        "phase_hook":
+            "762ce869162c8f88ebbd1479841ef6182471acfc3da3af36f7f0338132f41e27",
+        "budget_replace_import":
+            "3bcbaeb0b408138d40e95f0285742097e74188c4d3b3857b34c32b8255cdff2d",
+        "clause_filter":
+            "12d2237cafd85d4e8071874a2ad7019fbe5613b0abef2994130ab32e824266dc",
+    }
+
+    @staticmethod
+    def record(h, outcome, proof):
+        stats = outcome.stats.as_dict()
+        del stats["wall_time"]
+        h.update(repr((outcome.status.value, sorted(stats.items()),
+                       sorted((outcome.model or {}).items()),
+                       proof.steps)).encode())
+
+    def random_3cnf(self, h):
+        deletions = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            n = rng.randint(20, 45)
+            clauses = random_3cnf(rng, n, ratio=rng.uniform(3.8, 5.0))
+            # a short reduce interval puts deletions into the proofs
+            config = SolverConfig(restart_unit=rng.choice([1, 4, 64]),
+                                  reduce_interval=rng.randint(5, 40),
+                                  keep_lbd=rng.randint(1, 3))
+            proof = DratProof()
+            self.record(h, solve(cnf(n, clauses), config, drat_sink=proof),
+                        proof)
+            deletions += sum(kind == "d" for kind, _ in proof.steps)
+        assert deletions > 0
+
+    def pigeonhole(self, h):
+        # var_decay=0.5 overflows the activities, so the heap is rebuilt
+        for pigeons in (5, 6, 7):
+            for config in (SolverConfig(), UNSAT_TUNED,
+                           SolverConfig(var_decay=0.5)):
+                proof = DratProof()
+                self.record(h, solve(pigeonhole(pigeons, pigeons - 1), config,
+                                     drat_sink=proof), proof)
+
+    def phase_hook(self, h):
+        def hook(v):
+            return None if v % 3 == 0 else v % 2 == 0
+        for seed in range(10):
+            rng = random.Random(1000 + seed)
+            n = 60
+            clauses = random_3cnf(rng, n, ratio=4.2)
+            proof = DratProof()
+            self.record(h, solve(cnf(n, clauses), phase_hook=hook,
+                                 drat_sink=proof), proof)
+
+    def budget_replace_import(self, h):
+        rng = random.Random(423)
+        n = 90
+        clauses = random_3cnf(rng, n, ratio=4.26)
+        proof = DratProof()
+        s = Solver(cnf(n, clauses), SolverConfig(reduce_interval=50),
+                   drat_sink=proof)
+        self.record(h, s.solve(conflict_budget=60), proof)
+        s.pause_at_level0()
+        snaps = s.export_learnts()
+        h.update(repr(snaps).encode())
+        s.replace_learnts(snaps[::2])
+        s.import_learnts(snaps[1::2])
+        self.record(h, s.solve(), proof)
+
+    def clause_filter(self, h):
+        base = random_circuit(4, num_pis=12, num_gates=300)
+        miter = build_miter(base, reassociate(base, 4))
+        po = miter.primary_outputs[0]
+        formula, vmap = tseitin_encode(miter, [(po, True)])
+        estimator = Estimator(miter, EstimatorConfig(backend=Backend.EXACT))
+        proof = DratProof()
+        report = run_clause_filter(
+            Solver(formula, drat_sink=proof),
+            ClauseFilterPolicy(conflict_budget=10, threshold=0.9),
+            estimator, vmap)
+        assert report.fired_mid_solve and report.dropped > 0
+        h.update(repr((report.kept, report.dropped, report.scores)).encode())
+        self.record(h, report.outcome, proof)
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_digest(self, case):
+        h = hashlib.sha256()
+        getattr(self, case)(h)
+        assert h.hexdigest() == self.DIGESTS[case]
