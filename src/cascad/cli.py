@@ -68,12 +68,14 @@ def cmd_sim(args):
                       "probabilities": probs}))
 
 
-def _print_outcome(outcome):
+def _print_outcome(outcome) -> int:
+    """Print the answer; return the exit code: 10 SAT, 20 UNSAT, else 0."""
     print(f"s {outcome.status.value}")
     if outcome.model is not None:
         lits = [v if val else -v for v, val in sorted(outcome.model.items())]
         print("v " + " ".join(str(l) for l in lits) + " 0")
     print(json.dumps(outcome.stats.as_dict()))
+    return {Status.SAT: 10, Status.UNSAT: 20}.get(outcome.status, 0)
 
 
 def cmd_solve(args):
@@ -83,9 +85,7 @@ def cmd_solve(args):
     outcome = solver.solve(conflict_budget=args.conflicts, time_budget=args.time)
     if sink:
         sink.close()
-    _print_outcome(outcome)
-    return 10 if outcome.status is Status.SAT else \
-        20 if outcome.status is Status.UNSAT else 0
+    return _print_outcome(outcome)
 
 
 def cmd_csat(args):
@@ -94,6 +94,7 @@ def cmd_csat(args):
     cnf, vmap = tseitin_encode(circuit, [(po, True)])
     estimator = Estimator(circuit, EstimatorConfig(backend=default_backend(circuit)))
 
+    extra = None  # mode-specific record printed after the answer
     if args.mode == "phase":
         refresh_k, max_conds = 0, 8
         if args.refresh:
@@ -108,29 +109,31 @@ def cmd_csat(args):
         else:
             solver = Solver(cnf, SolverConfig(), phase_hook=make_phase_hook(policy))
         outcome = solver.solve()
-        _print_outcome(outcome)
     elif args.mode == "clause-filter":
         policy = ClauseFilterPolicy(conflict_budget=args.budget,
                                     threshold=args.threshold,
                                     mode=args.score_mode)
         solver = Solver(cnf, SolverConfig())
         rep = run_clause_filter(solver, policy, estimator, vmap)
-        _print_outcome(rep.outcome)
-        print(json.dumps({
+        outcome = rep.outcome
+        extra = {
             "fired_at_conflicts": rep.fired_at_conflicts,
             "fired_mid_solve": rep.fired_mid_solve,
             "total": rep.total, "kept": rep.kept, "dropped": rep.dropped,
             "kept_unscored": rep.kept_unscored,
             "score_histogram": rep.score_histogram,
             "lbd_buckets": rep.lbd_buckets,
-        }))
+        }
     else:  # adaptive
         policy = AdaptiveUnsatPolicy(probe_budget_seconds=args.probe)
         phase = build_phase_policy(estimator, po, vmap, args.tau)
         result = adaptive_solve(cnf, policy, phase_hook=make_phase_hook(phase))
-        _print_outcome(result.outcome)
-        print(json.dumps({"stage": result.stage,
-                          "stage1_wall": result.stage1_wall}))
+        outcome = result.outcome
+        extra = {"stage": result.stage, "stage1_wall": result.stage1_wall}
+    code = _print_outcome(outcome)
+    if extra is not None:
+        print(json.dumps(extra))
+    return code
 
 
 def cmd_bench(args):

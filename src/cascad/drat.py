@@ -4,20 +4,30 @@ The solver's learnt clauses are all reverse-unit-propagation (RUP) clauses,
 so a forward RUP check over added/deleted clauses is a complete validity
 check for its proofs.  The checker shares no code with the solver's
 propagation engine.  It follows drat-trim (Wetzler, Heule & Hunt, SAT 2014)
-with MiniSat's two watched literals (Een & Sorensson, SAT 2003):
+with MiniSat's two watched literals and binary implication lists (Een &
+Sorensson, SAT 2003):
 
-- every clause of two or more literals gets an id and two watchers; unit
-  clauses sit in their own list;
+- every clause gets an id; unit clauses sit in their own list, binary
+  clauses in implication lists (``bins[lit]`` holds the literals implied
+  once ``lit`` is false), longer ones under two watchers;
 - a multiset index maps each clause's set of literals to its live ids, so a
   ``d`` step removes exactly one live copy whatever order its literals come
   in (the solver reorders a clause's literals in place), and deleting a
   clause that is not live does nothing;
 - a deleted clause leaves its watchers behind; a propagation scan that
-  reaches one drops it;
-- an ``a`` step starts from the empty assignment, assumes the negation of
-  every literal of the clause, asserts the live unit clauses and propagates
-  over the watches.  A conflict makes the clause RUP; every assignment is
-  then undone, so any two literals of a new clause are valid watches.
+  reaches one drops it.  A deleted binary clause leaves both lists at once;
+- the unit-propagation closure of the live clauses stays assigned between
+  steps (the level-0 trail).  An ``a`` step is RUP at once if one of its
+  literals is true there; otherwise it assumes the negation of the clause's
+  unassigned literals, propagates from them, and undoes back to the level-0
+  trail.  A new clause is watched on non-false literals; one that is unit at
+  level 0 extends the trail.  A clause with no non-false literal, or a
+  conflict at level 0, makes the formula inconsistent, and every later
+  clause is then RUP;
+- a ``d`` step rebuilds the trail from the live unit clauses when the state
+  is inconsistent or the deleted clause could be the reason of a level-0
+  literal (it has one true literal and all others false); any other deletion
+  leaves the trail as it is.
 """
 
 from __future__ import annotations
@@ -108,101 +118,147 @@ def check_proof(clauses: list[list[int]], proof: DratProof) -> tuple[bool, str]:
     nvars = max((abs(l) for cl in chain(clauses, added) for l in cl), default=0)
     # value[lit] is 1 when lit is true, -1 when false, 0 when unassigned.  A
     # negative literal indexes from the end, so lit and -lit own distinct
-    # cells; the same holds for watches[lit], the ids of clauses watching lit.
+    # cells; the same holds for watches[lit], the ids of clauses of three or
+    # more literals watching lit, and bins[lit], the literals that binary
+    # clauses imply once lit is false.
     size = 2 * nvars + 1
     value = [0] * size
     watches: list[list[int]] = [[] for _ in range(size)]
+    bins: list[list[int]] = [[] for _ in range(size)]
     db: list[list[int] | None] = []  # clause id -> literals, None once deleted
     units: list[int] = []            # ids of live clauses of < 2 literals
     live: dict[frozenset[int], list[int]] = {}
+    # The level-0 closure of the live clauses, followed during an ``a`` step
+    # by that step's assumptions and their consequences.
+    trail: list[int] = []
 
     def attach(lits):
-        lits = list(dict.fromkeys(lits))
         cid = len(db)
         db.append(lits)
         live.setdefault(frozenset(lits), []).append(cid)
         if len(lits) < 2:
             units.append(cid)
+        elif len(lits) == 2:
+            first, second = lits
+            bins[first].append(second)
+            bins[second].append(first)
         else:
             watches[lits[0]].append(cid)
             watches[lits[1]].append(cid)
 
+    def propagate(head: int) -> bool:
+        """Propagate the trail from position head; True on a conflict."""
+        while head < len(trail):
+            false_lit = -trail[head]
+            head += 1
+            for lit in bins[false_lit]:
+                if value[lit] != 1:
+                    if value[lit] == -1:
+                        return True
+                    value[lit], value[-lit] = 1, -1
+                    trail.append(lit)
+            ws = watches[false_lit]
+            i = j = 0
+            n = len(ws)
+            while i < n:
+                cid = ws[i]
+                i += 1
+                c = db[cid]
+                if c is None:
+                    continue  # deleted clause: drop its watcher
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                first = c[0]
+                if value[first] != 1:
+                    for k in range(2, len(c)):
+                        other = c[k]
+                        if value[other] != -1:
+                            c[1], c[k] = other, false_lit
+                            watches[other].append(cid)
+                            break
+                    else:
+                        ws[j] = cid
+                        j += 1
+                        if value[first] == -1:
+                            ws[j:] = ws[i:]
+                            return True
+                        value[first], value[-first] = 1, -1
+                        trail.append(first)
+                    continue
+                ws[j] = cid
+                j += 1
+            del ws[j:]
+        return False
+
+    def rebuild() -> bool:
+        """Level-0 closure of the live clauses from scratch; False if it
+        conflicts.  With nothing assigned, any two literals are valid
+        watches."""
+        for lit in trail:
+            value[lit] = value[-lit] = 0
+        trail.clear()
+        for cid in units:
+            if not db[cid]:
+                return False  # a live empty clause
+            lit = db[cid][0]
+            if value[lit] == -1:
+                return False
+            if value[lit] == 0:
+                value[lit], value[-lit] = 1, -1
+                trail.append(lit)
+        return not propagate(0)
+
     def is_rup(lits) -> bool:
-        trail: list[int] = []
+        base = len(trail)
         try:
             for lit in lits:
                 if value[lit] == 1:
-                    return True  # lit and -lit both in the clause
+                    return True  # true at level 0, or lit and -lit both in lits
                 if value[lit] == 0:
                     value[lit], value[-lit] = -1, 1
                     trail.append(-lit)
-            for cid in units:
-                if not db[cid]:
-                    return True  # a live empty clause
-                lit = db[cid][0]
-                if value[lit] == -1:
-                    return True
-                if value[lit] == 0:
-                    value[lit], value[-lit] = 1, -1
-                    trail.append(lit)
-            head = 0
-            while head < len(trail):
-                false_lit = -trail[head]
-                head += 1
-                ws = watches[false_lit]
-                i = j = 0
-                n = len(ws)
-                while i < n:
-                    cid = ws[i]
-                    i += 1
-                    c = db[cid]
-                    if c is None:
-                        continue  # deleted clause: drop its watcher
-                    if c[0] == false_lit:
-                        c[0], c[1] = c[1], false_lit
-                    first = c[0]
-                    if value[first] != 1:
-                        for k in range(2, len(c)):
-                            other = c[k]
-                            if value[other] != -1:
-                                c[1], c[k] = other, false_lit
-                                watches[other].append(cid)
-                                break
-                        else:
-                            ws[j] = cid
-                            j += 1
-                            if value[first] == -1:
-                                ws[j:] = ws[i:]
-                                return True
-                            value[first], value[-first] = 1, -1
-                            trail.append(first)
-                        continue
-                    ws[j] = cid
-                    j += 1
-                del ws[j:]
-            return False
+            return propagate(base)
         finally:
-            for lit in trail:
+            for lit in trail[base:]:
                 value[lit] = value[-lit] = 0
+            del trail[base:]
 
     for cl in clauses:
-        attach(cl)
+        attach(list(dict.fromkeys(cl)))
+    consistent = rebuild()  # False: level 0 conflicts, so every lemma is RUP
     derived_empty = False
     for step_no, (kind, lits) in enumerate(proof.steps):
         if kind == "d":
             ids = live.get(frozenset(lits))
             if ids:
                 cid = ids.pop()
-                if len(db[cid]) < 2:
-                    units.remove(cid)
+                c = db[cid]
                 db[cid] = None
+                if len(c) < 2:
+                    units.remove(cid)
+                elif len(c) == 2:
+                    bins[c[0]].remove(c[1])
+                    bins[c[1]].remove(c[0])
+                # A level-0 reason has one true literal and all others false.
+                vals = [value[lit] for lit in c]
+                if not consistent or (0 not in vals and vals.count(1) == 1):
+                    consistent = rebuild()
             continue
-        if not is_rup(lits):
+        if consistent and not is_rup(lits):
             return False, f"step {step_no}: clause {list(lits)} is not RUP"
         if not lits:
             derived_empty = True
             break
+        # Watch non-false literals, true ones first.  A RUP lemma has one
+        # (level 0 is closed), and with only one it is satisfied or unit.
+        lits = sorted(dict.fromkeys(lits), key=value.__getitem__, reverse=True)
         attach(lits)
+        first = lits[0]
+        if consistent and value[first] == 0 and \
+                (len(lits) == 1 or value[lits[1]] == -1):
+            value[first], value[-first] = 1, -1
+            trail.append(first)
+            consistent = not propagate(len(trail) - 1)
     if not derived_empty:
         return False, "proof does not derive the empty clause"
     return True, "ok"

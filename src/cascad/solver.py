@@ -41,9 +41,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.phase_default not in ("saved", "false", "true"):
             raise ValueError(f"bad phase_default {self.phase_default!r}")
-        for budget in (self.conflict_budget, self.time_budget):
-            if budget is not None and budget <= 0:
-                raise ValueError("budgets must be positive")
+        _check_budgets(self.conflict_budget, self.time_budget)
+
+
+def _check_budgets(*budgets):
+    """None means unbounded; any other budget must be positive."""
+    for budget in budgets:
+        if budget is not None and budget <= 0:
+            raise ValueError("budgets must be positive")
 
 
 # UNSAT-tuned variant: longer restarts, wider LBD keep, fixed false phases,
@@ -488,9 +493,14 @@ class Solver:
 
     def solve(self, conflict_budget: int | None = None,
               time_budget: float | None = None) -> SolveOutcome:
-        """Run until SAT/UNSAT or a budget runs out (resumable)."""
-        conflict_budget = conflict_budget or self.config.conflict_budget
-        time_budget = time_budget or self.config.time_budget
+        """Run until SAT/UNSAT or a budget runs out (resumable).  A budget
+        left at None falls back to the config's; a given one must be
+        positive."""
+        _check_budgets(conflict_budget, time_budget)
+        if conflict_budget is None:
+            conflict_budget = self.config.conflict_budget
+        if time_budget is None:
+            time_budget = self.config.time_budget
         start = time.monotonic()
         start_conflicts = self.stats.conflicts
         restart_limit = self.config.restart_unit * luby(self._restart_count)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cascad.circuit import Circuit, emit_aiger
+from cascad.circuit import Circuit, build_miter, emit_aiger
 from cascad.cli import main
 from cascad.cnf import emit_dimacs, CnfFormula
 from cascad.drat import check_proof, parse_drat
@@ -108,6 +108,18 @@ class TestSolve:
         if rc == 0:
             assert out.splitlines()[0] == "s UNKNOWN"
 
+    @pytest.mark.parametrize("flag, value", [("--conflicts", "0"),
+                                             ("--time", "0"),
+                                             ("--conflicts", "-5")])
+    def test_zero_budget_fails(self, tmp_path, capsys, flag, value):
+        path = self.write_cnf(tmp_path, [[1, 2], [-1, 2], [-2]], 2)
+        with pytest.raises(ValueError, match="positive"):
+            run_cli(capsys, "solve", path, flag, value)
+        assert capsys.readouterr().out == ""
+
+
+EXIT_CODES = {"s SAT": 10, "s UNSAT": 20}
+
 
 class TestCsat:
     def circuit_file(self, tmp_path, seed=1):
@@ -119,19 +131,19 @@ class TestCsat:
     def test_phase_mode(self, tmp_path, capsys):
         rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
                           "--mode", "phase", "--tau", "0.005")
-        assert out.splitlines()[0] in ("s SAT", "s UNSAT")
+        assert rc == EXIT_CODES[out.splitlines()[0]]
 
     def test_phase_mode_with_refresh(self, tmp_path, capsys):
         rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
                           "--mode", "phase", "--refresh", "2:4")
-        assert out.splitlines()[0] in ("s SAT", "s UNSAT")
+        assert rc == EXIT_CODES[out.splitlines()[0]]
 
     def test_clause_filter_mode(self, tmp_path, capsys):
         rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
                           "--mode", "clause-filter", "--budget", "10",
                           "--threshold", "0.9")
         lines = out.splitlines()
-        assert lines[0] in ("s SAT", "s UNSAT")
+        assert rc == EXIT_CODES[lines[0]]
         rep = json.loads(lines[-1])
         assert rep["total"] == rep["kept"] + rep["dropped"]
         assert set(rep["lbd_buckets"]) == {"1", "2", "3+"}
@@ -140,8 +152,17 @@ class TestCsat:
         rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
                           "--mode", "adaptive", "--probe", "5.0")
         lines = out.splitlines()
-        assert lines[0] in ("s SAT", "s UNSAT")
+        assert rc == EXIT_CODES[lines[0]]
         assert json.loads(lines[-1])["stage"] in (1, 2)
+
+    @pytest.mark.parametrize("mode", ["phase", "clause-filter", "adaptive"])
+    def test_exit_codes_sat_and_unsat(self, tmp_path, capsys, mode):
+        c = random_circuit(2, num_pis=5, num_gates=30)
+        for circuit, answer in ((build_miter(c, c), "s UNSAT"), (c, "s SAT")):
+            path = tmp_path / "c.aag"
+            path.write_bytes(emit_aiger(circuit))
+            rc, out = run_cli(capsys, "csat", str(path), "--mode", mode)
+            assert out.splitlines()[0] == answer and rc == EXIT_CODES[answer]
 
 
 class TestBench:

@@ -212,7 +212,7 @@ def rescan_propagate(db: list[tuple[int, ...]], assumed: list[int]) -> bool:
             unassigned = None
             satisfied = False
             count_free = 0
-            for lit in clause:
+            for lit in set(clause):  # a repeated literal counts once
                 v = abs(lit)
                 if v not in values:
                     unassigned = lit
@@ -250,6 +250,94 @@ def rescan_check(clauses, proof: DratProof) -> tuple[bool, str]:
     return False, "proof does not derive the empty clause"
 
 
+def steps_proof(steps) -> DratProof:
+    return DratProof([(kind, tuple(lits)) for kind, lits in steps])
+
+
+class TestLevelZeroTrail:
+    """The checker keeps the unit-propagation closure of the live clauses
+    between steps; deletions must take back what they no longer imply."""
+
+    @pytest.mark.parametrize("clauses, steps, step_no, lemma", [
+        # the unit [1] is deleted; [2] followed from it
+        ([[1], [-1, 2]], [("d", [1]), ("a", [2])], 1, [2]),
+        # the binary reason of 2 is deleted; [3] needed 2
+        ([[1], [-1, 2], [-2, 3]], [("d", [2, -1]), ("a", [3])], 1, [3]),
+        # the long reason of 3 is deleted
+        ([[1], [2], [-1, -2, 3], [-3, 4]],
+         [("d", [3, -2, -1]), ("a", [4])], 1, [4]),
+    ])
+    def test_deleted_reason_is_not_used(self, clauses, steps, step_no, lemma):
+        proof = steps_proof(steps)
+        expected = (False, f"step {step_no}: clause {lemma} is not RUP")
+        assert check_proof(clauses, proof) == expected
+        assert rescan_check(clauses, proof) == expected
+
+    @pytest.mark.parametrize("clauses, steps", [
+        # [2, 5] is true at level 0
+        ([[1], [-1, 2], [3, 4], [3, -4], [-3, 4], [-3, -4]],
+         [("a", [2, 5]), ("a", [3]), ("a", [])]),
+        # [-1, -6, 2] is true at level 0 and becomes the reason of 2 once
+        # [-1, 2] is deleted; [3] needs 2
+        ([[1], [6], [-1, 2], [-2, 3, 4], [-2, 3, -4], [-3, 5], [-3, -5]],
+         [("a", [-1, -6, 2]), ("d", [-1, 2]), ("a", [3]), ("a", [])]),
+        # -1 and -2 are false at level 0, so [-1, -2, 3, 4] must be watched
+        # on 3 and 4; [3] needs it once [3, 4] is deleted
+        ([[1], [2], [3, 4], [3, -4], [-3, 5], [-3, -5]],
+         [("a", [-1, -2, 3, 4]), ("d", [3, 4]), ("a", [3]), ("a", [])]),
+    ])
+    def test_lemma_true_at_level0_accepted(self, clauses, steps):
+        proof = steps_proof(steps)
+        assert check_proof(clauses, proof) == (True, "ok")
+        assert rescan_check(clauses, proof) == (True, "ok")
+
+    @pytest.mark.parametrize("clauses, steps", [
+        ([[1], [-1, 2], [-2]], [("d", [-2]), ("a", [])]),
+        # the unit lemma [1] makes level 0 conflict on 3
+        ([[1, 2], [1, -2], [-1, 3], [-1, -3]],
+         [("a", [1]), ("d", [1]), ("a", [])]),
+    ])
+    def test_deleting_the_conflict_restores_consistency(self, clauses, steps):
+        proof = steps_proof(steps)
+        expected = (False, f"step {len(steps) - 1}: clause [] is not RUP")
+        assert check_proof(clauses, proof) == expected
+        assert rescan_check(clauses, proof) == expected
+        kept = [step for step in steps if step[0] == "a"]
+        assert check_proof(clauses, steps_proof(kept)) == (True, "ok")
+
+
+def random_clause(rng: random.Random, nvars: int) -> list[int]:
+    size = rng.choices(range(5), weights=(1, 4, 8, 5, 2))[0]
+    lits = [rng.choice((1, -1)) * rng.randint(1, nvars) for _ in range(size)]
+    if lits and rng.random() < 0.1:
+        lits.append(rng.choice(lits))  # a repeated literal
+    return lits
+
+
+def random_proof(rng: random.Random):
+    """Small clause set and add/delete steps with units, binaries, empty and
+    duplicate clauses; deletions mostly name a clause added before."""
+    nvars = rng.randint(2, 6)
+    clauses = [random_clause(rng, nvars)
+               for _ in range(rng.randint(0, 4 * nvars))]
+    pool = list(clauses)
+    proof = DratProof()
+    for _ in range(rng.randint(1, 15)):
+        roll = rng.random()
+        if roll < 0.4 and pool:
+            lits = list(rng.choice(pool))
+            rng.shuffle(lits)
+            proof.delete(lits)
+        elif roll < 0.5:
+            proof.delete(random_clause(rng, nvars))
+        else:
+            lits = (list(rng.choice(pool)) if pool and roll < 0.6
+                    else random_clause(rng, nvars))
+            proof.add(lits)
+            pool.append(lits)
+    return clauses, proof
+
+
 class TestCheckerAgainstRescan:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
@@ -272,6 +360,12 @@ class TestCheckerAgainstRescan:
         dropped = DratProof(list(proof.steps))
         del dropped.steps[rng.choice(adds)]
         assert check_proof(clauses, dropped) == rescan_check(clauses, dropped)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_steps_agree_with_rescan(self, seed):
+        clauses, proof = random_proof(random.Random(seed))
+        assert check_proof(clauses, proof) == rescan_check(clauses, proof)
 
 
 class TestBudgetsAndResume:
@@ -297,6 +391,14 @@ class TestBudgetsAndResume:
         n, clauses = self.hard_instance()
         out = Solver(cnf(n, clauses)).solve(time_budget=1e-9)
         assert out.status in (Status.UNKNOWN, Status.SAT, Status.UNSAT)
+
+    @pytest.mark.parametrize("budgets", [
+        {"conflict_budget": 0}, {"time_budget": 0.0}, {"conflict_budget": -1}])
+    def test_zero_budget_rejected(self, budgets):
+        s = Solver(pigeonhole(6, 5))
+        with pytest.raises(ValueError, match="positive"):
+            s.solve(**budgets)
+        assert s.stats.conflicts == 0
 
     def test_stats_accumulate(self):
         n, clauses = self.hard_instance()
