@@ -392,12 +392,3 @@ def report(records: list[dict], cutoff: float,
         "inference_seconds_total": inference,
     }
     return buf.getvalue(), summary
-
-
-def parse_report_csv(text: str) -> list[dict]:
-    rows = list(csv.DictReader(io.StringIO(text)))
-    for r in rows:
-        for k in ("wall_seconds", "solving_seconds", "inference_seconds"):
-            if r.get(k) not in (None, ""):
-                r[k] = float(r[k])
-    return rows

@@ -1,9 +1,8 @@
 """And-inverter circuit graphs: parsing, levelization, cones, miters, mutation.
 
-Circuits are DAGs over two basic gate types (AND, NOT) plus primary inputs,
-an optional constant-false node, and observation-only virtual gates used for
-probability queries.  Inverters are explicit NOT nodes; AIGER inverted edges
-are materialized on parse and re-absorbed on emit.
+Circuits are DAGs over two basic gate types (AND, NOT) plus primary inputs
+and an optional constant-false node.  Inverters are explicit NOT nodes; AIGER
+inverted edges are materialized on parse and re-absorbed on emit.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ class GateKind(Enum):
     PI = "PI"
     AND = "AND"
     NOT = "NOT"
-    VIRTUAL_AND = "VIRTUAL_AND"
-    VIRTUAL_DIV = "VIRTUAL_DIV"
     CONST0 = "CONST0"
 
 
@@ -28,11 +25,7 @@ _FANIN_COUNT = {
     GateKind.CONST0: 0,
     GateKind.NOT: 1,
     GateKind.AND: 2,
-    GateKind.VIRTUAL_AND: 2,
-    GateKind.VIRTUAL_DIV: 2,
 }
-
-VIRTUAL_KINDS = (GateKind.VIRTUAL_AND, GateKind.VIRTUAL_DIV)
 
 
 class CircuitError(Exception):
@@ -114,12 +107,6 @@ class Circuit:
         self._not_cache[a] = g
         return g
 
-    def add_virtual_and(self, a: int, b: int) -> int:
-        return self._append(Gate(GateKind.VIRTUAL_AND, (a, b)))
-
-    def add_virtual_div(self, num: int, den: int) -> int:
-        return self._append(Gate(GateKind.VIRTUAL_DIV, (num, den)))
-
     def set_outputs(self, pos: list[int]):
         for p in pos:
             if not (0 <= p < len(self.gates)):
@@ -134,9 +121,6 @@ class Circuit:
     def kind(self, g: int) -> GateKind:
         return self.gates[g].kind
 
-    def is_virtual(self, g: int) -> bool:
-        return self.gates[g].kind in VIRTUAL_KINDS
-
     @property
     def levels(self) -> list[int]:
         if self._levels is None:
@@ -147,9 +131,7 @@ class Circuit:
         return self.levels[g]
 
     def depth(self) -> int:
-        boolean = [self.levels[i] for i, g in enumerate(self.gates)
-                   if g.kind not in VIRTUAL_KINDS]
-        return max(boolean, default=0)
+        return max(self.levels, default=0)
 
     def fanouts(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in self.gates]
@@ -179,7 +161,7 @@ class Circuit:
         c._const0 = self._const0
         return c
 
-    # -- serialization (internal JSON graph; AIGER cannot express virtuals)
+    # -- serialization (JSON graph sent to an external estimator)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -188,21 +170,6 @@ class Circuit:
             "inputs": self.primary_inputs,
             "outputs": self.primary_outputs,
         })
-
-    @staticmethod
-    def from_json(text: str) -> "Circuit":
-        data = json.loads(text)
-        c = Circuit()
-        for spec in data["gates"]:
-            c._append(Gate(GateKind(spec["kind"]), tuple(spec["fanins"])))
-        c.primary_inputs = list(data["inputs"])
-        c.primary_outputs = list(data["outputs"])
-        for i, g in enumerate(c.gates):
-            if g.kind is GateKind.NOT:
-                c._not_cache.setdefault(g.fanins[0], i)
-            if g.kind is GateKind.CONST0 and c._const0 is None:
-                c._const0 = i
-        return c
 
 
 def levelize(circuit: Circuit) -> list[int]:
@@ -433,8 +400,6 @@ def emit_aiger(circuit: Circuit) -> bytes:
     next_var = 1
     and_rows = []
     for i, g in enumerate(circuit.gates):
-        if g.kind in VIRTUAL_KINDS:
-            raise ShapeError("virtual gates cannot be expressed in AIGER")
         if g.kind is GateKind.CONST0:
             lit[i] = 0
         elif g.kind is GateKind.PI:
@@ -460,16 +425,16 @@ def emit_aiger(circuit: Circuit) -> bytes:
 
 def rebuild(src: Circuit, dst: Circuit, node_map: dict[int, int],
             edit=None) -> dict[int, int]:
-    """Copy src's Boolean gates into dst in order, extending node_map.
+    """Copy src's gates into dst in order, extending node_map.
 
-    Gates already in node_map are taken as mapped, unmapped PIs become new
-    PIs of dst, and virtual gates are skipped.  NOTs go through add_not, so
-    they are shared and a NOT of a NOT collapses.  For AND gate i,
-    edit(i, fanins), given the fanins already mapped into dst, may return
-    the dst node to use in place of AND(fanins).
+    Gates already in node_map are taken as mapped and unmapped PIs become
+    new PIs of dst.  NOTs go through add_not, so they are shared and a NOT
+    of a NOT collapses.  For AND gate i, edit(i, fanins), given the fanins
+    already mapped into dst, may return the dst node to use in place of
+    AND(fanins).
     """
     for i, g in enumerate(src.gates):
-        if i in node_map or g.kind in VIRTUAL_KINDS:
+        if i in node_map:
             continue
         if g.kind is GateKind.PI:
             node_map[i] = dst.add_pi()
@@ -526,8 +491,6 @@ class MutationError(CircuitError):
 def mutate_circuit(circuit: Circuit, seed: int) -> Circuit:
     """Apply one seeded local change: flip a fanin inversion or swap a fanin
     with another same-level signal."""
-    if any(g.kind in VIRTUAL_KINDS for g in circuit.gates):
-        raise MutationError("cannot mutate a circuit with virtual gates")
     rng = random.Random(seed)
     # prefer gates observable at an output so the change is usually effective
     observable: set[int] = set()

@@ -1,4 +1,4 @@
-"""Command-line front end: parse, augment, sim, solve, csat, bench."""
+"""Command-line front end: parse, sim, solve, csat, bench."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .augment import chain_conditions, insert_cond
 from .circuit import parse_aiger
 from .cnf import parse_dimacs, tseitin_encode
 from .drat import DratFileSink
@@ -32,23 +31,6 @@ def cmd_parse(args):
         print(json.dumps({"gates": len(circuit)}))
 
 
-def cmd_augment(args):
-    circuit = parse_aiger(_read(args.file))
-    conds = [int(x) for x in args.cond.split(",")]
-    if len(conds) == 1:
-        cond_gate = conds[0]
-        aug = circuit.copy()
-    else:
-        aug = circuit.copy()
-        cond_gate = chain_conditions(aug, [(c, True) for c in conds])
-    aug, node = insert_cond(aug, args.target, cond_gate)
-    print(json.dumps({"joint": node.numerator, "div": node.gate,
-                      "condition": node.denominator}))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(aug.to_json())
-
-
 def _parse_workload(spec: str):
     if spec.startswith("uniform:"):
         return float(spec.split(":", 1)[1])
@@ -63,7 +45,7 @@ def cmd_sim(args):
     if args.out:
         write_traces(traces, args.out)
     probs = {g: traces.count(g) / traces.num_patterns
-             for g in range(len(circuit)) if traces.has_trace[g]}
+             for g in range(len(circuit))}
     print(json.dumps({"num_patterns": traces.num_patterns,
                       "probabilities": probs}))
 
@@ -177,13 +159,6 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--stats", action="store_true")
     p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("augment", help="insert joint/conditional virtual gates")
-    p.add_argument("file")
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--cond", required=True, help="condition gate id(s), comma-separated")
-    p.add_argument("--out", help="write augmented JSON graph here")
-    p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("sim", help="bit-parallel random simulation")
     p.add_argument("file")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, GateKind, VIRTUAL_KINDS
+from .circuit import Circuit, GateKind
 
 
 class CnfError(Exception):
@@ -53,16 +53,14 @@ def tseitin_encode(circuit: Circuit,
                    ) -> tuple[CnfFormula, VarGateMap]:
     """Standard (full, not polarity-reduced) Tseitin encoding.
 
-    Every non-virtual gate gets its own variable, numbered by topological
-    order; NOT gates are encoded with two binary clauses so the map stays
-    total and bidirectional.  Virtual gates are skipped entirely.
+    Every gate gets its own variable, numbered by topological order; NOT
+    gates are encoded with two binary clauses so the map stays total and
+    bidirectional.
     """
     vmap = VarGateMap()
     clauses: list[list[int]] = []
     next_var = 1
     for i, g in enumerate(circuit.gates):
-        if g.kind in VIRTUAL_KINDS:
-            continue
         v = next_var
         next_var += 1
         vmap.add(i, v)
@@ -78,8 +76,6 @@ def tseitin_encode(circuit: Circuit,
             clauses.append([-v, b])
             clauses.append([v, -a, -b])
     for gate, polarity in (assert_outputs or []):
-        if circuit.is_virtual(gate):
-            raise CnfError(f"cannot assert virtual gate {gate}")
         clauses.append([signal_to_lit(vmap, gate, polarity)])
     return CnfFormula(next_var - 1, clauses), vmap
 

@@ -57,14 +57,6 @@ class DratProof:
     def delete(self, lits):
         self.steps.append(("d", tuple(lits)))
 
-    @property
-    def has_empty_clause(self) -> bool:
-        return any(kind == "a" and not lits for kind, lits in self.steps)
-
-    def to_text(self) -> str:
-        return "".join(format_step(kind, lits) + "\n"
-                       for kind, lits in self.steps)
-
 
 class DratFileSink:
     """Streams ASCII DRAT lines to a file while keeping an in-memory copy."""

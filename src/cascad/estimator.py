@@ -185,13 +185,12 @@ class Estimator:
     def phase_table(self, po: int,
                     extra_conditions: Sequence[tuple[int, bool]] = ()
                     ) -> dict[int, float | None]:
-        """P(gate=1 | po=1 and every extra condition) for every non-virtual
-        gate; None = the condition never holds, so there is no information.
+        """P(gate=1 | po=1 and every extra condition) for every gate;
+        None = the condition never holds, so there is no information.
         EXTERNAL asks one cond_prob query per gate."""
         conditions = ((po, True),) + tuple(c for c in extra_conditions
                                            if c[0] != po)
-        gates = [g for g in range(len(self.circuit))
-                 if not self.circuit.is_virtual(g)]
+        gates = range(len(self.circuit))
         if self._external is not None:
             return {g: self.cond_prob(ProbQuery((g, True), conditions)).p
                     for g in gates}

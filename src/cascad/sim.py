@@ -65,15 +65,12 @@ class PatternBlock:
 
 @dataclass
 class PatternTraces:
-    """Packed outcome bits for every traced gate; VIRTUAL_DIV gates carry none."""
+    """Packed outcome bits, one row per gate."""
     bits: np.ndarray  # shape (num_gates, num_bytes), uint8
     num_patterns: int
-    has_trace: np.ndarray  # bool per gate
 
     def trace(self, gate: int, polarity: bool = True) -> np.ndarray:
         """The gate's packed row, or its complement when polarity is False."""
-        if not self.has_trace[gate]:
-            raise SimError(f"gate {gate} carries no trace (VIRTUAL_DIV)")
         row = self.bits[gate]
         if polarity:
             return row
@@ -138,7 +135,6 @@ def simulate(circuit: Circuit, inputs: PatternBlock) -> PatternTraces:
     nb = _num_bytes(n)
     mask = _tail_mask(n, nb)
     bits = np.zeros((len(circuit), nb), dtype=np.uint8)
-    has_trace = np.ones(len(circuit), dtype=bool)
     pi_row = {g: k for k, g in enumerate(circuit.primary_inputs)}
     for i, g in enumerate(circuit.gates):
         if g.kind is GateKind.PI:
@@ -147,11 +143,9 @@ def simulate(circuit: Circuit, inputs: PatternBlock) -> PatternTraces:
             pass  # zeros
         elif g.kind is GateKind.NOT:
             bits[i] = ~bits[g.fanins[0]] & mask
-        elif g.kind is GateKind.VIRTUAL_DIV:
-            has_trace[i] = False
-        else:  # AND / VIRTUAL_AND
+        else:  # AND
             bits[i] = bits[g.fanins[0]] & bits[g.fanins[1]]
-    return PatternTraces(bits, n, has_trace)
+    return PatternTraces(bits, n)
 
 
 def exhaustive_patterns(num_pis: int) -> PatternBlock:
@@ -178,31 +172,29 @@ def run_workload_suite(circuit: Circuit, num_sims: int = 200,
     """Repeated biased simulations: per-PI per-sim probabilities plus node
     probabilities aggregated over all num_sims * patterns_per_sim patterns.
 
-    Returns (pi_profile, node_probs): pi_profile has shape (num_pis, num_sims);
-    node_probs[g] is None for gates without a trace.
+    Returns (pi_profile, node_probs): pi_profile has shape (num_pis, num_sims)
+    and node_probs[g] is gate g's probability.
     """
     if num_sims < 1 or patterns_per_sim < 1:
         raise SimError("simulation counts must be positive")
     num_pis = len(circuit.primary_inputs)
     pi_profile = np.zeros((num_pis, num_sims))
     counts = np.zeros(len(circuit), dtype=np.int64)
-    has_trace = np.ones(len(circuit), dtype=bool)
     for s in range(num_sims):
         plan = SimulationPlan(patterns_per_sim, workload, seed=seed + s)
         block = sample_patterns(plan, num_pis)
-        traces = simulate(circuit, block)
-        has_trace = traces.has_trace
-        per_gate = traces.counts()
+        per_gate = simulate(circuit, block).counts()
         counts += per_gate.astype(np.int64)
         for k, g in enumerate(circuit.primary_inputs):
             pi_profile[k, s] = per_gate[g] / patterns_per_sim
     total = num_sims * patterns_per_sim
-    node_probs = [counts[g] / total if has_trace[g] else None
-                  for g in range(len(circuit))]
+    node_probs = [counts[g] / total for g in range(len(circuit))]
     return pi_profile, node_probs
 
 
 # -- trace file format ("CTRC") ----------------------------------------------
+# magic, <III version/num_gates/num_patterns, one packed "has a trace" flag
+# bit per gate (always set), then the packed rows.
 
 _MAGIC = b"CTRC"
 _VERSION = 1
@@ -214,7 +206,8 @@ def write_traces(traces: PatternTraces, path: str):
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _VERSION, traces.bits.shape[0],
                              traces.num_patterns))
-        fh.write(np.packbits(traces.has_trace, bitorder="little").tobytes())
+        flags = np.ones(traces.bits.shape[0], dtype=bool)
+        fh.write(np.packbits(flags, bitorder="little").tobytes())
         fh.write(traces.bits.tobytes())
 
 
@@ -234,6 +227,8 @@ def read_traces(path: str) -> PatternTraces:
         raise SimError(f"truncated trace file: {len(data)} bytes for {num_gates} "
                        f"gates x {num_patterns} patterns")
     flags = np.frombuffer(data, np.uint8, nflags, _HEADER)
-    has_trace = np.unpackbits(flags, bitorder="little")[:num_gates].astype(bool)
+    untraced = np.flatnonzero(np.unpackbits(flags, bitorder="little")[:num_gates] == 0)
+    if untraced.size:
+        raise SimError(f"gate {untraced[0]} has no trace row")
     bits = np.frombuffer(data, np.uint8, num_gates * nb, _HEADER + nflags)
-    return PatternTraces(bits.reshape(num_gates, nb).copy(), num_patterns, has_trace)
+    return PatternTraces(bits.reshape(num_gates, nb).copy(), num_patterns)

@@ -38,8 +38,6 @@ def eval_circuit(circuit: Circuit, pi_values: dict[int, bool]) -> dict[int, bool
             values[i] = False
         elif g.kind is GateKind.NOT:
             values[i] = not values[g.fanins[0]]
-        elif g.kind is GateKind.VIRTUAL_DIV:
-            continue
         else:
             values[i] = values[g.fanins[0]] and values[g.fanins[1]]
     return values

@@ -278,7 +278,7 @@ def test_criterion_8_adaptive_switch(capsys):
     unsat_ok = (result.stage == 2
                 and result.stage1_wall >= 5.0
                 and result.outcome.status is Status.UNSAT
-                and result.proof.has_empty_clause)
+                and ("a", ()) in result.proof.steps)
     ok = sat_ok and unsat_ok
     _report(capsys, 8, ok,
             f"3 fast-SAT cases in stage 1: {sat_ok}; hard-UNSAT switched at "

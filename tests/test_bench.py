@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import time
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cascad.bench import (BenchCase, BenchConfig, CorrectnessAlarm, SuiteError,
                           TRANSFORMS, commute_fanins, double_negate, gen_suite,
-                          load_suite, par2, par2_by_config, parse_report_csv,
+                          load_suite, par2, par2_by_config,
                           reassociate, report, run_case, run_suite, save_suite)
 from cascad.circuit import Circuit, GateKind, build_miter, mutate_circuit
 from cascad.sim import exact_truth_table
@@ -291,9 +293,9 @@ class TestReport:
 
     def test_csv_round_trip(self):
         csv_text, _ = report(self.records(), cutoff=5.0)
-        rows = parse_report_csv(csv_text)
+        rows = list(csv.DictReader(io.StringIO(csv_text)))
         assert len(rows) == 4
-        assert rows[0]["case"] == "a" and rows[0]["wall_seconds"] == 1.0
+        assert rows[0]["case"] == "a" and float(rows[0]["wall_seconds"]) == 1.0
 
     def test_summary_par2(self):
         _, summary = report(self.records(), cutoff=5.0)

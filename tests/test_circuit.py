@@ -93,14 +93,6 @@ class TestEmitAiger:
         assert body.splitlines()[0] == "aag 3 2 0 1 1"
         assert body.splitlines()[-1] == "6 2 4"
 
-    def test_virtual_gate_rejected(self):
-        c = Circuit()
-        a, b = c.add_pi(), c.add_pi()
-        c.add_virtual_and(a, b)
-        c.set_outputs([a])
-        with pytest.raises(ShapeError, match="virtual"):
-            emit_aiger(c)
-
     @pytest.mark.parametrize("seed", range(8))
     def test_round_trip_preserves_function(self, seed):
         c = random_circuit(seed, num_pis=5, num_gates=60)
@@ -267,12 +259,10 @@ class TestMiter:
 
 
 class TestRebuild:
-    def test_copies_boolean_gates_and_skips_virtual(self, toy_and):
+    def test_copies_boolean_gates(self, toy_and):
         c, a, b, g = toy_and
-        aug = c.copy()
-        aug.add_virtual_and(a, g)
         dst = Circuit()
-        node_map = rebuild(aug, dst, {})
+        node_map = rebuild(c, dst, {})
         assert [x.kind for x in dst.gates] == \
             [GateKind.PI, GateKind.PI, GateKind.AND]
         assert node_map == {a: 0, b: 1, g: 2}
@@ -304,13 +294,6 @@ class TestMutate:
         c.set_outputs([c.add_pi()])
         with pytest.raises(MutationError):
             mutate_circuit(c, seed=0)
-
-    def test_virtual_gates_rejected(self, toy_and):
-        c, a, b, g = toy_and
-        aug = c.copy()
-        aug.add_virtual_and(a, b)
-        with pytest.raises(MutationError, match="virtual"):
-            mutate_circuit(aug, seed=0)
 
     def test_mutation_usually_changes_function(self):
         c = random_circuit(11, num_pis=5, num_gates=40)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -36,24 +37,6 @@ class TestParse:
         stats = json.loads(out)
         assert stats["pis"] == 2 and stats["pos"] == 1
         assert stats["depth"] == 1
-
-
-class TestAugment:
-    def test_single_condition(self, toy_aag, tmp_path, capsys):
-        out_path = str(tmp_path / "aug.json")
-        rc, out = run_cli(capsys, "augment", toy_aag, "--target", "0",
-                          "--cond", "1", "--out", out_path)
-        info = json.loads(out)
-        assert rc == 0 and info["condition"] == 1
-        from cascad.circuit import Circuit as C
-        aug = C.from_json(open(out_path).read())
-        assert len(aug) == 5  # 3 gates + joint + div
-
-    def test_chained_conditions(self, toy_aag, capsys):
-        rc, out = run_cli(capsys, "augment", toy_aag, "--target", "0",
-                          "--cond", "1,2")
-        info = json.loads(out)
-        assert info["div"] > info["joint"]
 
 
 class TestSim:
@@ -200,5 +183,5 @@ class TestBench:
         files = json.loads(out)
         summary = json.load(open(files["json"]))
         assert "par2" in summary and "cactus" in summary
-        from cascad.bench import parse_report_csv
-        assert len(parse_report_csv(open(files["csv"]).read())) == 4
+        with open(files["csv"], newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 4

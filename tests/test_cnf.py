@@ -46,23 +46,6 @@ class TestTseitin:
         assert cnf.num_vars == 2
         assert vmap.gate_to_var[n] != vmap.gate_to_var[a]
 
-    def test_virtual_gates_skipped(self, toy_and):
-        c, a, b, g = toy_and
-        aug = c.copy()
-        j = aug.add_virtual_and(a, b)
-        aug.add_virtual_div(j, b)
-        cnf, vmap = tseitin_encode(aug)
-        base_cnf, _ = tseitin_encode(c)
-        assert cnf.num_vars == base_cnf.num_vars
-        assert cnf.clauses == base_cnf.clauses
-
-    def test_assert_virtual_rejected(self, toy_and):
-        c, a, b, g = toy_and
-        aug = c.copy()
-        j = aug.add_virtual_and(a, b)
-        with pytest.raises(CnfError, match="virtual"):
-            tseitin_encode(aug, assert_outputs=[(j, True)])
-
     def test_const0_unit(self):
         c = Circuit()
         z = c.add_const0()

@@ -129,24 +129,6 @@ class TestSimulate:
         with pytest.raises(Exception, match="PI rows"):
             simulate(c, sample_patterns(SimulationPlan(8, 0.5, seed=0), 3))
 
-    def test_virtual_and_trace_law(self, toy_and):
-        c, a, b, g = toy_and
-        aug = c.copy()
-        v = aug.add_virtual_and(a, b)
-        block = sample_patterns(SimulationPlan(256, 0.5, seed=5), 2)
-        traces = simulate(aug, block)
-        assert np.array_equal(traces.trace(v),
-                              traces.trace(a) & traces.trace(b))
-
-    def test_virtual_div_has_no_trace(self, toy_and):
-        c, a, b, g = toy_and
-        aug = c.copy()
-        j = aug.add_virtual_and(a, b)
-        d = aug.add_virtual_div(j, b)
-        traces = simulate(aug, sample_patterns(SimulationPlan(8, 0.5, seed=0), 2))
-        with pytest.raises(SimError, match="no trace"):
-            traces.trace(d)
-
 
 class TestExactTruthTable:
     def test_not_of_pi(self):
@@ -205,17 +187,21 @@ class TestWorkloadSuite:
 
 class TestTraceFile:
     def test_round_trip(self, tmp_path, toy_and):
-        c, a, b, g = toy_and
-        aug = c.copy()
-        j = aug.add_virtual_and(a, b)
-        aug.add_virtual_div(j, b)
-        traces = simulate(aug, sample_patterns(SimulationPlan(100, 0.5, seed=7), 2))
+        c, *_ = toy_and
+        traces = simulate(c, sample_patterns(SimulationPlan(100, 0.5, seed=7), 2))
         path = str(tmp_path / "t.bin")
         write_traces(traces, path)
         back = read_traces(path)
         assert back.num_patterns == traces.num_patterns
         assert np.array_equal(back.bits, traces.bits)
-        assert np.array_equal(back.has_trace, traces.has_trace)
+
+    def test_row_without_trace_rejected(self, tmp_path):
+        # gate 1 of 3 flagged as carrying no trace row
+        p = tmp_path / "t.bin"
+        p.write_bytes(b"CTRC" + struct.pack("<III", 1, 3, 8)
+                      + bytes([0b101, 0x0F, 0xF0, 0xFF]))
+        with pytest.raises(SimError, match="gate 1 has no trace"):
+            read_traces(str(p))
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"
