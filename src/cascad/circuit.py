@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 
 class GateKind(Enum):
@@ -44,17 +46,30 @@ class ShapeError(CircuitError):
     pass
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: GateKind
-    fanins: tuple[int, ...] = ()
+class Gate(namedtuple("Gate", ("kind", "fanins"))):
+    """One immutable gate: its kind and the ids of its fanin gates.
 
-    def __post_init__(self):
-        if len(self.fanins) != _FANIN_COUNT[self.kind]:
+    A named tuple, so the Circuit builders, which always pass the right
+    number of fanins, create one with a bare ``tuple.__new__``; calling
+    ``Gate`` itself checks the fanin count.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: GateKind, fanins: tuple[int, ...] = ()):
+        if len(fanins) != _FANIN_COUNT[kind]:
             raise ShapeError(
-                f"{self.kind.value} gate takes {_FANIN_COUNT[self.kind]} fanins, "
-                f"got {len(self.fanins)}"
+                f"{kind.value} gate takes {_FANIN_COUNT[kind]} fanins, "
+                f"got {len(fanins)}"
             )
+        return tuple.__new__(cls, (kind, fanins))
+
+
+_new = tuple.__new__  # an unchecked Gate: _new(Gate, (kind, fanins))
+_AND = GateKind.AND
+_NOT = GateKind.NOT
+_PI_GATE = Gate(GateKind.PI)
+_CONST0_GATE = Gate(GateKind.CONST0)
 
 
 class Circuit:
@@ -84,27 +99,38 @@ class Circuit:
         return len(self.gates) - 1
 
     def add_pi(self) -> int:
-        g = self._append(Gate(GateKind.PI))
+        g = self._append(_PI_GATE)
         self.primary_inputs.append(g)
         return g
 
     def add_const0(self) -> int:
         if self._const0 is None:
-            self._const0 = self._append(Gate(GateKind.CONST0))
+            self._const0 = self._append(_CONST0_GATE)
         return self._const0
 
     def add_and(self, a: int, b: int) -> int:
-        return self._append(Gate(GateKind.AND, (a, b)))
+        gates = self.gates
+        n = len(gates)
+        if not (0 <= a < n and 0 <= b < n):
+            raise ShapeError(f"fanin {b if 0 <= a < n else a} out of range")
+        gates.append(_new(Gate, (_AND, (a, b))))
+        self._levels = None
+        return n
 
     def add_not(self, a: int) -> int:
+        gates = self.gates
+        if not 0 <= a < len(gates):
+            raise ShapeError(f"fanin {a} out of range")
         # collapse double negation through the shared-NOT table
-        src = self.gates[a]
-        if src.kind is GateKind.NOT:
+        src = gates[a]
+        if src.kind is _NOT:
             return src.fanins[0]
-        if a in self._not_cache:
-            return self._not_cache[a]
-        g = self._append(Gate(GateKind.NOT, (a,)))
-        self._not_cache[a] = g
+        g = self._not_cache.get(a)
+        if g is None:
+            g = len(gates)
+            gates.append(_new(Gate, (_NOT, (a,))))
+            self._levels = None
+            self._not_cache[a] = g
         return g
 
     def set_outputs(self, pos: list[int]):
@@ -242,7 +268,12 @@ def fanout_cone(circuit: Circuit, root: int, depth_bound: int | None = None) -> 
 
 
 def parse_aiger(data: bytes) -> Circuit:
-    """Parse combinational AIGER, ASCII ("aag") or binary ("aig")."""
+    """Parse combinational AIGER, ASCII ("aag") or binary ("aig").
+
+    ANDs are built in file order.  An AND whose fanins already exist, as in
+    every file emit_aiger writes, is built at once; one that names a later
+    AND first builds that AND and its own missing fanins, depth first.
+    """
     if not isinstance(data, bytes):
         data = data.encode()
     nl = data.find(b"\n")
@@ -261,48 +292,103 @@ def parse_aiger(data: bytes) -> Circuit:
         raise AigerParseError(f"sequential AIGER rejected: {l} latches")
 
     if header[0] == b"aag":
-        inputs, outputs, ands = _parse_ascii_body(data[nl + 1:], m, i, o, a)
+        inputs, outputs, ands = _parse_ascii_body(data[nl + 1:], i, o, a)
     else:
-        inputs, outputs, ands = _parse_binary_body(data[nl + 1:], m, i, o, a)
+        inputs, outputs, ands = _parse_binary_body(data[nl + 1:], i, o, a)
 
     circuit = Circuit()
     var_node: dict[int, int] = {}
     for lit in inputs:
         if lit & 1 or lit < 2:
             raise AigerParseError(f"invalid input literal {lit}")
+        if lit >> 1 > m:
+            raise AigerParseError(f"input literal {lit} exceeds maxvar {m}")
+        if lit >> 1 in var_node:
+            raise AigerParseError(f"input literal {lit} repeated")
         var_node[lit >> 1] = circuit.add_pi()
+    and_def = _and_definitions(ands, var_node, m)
 
-    and_def = {lhs >> 1: (r0, r1) for lhs, r0, r1 in ands}
+    gates = circuit.gates
+    not_cache = circuit._not_cache
+    it = iter(ands)
+    for lhs, r0, r1 in zip(it, it, it):
+        v = lhs >> 1
+        if v in var_node:
+            continue  # built early as the fanin of an AND listed before it
+        # every variable in var_node is at most m, so a fanin found there
+        # is in range; anything else takes the checked path
+        n0 = var_node.get(r0 >> 1)
+        n1 = var_node.get(r1 >> 1)
+        if n0 is None or n1 is None:
+            _materialize_and(circuit, v, ands, and_def, var_node, m)
+            continue
+        # fanins are PIs, ANDs or the constant, never NOTs, so a NOT is
+        # either shared already or new
+        if r0 & 1:
+            n0 = not_cache.get(n0) or circuit.add_not(n0)
+        if r1 & 1:
+            n1 = not_cache.get(n1) or circuit.add_not(n1)
+        var_node[v] = len(gates)
+        gates.append(_new(Gate, (_AND, (n0, n1))))
 
     def node_of(lit: int) -> int:
         var = lit >> 1
         if var > m:
             raise AigerParseError(f"literal {lit} exceeds maxvar {m}")
         if var not in var_node:
-            if var == 0:
-                var_node[0] = circuit.add_const0()
-            elif var in and_def:
-                _materialize_and(circuit, var, and_def, var_node, m)
-            else:
+            if var != 0:
                 raise AigerParseError(f"dangling literal {lit}")
+            var_node[0] = circuit.add_const0()
         node = var_node[var]
         return circuit.add_not(node) if lit & 1 else node
 
-    # materialize in listed order first so indices stay close to file order
-    for lhs, _, _ in ands:
-        node_of(lhs & ~1)
     circuit.set_outputs([node_of(lit) for lit in outputs])
     return circuit
 
 
-def _materialize_and(circuit, var, and_def, var_node, maxvar):
+def _and_definitions(ands: list[int], var_node: dict[int, int],
+                     maxvar: int) -> dict[int, int]:
+    """Map each AND's lhs variable to its position in the file, rejecting a
+    bad, out-of-range or repeated lhs and one that names an input."""
+    lhs_lits = ands[0::3]
+    # (1).__rrshift__(x) is x >> 1, the lhs variable
+    and_def = dict(zip(map((1).__rrshift__, lhs_lits), range(len(lhs_lits))))
+    clean = (len(and_def) == len(lhs_lits)
+             and and_def.keys().isdisjoint(var_node)
+             and min(lhs_lits, default=2) >= 2
+             and max(lhs_lits, default=0) >> 1 <= maxvar
+             and not any(map((1).__and__, lhs_lits)))
+    if not clean:  # name the first bad AND
+        seen: set[int] = set()
+        for k, lhs in enumerate(lhs_lits):
+            if lhs & 1 or lhs < 2:
+                raise AigerParseError(f"AND {k}: bad lhs {lhs}")
+            if lhs >> 1 > maxvar:
+                raise AigerParseError(f"literal {lhs} exceeds maxvar {maxvar}")
+            if lhs >> 1 in var_node:
+                raise AigerParseError(f"AND {k}: lhs {lhs} is an input")
+            if lhs >> 1 in seen:
+                raise AigerParseError(f"AND {k}: lhs {lhs} defined twice")
+            seen.add(lhs >> 1)
+    return and_def
+
+
+def _materialize_and(circuit, var, ands, and_def, var_node, maxvar):
+    """Build AND ``var`` after the ANDs it depends on, depth first.
+
+    ``open_`` holds the ANDs whose fanins are being built, which is the
+    current dependency path, so meeting one of them again is a cycle; an
+    AND merely waiting on the stack may be needed by another as well.
+    """
     stack = [var]
+    open_: set[int] = set()
     while stack:
         v = stack[-1]
         if v in var_node:
             stack.pop()
             continue
-        r0, r1 = and_def[v]
+        k = 3 * and_def[v]
+        r0, r1 = ands[k + 1], ands[k + 2]
         deps = []
         for rl in (r0, r1):
             rv = rl >> 1
@@ -312,15 +398,17 @@ def _materialize_and(circuit, var, and_def, var_node, maxvar):
                 if rv == 0:
                     var_node[0] = circuit.add_const0()
                 elif rv in and_def:
-                    if rv in stack:
+                    if rv in open_:
                         raise CycleError(f"cyclic AND definition at variable {rv}")
                     deps.append(rv)
                 else:
                     raise AigerParseError(f"dangling literal {rl}")
         if deps:
+            open_.add(v)
             stack.extend(deps)
             continue
         stack.pop()
+        open_.discard(v)
         fan = []
         for rl in (r0, r1):
             n = var_node[rl >> 1]
@@ -328,31 +416,28 @@ def _materialize_and(circuit, var, and_def, var_node, maxvar):
         var_node[v] = circuit.add_and(fan[0], fan[1])
 
 
-def _parse_ascii_body(body: bytes, m, i, o, a):
-    lines = body.split(b"\n")
+def _parse_ascii_body(body: bytes, i, o, a):
+    """Input and output literals, and the AND rows as one flat list
+    [lhs, rhs0, rhs1, lhs, ...]."""
     need = i + o + a
-    rows = [ln for ln in lines[:need]]
-    if len(rows) < need:
-        raise AigerParseError(f"expected {need} body lines, got {len(rows)}")
+    lines = body.split(b"\n", need)
+    if len(lines) < need:
+        raise AigerParseError(f"expected {need} body lines, got {len(lines)}")
+    rows = list(map(bytes.split, lines[i + o:need]))
+    if rows and set(map(len, rows)) != {3}:
+        k = next(k for k, parts in enumerate(rows) if len(parts) != 3)
+        raise AigerParseError(f"AND line {i + o + k + 2}: expected 3 literals, "
+                              f"got {lines[i + o + k]!r}")
     try:
-        inputs = [int(rows[k]) for k in range(i)]
-        outputs = [int(rows[i + k]) for k in range(o)]
-        ands = []
-        for k in range(a):
-            parts = rows[i + o + k].split()
-            if len(parts) != 3:
-                raise AigerParseError(
-                    f"AND line {i + o + k + 2}: expected 3 literals, got {rows[i + o + k]!r}")
-            lhs, r0, r1 = (int(p) for p in parts)
-            if lhs & 1 or lhs < 2:
-                raise AigerParseError(f"AND line {i + o + k + 2}: bad lhs {lhs}")
-            ands.append((lhs, r0, r1))
+        inputs = list(map(int, lines[:i]))
+        outputs = list(map(int, lines[i:i + o]))
+        ands = list(map(int, chain.from_iterable(rows)))
     except ValueError as e:
         raise AigerParseError(f"non-numeric literal in body: {e}") from e
     return inputs, outputs, ands
 
 
-def _parse_binary_body(body: bytes, m, i, o, a):
+def _parse_binary_body(body: bytes, i, o, a):
     # binary AIGER: inputs are implicit literals 2..2i
     inputs = [2 * (k + 1) for k in range(i)]
     pos = 0
@@ -390,7 +475,7 @@ def _parse_binary_body(body: bytes, m, i, o, a):
         r1 = r0 - d1
         if r0 < 0 or r1 < 0:
             raise AigerParseError(f"invalid delta encoding at AND {k}")
-        ands.append((lhs, r0, r1))
+        ands += (lhs, r0, r1)
     return inputs, outputs, ands
 
 

@@ -6,6 +6,7 @@ Literals are DIMACS-style signed ints: +v / -v for variable v >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .circuit import Circuit, GateKind
 
@@ -14,26 +15,34 @@ class CnfError(Exception):
     pass
 
 
+def check_literals(clauses, num_vars: int, error: type[Exception] = CnfError):
+    """Raise ``error`` if a literal in ``clauses`` (lists of literals) is 0
+    or names no variable in 1..num_vars; the message names the first one.
+
+    An unchecked literal would alias another literal's slot in the solver's
+    literal-indexed arrays.  The test is one C-level pass over the literals
+    into a set, then three over its distinct members.
+    """
+    lits = set(chain.from_iterable(clauses))
+    if lits and (0 in lits or max(lits) > num_vars or min(lits) < -num_vars):
+        bad = next(l for l in chain.from_iterable(clauses)
+                   if l == 0 or abs(l) > num_vars)
+        raise error(f"literal {bad} out of range (num_vars={num_vars})")
+
+
 @dataclass
 class CnfFormula:
     num_vars: int
     clauses: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self):
-        for cl in self.clauses:
-            for lit in cl:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise CnfError(f"literal {lit} out of range (num_vars={self.num_vars})")
+        check_literals(self.clauses, self.num_vars)
 
 
 @dataclass
 class VarGateMap:
     gate_to_var: dict[int, int] = field(default_factory=dict)
     var_to_gate: dict[int, int] = field(default_factory=dict)
-
-    def add(self, gate: int, var: int):
-        self.gate_to_var[gate] = var
-        self.var_to_gate[var] = gate
 
 
 def signal_to_lit(vmap: VarGateMap, gate: int, polarity: bool = True) -> int:
@@ -53,31 +62,33 @@ def tseitin_encode(circuit: Circuit,
                    ) -> tuple[CnfFormula, VarGateMap]:
     """Standard (full, not polarity-reduced) Tseitin encoding.
 
-    Every gate gets its own variable, numbered by topological order; NOT
-    gates are encoded with two binary clauses so the map stays total and
-    bidirectional.
+    Gate i is variable i + 1, so variables follow the topological order and
+    the map is total and bidirectional; NOT gates are encoded with two
+    binary clauses.  Each gate's clauses come in gate order: [-v] for the
+    constant; [-v, -a], [v, a] for v = NOT a; [-v, a], [-v, b], [v, -a, -b]
+    for v = AND(a, b).
     """
-    vmap = VarGateMap()
+    # one int object per gate id and per variable, shared by the map and
+    # the clauses, so a formula holds no more ints than the variables need
+    gate_ids = list(range(len(circuit.gates)))
+    var_ids = list(range(1, len(gate_ids) + 1))
+    vmap = VarGateMap(dict(zip(gate_ids, var_ids)), dict(zip(var_ids, gate_ids)))
     clauses: list[list[int]] = []
-    next_var = 1
-    for i, g in enumerate(circuit.gates):
-        v = next_var
-        next_var += 1
-        vmap.add(i, v)
-        if g.kind is GateKind.CONST0:
+    add = clauses.extend
+    AND, NOT, CONST0 = GateKind.AND, GateKind.NOT, GateKind.CONST0
+    for v, (kind, fanins) in zip(var_ids, circuit.gates):
+        if kind is AND:
+            a = var_ids[fanins[0]]
+            b = var_ids[fanins[1]]
+            add(([-v, a], [-v, b], [v, -a, -b]))
+        elif kind is NOT:
+            a = var_ids[fanins[0]]
+            add(([-v, -a], [v, a]))
+        elif kind is CONST0:
             clauses.append([-v])
-        elif g.kind is GateKind.NOT:
-            a = vmap.gate_to_var[g.fanins[0]]
-            clauses.append([-v, -a])
-            clauses.append([v, a])
-        elif g.kind is GateKind.AND:
-            a, b = (vmap.gate_to_var[f] for f in g.fanins)
-            clauses.append([-v, a])
-            clauses.append([-v, b])
-            clauses.append([v, -a, -b])
     for gate, polarity in (assert_outputs or []):
         clauses.append([signal_to_lit(vmap, gate, polarity)])
-    return CnfFormula(next_var - 1, clauses), vmap
+    return CnfFormula(len(var_ids), clauses), vmap
 
 
 def emit_dimacs(cnf: CnfFormula, comments: list[str] | None = None) -> bytes:

@@ -16,6 +16,7 @@ import numpy as np
 from .circuit import Circuit, GateKind, ShapeError
 
 TRUTH_TABLE_CAP = 20  # 2^m rows is impractical beyond this
+COUNT_BLOCK_ROWS = 256  # gate rows per block in PatternTraces.counts
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -84,9 +85,19 @@ class PatternTraces:
         return self.popcount(self.trace(gate))
 
     def counts(self, cond_row: np.ndarray | None = None) -> np.ndarray:
-        """Per-gate popcounts, of the patterns in cond_row when given."""
-        bits = self.bits if cond_row is None else self.bits & cond_row
-        return np.bitwise_count(bits).sum(axis=1)
+        """Per-gate popcounts, of the patterns in cond_row when given.
+
+        Rows are counted COUNT_BLOCK_ROWS at a time, so the temporaries
+        stay small next to the table: whole-table ones would triple the
+        peak memory of a phase-table query."""
+        n = self.bits.shape[0]
+        out = np.zeros(n, dtype=np.uint64)
+        for lo in range(0, n, COUNT_BLOCK_ROWS):
+            block = self.bits[lo:lo + COUNT_BLOCK_ROWS]
+            if cond_row is not None:
+                block = block & cond_row
+            np.bitwise_count(block).sum(axis=1, out=out[lo:lo + COUNT_BLOCK_ROWS])
+        return out
 
 
 def _num_bytes(n: int) -> int:

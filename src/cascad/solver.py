@@ -17,9 +17,8 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from itertools import chain
 
-from .cnf import CnfError, CnfFormula
+from .cnf import CnfFormula, check_literals
 
 
 class Status(Enum):
@@ -85,12 +84,11 @@ class LearntSnapshot:
 
 
 class _Clause:
-    __slots__ = ("lits", "learnt", "lbd", "used")
+    __slots__ = ("lits", "lbd", "used")
 
-    def __init__(self, lits, learnt=False, lbd=0):
+    def __init__(self, lits, lbd=0):
         self.lits = lits
-        self.learnt = learnt
-        self.lbd = lbd
+        self.lbd = lbd  # 0 for an original clause
         self.used = False
 
 
@@ -113,7 +111,7 @@ class Solver:
         self.on_restart = on_restart
         self.drat = drat_sink
         self.nvars = cnf.num_vars
-        self.original_clauses = [list(cl) for cl in cnf.clauses]
+        check_literals(cnf.clauses, self.nvars)
 
         n = self.nvars + 1
         # indexed by literal (see the module docstring); 0 unassigned,
@@ -144,16 +142,41 @@ class Solver:
         self._restart_count = 0
         self._next_reduce = self.config.reduce_interval
 
-        bad = self._out_of_range(chain.from_iterable(self.original_clauses))
-        if bad is not None:
-            raise CnfError(f"literal {bad} out of range "
-                           f"(num_vars={self.nvars})")
+        # Each clause is copied once, without repeated literals and in
+        # first-occurrence order.  A watched clause's list is also its entry
+        # in original_clauses: propagate reorders it, which keeps its
+        # meaning.  A tautology constrains nothing and is not watched.
+        # Clauses of 2 and 3 literals, nearly all of a Tseitin encoding,
+        # are deduplicated by comparisons that allocate nothing.
         watches = self.watches
-        for cl in self.original_clauses:
-            lits = dict.fromkeys(cl)  # dedupe, keep order
-            if not lits.keys().isdisjoint(map(operator.neg, lits)):
-                continue  # tautology constrains nothing
-            lits = list(lits)
+        original = self.original_clauses = []
+        keep = original.append
+        for cl in cnf.clauses:
+            size = len(cl)
+            if size == 2:
+                a, b = cl
+                if a == -b:
+                    keep([a, b])
+                    continue
+                lits = [a, b] if a != b else [a]
+            elif size == 3:
+                a, b, c = cl
+                if a == -b or a == -c or b == -c:
+                    keep([a, b, c])
+                    continue
+                if a != b and a != c and b != c:
+                    lits = [a, b, c]
+                elif a != b:  # c repeats a or b
+                    lits = [a, b]
+                else:
+                    lits = [a, c] if a != c else [a]
+            else:
+                lits = dict.fromkeys(cl)
+                if not lits.keys().isdisjoint(map(operator.neg, lits)):
+                    keep(list(cl))
+                    continue
+                lits = list(lits)
+            keep(lits)
             if len(lits) >= 2:
                 clause = _Clause(lits)
                 watches[lits[0]].append(clause)
@@ -166,15 +189,6 @@ class Solver:
     @property
     def decision_level(self) -> int:
         return len(self.trail_lim)
-
-    def _out_of_range(self, lits) -> int | None:
-        """The first literal that is 0 or names no variable, else None; an
-        unchecked one would alias another literal's slot."""
-        lits = list(lits)
-        n = self.nvars
-        if lits and (0 in lits or max(lits) > n or min(lits) < -n):
-            return next(l for l in lits if l == 0 or abs(l) > n)
-        return None
 
     def _level0_conflict(self):
         self.unsat = True
@@ -405,7 +419,7 @@ class Solver:
             if not self._enqueue(learnt[0], None):
                 self._level0_conflict()
             return
-        clause = _Clause(list(learnt), learnt=True, lbd=lbd)
+        clause = _Clause(list(learnt), lbd)
         self.learnts.append(clause)
         self.watches[learnt[0]].append(clause)
         self.watches[learnt[1]].append(clause)
@@ -457,10 +471,8 @@ class Solver:
         """Install clauses at level 0; importing implied clauses is sound."""
         if self.decision_level != 0:
             raise RuntimeError("import_learnts requires decision level 0")
-        bad = self._out_of_range(l for snap in snapshots for l in snap.lits)
-        if bad is not None:
-            raise ValueError(f"literal {bad} out of range "
-                             f"(num_vars={self.nvars})")
+        check_literals([snap.lits for snap in snapshots], self.nvars,
+                       ValueError)
         existing = {frozenset(c.lits) for c in self.learnts}
         for snap in snapshots:
             lits = list(snap.lits)
@@ -482,7 +494,7 @@ class Solver:
             else:  # falsified at level 0
                 self._level0_conflict()
                 continue
-            clause = _Clause(lits, learnt=True, lbd=snap.lbd)
+            clause = _Clause(lits, snap.lbd)
             self.learnts.append(clause)
             self.watches[lits[0]].append(clause)
             self.watches[lits[1]].append(clause)
@@ -559,8 +571,8 @@ class Solver:
         self.stats.wall_time += time.monotonic() - start
         model = None
         if outcome is Status.SAT:
-            model = {v: self.values[v] == 1 if self.values[v] != 0 else False
-                     for v in range(1, self.nvars + 1)}
+            values = self.values
+            model = {v: values[v] == 1 for v in range(1, self.nvars + 1)}
             self._verify_model(model)
         return SolveOutcome(outcome, model, self.stats)
 
@@ -569,9 +581,12 @@ class Solver:
         self._backtrack(0)
 
     def _verify_model(self, model: dict[int, bool]):
-        for cl in self.original_clauses:
-            if not any(model[abs(l)] == (l > 0) for l in cl):
-                raise RuntimeError(f"internal error: model violates clause {cl}")
+        """Raise unless every original clause has a literal true in model."""
+        true_lits = {v if val else -v for v, val in model.items()}
+        violated = next(filter(true_lits.isdisjoint, self.original_clauses),
+                        None)
+        if violated is not None:
+            raise RuntimeError(f"internal error: model violates clause {violated}")
 
 
 def solve(cnf: CnfFormula, config: SolverConfig | None = None,

@@ -123,12 +123,17 @@ def test_criterion_3_toy_workload_values(capsys):
 
 def _np_enum_sat(n, clauses):
     rows = np.arange(1 << n, dtype=np.uint32)
+    # column[lit]: the rows where lit is true, one boolean column per
+    # literal, computed once per instance
+    column = {}
+    for v in range(1, n + 1):
+        column[v] = ((rows >> (v - 1)) & 1).astype(bool)
+        column[-v] = ~column[v]
     sat = np.ones(1 << n, dtype=bool)
     for cl in clauses:
         clause_sat = np.zeros(1 << n, dtype=bool)
         for lit in cl:
-            bit = (rows >> (abs(lit) - 1)) & 1
-            clause_sat |= (bit == 1) if lit > 0 else (bit == 0)
+            clause_sat |= column[lit]
         sat &= clause_sat
         if not sat.any():
             return False

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cascad.circuit import (AigerParseError, Circuit, CircuitError, CycleError,
-                            GateKind, MutationError, ShapeError, build_miter,
+                            Gate, GateKind, MutationError, ShapeError, build_miter,
                             emit_aiger, fanin_cone, fanout_cone, levelize,
                             mutate_circuit, parse_aiger, rebuild)
 from cascad.sim import exact_truth_table
@@ -71,11 +71,77 @@ class TestParseAiger:
         except CircuitError:
             pass
 
+    def test_repeated_input_rejected(self):
+        with pytest.raises(AigerParseError, match="repeated"):
+            parse_aiger(b"aag 1 2 0 1 0\n2\n2\n2\n")
+
+    def test_and_lhs_that_is_an_input_rejected(self):
+        with pytest.raises(AigerParseError, match="is an input"):
+            parse_aiger(b"aag 2 2 0 1 1\n2\n4\n2\n2 4 4\n")
+
+    def test_and_lhs_defined_twice_rejected(self):
+        with pytest.raises(AigerParseError, match="defined twice"):
+            parse_aiger(b"aag 3 2 0 1 2\n2\n4\n6\n6 2 4\n6 3 5\n")
+
+    def test_input_beyond_maxvar_rejected(self):
+        with pytest.raises(AigerParseError, match="exceeds maxvar"):
+            parse_aiger(b"aag 1 2 0 1 0\n2\n4\n2\n")
+
+    def test_out_of_order_shared_fanin(self):
+        # 10 = AND(6, 8) comes first and 8 = AND(6, b) next, so 6 = AND(a, b)
+        # is needed twice before it is built: a shared fanin, not a cycle
+        c = parse_aiger(b"aag 5 2 0 1 3\n2\n4\n10\n10 6 8\n8 6 4\n6 2 4\n")
+        assert [g.kind for g in c.gates].count(GateKind.AND) == 3
+        po = c.primary_outputs[0]
+        rows = {r: eval_circuit(c, vals)[po] for r, vals in all_input_rows(c)}
+        assert rows == {0: False, 1: False, 2: False, 3: True}
+
+    @pytest.mark.parametrize("data", [
+        b"aag 4 1 0 1 3\n2\n8\n8 6 2\n6 4 2\n4 8 2\n",
+        b"aag 2 1 0 1 1\n2\n4\n4 4 2\n",
+    ])
+    def test_cycle_detected(self, data):
+        with pytest.raises(CycleError):
+            parse_aiger(data)
+
     def test_shared_not_is_deduplicated(self):
         # two ANDs both consuming NOT(a)
         c = parse_aiger(b"aag 4 2 0 2 2\n2\n4\n6\n8\n6 3 4\n8 3 4\n")
         nots = [g for g in c.gates if g.kind is GateKind.NOT]
         assert len(nots) == 1
+
+
+class TestGateShape:
+    @pytest.mark.parametrize("kind, fanins", [
+        (GateKind.AND, (0,)), (GateKind.NOT, ()), (GateKind.PI, (0,)),
+        (GateKind.CONST0, (0, 1))])
+    def test_wrong_fanin_count(self, kind, fanins):
+        with pytest.raises(ShapeError, match="fanins"):
+            Gate(kind, fanins)
+
+    def test_gate_is_immutable(self):
+        g = Gate(GateKind.AND, (0, 1))
+        with pytest.raises(AttributeError):
+            g.kind = GateKind.NOT
+
+    @pytest.mark.parametrize("a, b", [(0, 2), (2, 0), (-1, 1), (1, -2)])
+    def test_and_fanin_out_of_range(self, a, b):
+        c = Circuit()
+        c.add_pi()
+        c.add_pi()
+        with pytest.raises(ShapeError, match="out of range"):
+            c.add_and(a, b)
+        assert len(c) == 2
+
+    def test_not_fanin_out_of_range(self):
+        c = Circuit()
+        c.add_pi()
+        for a in (-1, 1):
+            with pytest.raises(ShapeError, match="out of range"):
+                c.add_not(a)
+        with pytest.raises(ShapeError, match="out of range"):
+            c._append(Gate(GateKind.NOT, (1,)))
+        assert len(c) == 1
 
 
 class TestEmitAiger:
@@ -140,7 +206,6 @@ class TestLevelize:
         a = c.add_pi()
         g = c.add_and(a, a)
         # force an out-of-order fanin to simulate a cycle
-        from cascad.circuit import Gate
         c.gates[g] = Gate(GateKind.AND, (a, g))
         with pytest.raises(CycleError):
             levelize(c)
@@ -214,7 +279,6 @@ class TestMiter:
         c, a, b, g = toy_and
         right = Circuit()
         x, y = right.add_pi(), right.add_pi()
-        from cascad.circuit import Gate
         inner = right.add_and(x, y)
         n1 = right._append(Gate(GateKind.NOT, (inner,)))
         n2 = right._append(Gate(GateKind.NOT, (n1,)))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cascad.circuit import Circuit
-from cascad.sim import (PatternBlock, SimError, SimulationPlan,
-                        exact_truth_table, exhaustive_patterns,
+from cascad.sim import (COUNT_BLOCK_ROWS, PatternBlock, SimError,
+                        SimulationPlan, exact_truth_table, exhaustive_patterns,
                         run_workload_suite, sample_patterns, simulate,
                         read_traces, write_traces)
 
@@ -251,6 +251,16 @@ class TestPatternTraces:
         for g in range(len(c)):
             assert counts[g] == traces.popcount(traces.trace(g) & cond)
             assert traces.counts()[g] == traces.count(g)
+
+    def test_counts_across_row_blocks(self):
+        # more gates than one block of rows, and a partial last block
+        c = random_circuit(7, num_pis=8, num_gates=2 * COUNT_BLOCK_ROWS + 40)
+        traces = simulate(c, sample_patterns(SimulationPlan(77, 0.5, seed=3), 8))
+        cond = traces.trace(len(c) - 1)
+        want = np.bitwise_count(traces.bits & cond).sum(axis=1)
+        got = traces.counts(cond)
+        assert got.dtype == want.dtype and (got == want).all()
+        assert (traces.counts() == np.bitwise_count(traces.bits).sum(axis=1)).all()
 
 
 class TestOracleAgreement:

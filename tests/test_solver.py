@@ -548,6 +548,24 @@ class TestLiteralRange:
             Solver(formula)
 
 
+    @pytest.mark.parametrize("bad", [0, 4, -4])
+    def test_same_check_on_every_path(self, bad):
+        # num_vars = 3: 0, n + 1 and -n - 1; the message names the first
+        # bad literal, ahead of the -5 that follows it
+        msg = rf"literal {bad} out of range \(num_vars=3\)"
+        with pytest.raises(CnfError, match=msg):
+            CnfFormula(3, [[1, 2], [-3, bad, -5]])
+        formula = CnfFormula(3, [[1, 2]])
+        formula.clauses.append([-3, bad, -5])
+        with pytest.raises(CnfError, match=msg):
+            Solver(formula)
+        s = Solver(CnfFormula(3, [[1, 2]]))
+        with pytest.raises(ValueError, match=msg):
+            s.import_learnts([LearntSnapshot((1, -2), 2),
+                              LearntSnapshot((-3, bad, -5), 2)])
+        assert s.learnts == []
+
+
 class TestTunedConfig:
     def test_unsat_tuned_values(self):
         assert UNSAT_TUNED.restart_unit == 512
