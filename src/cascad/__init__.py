@@ -1,8 +1,7 @@
 """cascad: circuit-aware SAT solving driven by signal probabilities."""
 
 from .circuit import (Circuit, Gate, GateKind, build_miter, emit_aiger,
-                      fanin_cone, fanout_cone, levelize, mutate_circuit,
-                      parse_aiger)
+                      levelize, mutate_circuit, parse_aiger)
 from .cnf import CnfFormula, VarGateMap, parse_dimacs, emit_dimacs, tseitin_encode
 from .estimator import Backend, Estimator, EstimatorConfig, ProbQuery
 from .sim import (PatternTraces, SimulationPlan, exact_truth_table,

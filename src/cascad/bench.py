@@ -25,12 +25,14 @@ from .circuit import (Circuit, Gate, GateKind, MutationError, build_miter,
 from .cnf import tseitin_encode
 from .estimator import (EXACT_PI_CAP, Estimator, EstimatorConfig,
                         default_backend)
-from .heuristics import (ClauseFilterPolicy, build_phase_policy,
-                         make_phase_hook, run_clause_filter)
+from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
+                         RefreshingPhaseHook, adaptive_solve,
+                         build_phase_policy, make_phase_hook, run_clause_filter)
 from .sim import exact_truth_table
-from .solver import Solver, SolverConfig
+from .solver import Solver, SolveOutcome, SolverConfig
 
 MUTATION_RETRIES = 20
+MODES = ("baseline", "phase", "clause-filter", "adaptive")
 
 
 class SuiteError(Exception):
@@ -49,14 +51,18 @@ class BenchCase:
     provenance: dict = field(default_factory=dict)
 
 
+def check_mode(mode: str):
+    if mode not in MODES:
+        raise SuiteError(f"unknown mode {mode!r}; modes are {', '.join(MODES)}")
+
+
 @dataclass
 class BenchConfig:
     label: str
-    kind: str = "baseline"  # baseline | phase | clause_filter
-    tau: float = 0.005
-    threshold: float = 0.9
-    conflict_budget: int = 50_000
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    kind: str = "baseline"  # one of MODES
+
+    def __post_init__(self):
+        check_mode(self.kind)
 
 
 @dataclass
@@ -220,41 +226,66 @@ def load_suite(directory: str) -> list[BenchCase]:
 # -- running ------------------------------------------------------------------
 
 
-def run_case(case: BenchCase, config: BenchConfig) -> dict:
-    """Solve one miter under one config; returns a RunRecord dict."""
-    cnf, vmap = tseitin_encode(case.miter, [(case.miter.primary_outputs[0], True)])
+def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
+                refresh: tuple[int, int] | None = None,
+                clause_filter: ClauseFilterPolicy | None = None,
+                adaptive: AdaptiveUnsatPolicy | None = None
+                ) -> tuple[SolveOutcome, dict]:
+    """The one place a mode becomes the steps of a solve, with the first
+    output asserted true.  Returns the outcome and the run's record fields:
+    wall, solving and inference seconds (encoding and solver set-up in
+    neither), plus the filter report under ``clause_filter`` or the adaptive
+    ``stage`` and ``stage1_wall``.  ``refresh`` (K, C) is for phase mode."""
+    check_mode(mode)
+    po = miter.primary_outputs[0]
+    cnf, vmap = tseitin_encode(miter, [(po, True)])
+    estimator = hook = on_restart = None
     inference_seconds = 0.0
-    phase_hook = None
-    estimator = None
-    if config.kind in ("phase", "clause_filter"):
+    if mode != "baseline":
         t0 = time.monotonic()
-        estimator = Estimator(case.miter, EstimatorConfig(
-            backend=default_backend(case.miter)))
-        if config.kind == "phase":
-            policy = build_phase_policy(
-                estimator, case.miter.primary_outputs[0], vmap, config.tau)
-            phase_hook = make_phase_hook(policy)
-        inference_seconds += time.monotonic() - t0
+        estimator = Estimator(miter, EstimatorConfig(
+            backend=default_backend(miter)))
+        if mode != "clause-filter":
+            refresh = refresh if mode == "phase" and refresh else ()
+            policy = build_phase_policy(estimator, po, vmap, tau, *refresh)
+            if policy.refresh_every_restarts:
+                hook = RefreshingPhaseHook(policy, estimator, po, vmap)
+                on_restart = hook.on_restart
+            else:
+                hook = make_phase_hook(policy)
+        inference_seconds = time.monotonic() - t0
 
-    solver = Solver(cnf, config.solver, phase_hook=phase_hook)
+    if mode != "adaptive":
+        solver = Solver(cnf, SolverConfig(), phase_hook=hook,
+                        on_restart=on_restart)
+    fields: dict = {}
     t0 = time.monotonic()
-    if config.kind == "clause_filter":
-        filter_policy = ClauseFilterPolicy(conflict_budget=config.conflict_budget,
-                                           threshold=config.threshold)
-        report = run_clause_filter(solver, filter_policy, estimator, vmap)
-        outcome = report.outcome
+    if mode == "clause-filter":
+        rep = run_clause_filter(solver, clause_filter or ClauseFilterPolicy(),
+                                estimator, vmap)
+        outcome = rep.outcome
+        fields["clause_filter"] = {k: v for k, v in vars(rep).items()
+                                   if k not in ("scores", "outcome")}
+    elif mode == "adaptive":
+        # no proof is read yet, so none is logged
+        result = adaptive_solve(cnf, adaptive or AdaptiveUnsatPolicy(),
+                                phase_hook=hook, want_proof=False)
+        outcome = result.outcome
+        fields.update(stage=result.stage, stage1_wall=result.stage1_wall)
     else:
         outcome = solver.solve()
     solving_seconds = time.monotonic() - t0
-    return {
-        "case": case.id,
-        "config": config.label,
-        "status": outcome.status.value,
-        "wall_seconds": solving_seconds + inference_seconds,
-        "solving_seconds": solving_seconds,
-        "inference_seconds": inference_seconds,
-        "stats": outcome.stats.as_dict(),
-    }
+    return outcome, {"wall_seconds": solving_seconds + inference_seconds,
+                     "solving_seconds": solving_seconds,
+                     "inference_seconds": inference_seconds, **fields}
+
+
+def run_case(case: BenchCase, config: BenchConfig) -> dict:
+    """Solve one miter under one config; returns a RunRecord dict."""
+    outcome, fields = solve_miter(case.miter, config.kind)
+    return {"case": case.id, "config": config.label,
+            "status": outcome.status.value, **fields,
+            "stats": outcome.stats.as_dict()}
 
 
 def _worker(case, config, conn):

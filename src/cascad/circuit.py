@@ -1,4 +1,4 @@
-"""And-inverter circuit graphs: parsing, levelization, cones, miters, mutation.
+"""And-inverter circuit graphs: parsing, levelization, miters, mutation.
 
 Circuits are DAGs over two basic gate types (AND, NOT) plus primary inputs
 and an optional constant-false node.  Inverters are explicit NOT nodes; AIGER
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
@@ -153,18 +152,8 @@ class Circuit:
             self._levels = levelize(self)
         return self._levels
 
-    def level(self, g: int) -> int:
-        return self.levels[g]
-
     def depth(self) -> int:
         return max(self.levels, default=0)
-
-    def fanouts(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.gates]
-        for i, g in enumerate(self.gates):
-            for f in g.fanins:
-                out[f].append(i)
-        return out
 
     def stats(self) -> dict:
         counts: dict[str, int] = {}
@@ -213,55 +202,6 @@ def levelize(circuit: Circuit) -> list[int]:
         if g.fanins:
             levels[i] = 1 + max(levels[f] for f in g.fanins)
     return levels
-
-
-@dataclass
-class Cone:
-    members: frozenset[int]
-    root: int
-    direction: str  # "FANIN" | "FANOUT"
-    depth_bound: int | None = None
-
-
-def fanin_cone(circuit: Circuit, root: int, depth_bound: int | None = None) -> Cone:
-    """Gates reachable backward from root within depth_bound logic levels."""
-    if not (0 <= root < len(circuit)):
-        raise ShapeError(f"invalid gate id {root}")
-    levels = circuit.levels
-    root_level = levels[root]
-    seen = {root}
-    stack = [root]
-    while stack:
-        g = stack.pop()
-        for f in circuit.gates[g].fanins:
-            if f in seen:
-                continue
-            if depth_bound is not None and root_level - levels[f] > depth_bound:
-                continue
-            seen.add(f)
-            stack.append(f)
-    return Cone(frozenset(seen), root, "FANIN", depth_bound)
-
-
-def fanout_cone(circuit: Circuit, root: int, depth_bound: int | None = None) -> Cone:
-    """Gates reachable forward from root within depth_bound logic levels."""
-    if not (0 <= root < len(circuit)):
-        raise ShapeError(f"invalid gate id {root}")
-    levels = circuit.levels
-    root_level = levels[root]
-    fanouts = circuit.fanouts()
-    seen = {root}
-    stack = [root]
-    while stack:
-        g = stack.pop()
-        for s in fanouts[g]:
-            if s in seen:
-                continue
-            if depth_bound is not None and levels[s] - root_level > depth_bound:
-                continue
-            seen.add(s)
-            stack.append(s)
-    return Cone(frozenset(seen), root, "FANOUT", depth_bound)
 
 
 # -- AIGER --------------------------------------------------------------------
@@ -577,12 +517,17 @@ def mutate_circuit(circuit: Circuit, seed: int) -> Circuit:
     """Apply one seeded local change: flip a fanin inversion or swap a fanin
     with another same-level signal."""
     rng = random.Random(seed)
+    levels = circuit.levels
     # prefer gates observable at an output so the change is usually effective
-    observable: set[int] = set()
+    observable = [False] * len(circuit.gates)
     for po in circuit.primary_outputs:
-        observable |= fanin_cone(circuit, po).members
+        observable[po] = True
+    for i in range(len(circuit.gates) - 1, -1, -1):
+        if observable[i]:
+            for f in circuit.gates[i].fanins:
+                observable[f] = True
     ands = [i for i, g in enumerate(circuit.gates)
-            if g.kind is GateKind.AND and i in observable]
+            if g.kind is GateKind.AND and observable[i]]
     if not ands:
         ands = [i for i, g in enumerate(circuit.gates) if g.kind is GateKind.AND]
     if not ands:
@@ -591,7 +536,6 @@ def mutate_circuit(circuit: Circuit, seed: int) -> Circuit:
     slot = rng.randrange(2)
     old_fanin = circuit.gates[target].fanins[slot]
 
-    levels = circuit.levels
     # candidates must precede the target so they are already rebuilt
     same_level = [i for i in range(target)
                   if levels[i] == levels[old_fanin] and i != old_fanin]

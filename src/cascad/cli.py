@@ -8,12 +8,9 @@ import sys
 
 from . import bench as bench_mod
 from .circuit import parse_aiger
-from .cnf import parse_dimacs, tseitin_encode
+from .cnf import parse_dimacs
 from .drat import DratFileSink
-from .estimator import Estimator, EstimatorConfig, default_backend
-from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
-                         build_phase_policy, adaptive_solve, make_phase_hook,
-                         run_clause_filter, RefreshingPhaseHook)
+from .heuristics import AdaptiveUnsatPolicy, ClauseFilterPolicy
 from .sim import SimulationPlan, sample_patterns, simulate, write_traces
 from .solver import Solver, SolverConfig, Status
 
@@ -71,51 +68,28 @@ def cmd_solve(args):
 
 
 def cmd_csat(args):
-    circuit = parse_aiger(_read(args.file))
-    po = circuit.primary_outputs[0]
-    cnf, vmap = tseitin_encode(circuit, [(po, True)])
-    estimator = Estimator(circuit, EstimatorConfig(backend=default_backend(circuit)))
-
-    extra = None  # mode-specific record printed after the answer
-    if args.mode == "phase":
-        refresh_k, max_conds = 0, 8
-        if args.refresh:
-            k, c = args.refresh.split(":")
-            refresh_k, max_conds = int(k), int(c)
-        policy = build_phase_policy(estimator, po, vmap, args.tau,
-                                    refresh_k, max_conds)
-        if refresh_k:
-            hook = RefreshingPhaseHook(policy, estimator, po, vmap)
-            solver = Solver(cnf, SolverConfig(), phase_hook=hook,
-                            on_restart=hook.on_restart)
-        else:
-            solver = Solver(cnf, SolverConfig(), phase_hook=make_phase_hook(policy))
-        outcome = solver.solve()
-    elif args.mode == "clause-filter":
-        policy = ClauseFilterPolicy(conflict_budget=args.budget,
-                                    threshold=args.threshold,
-                                    mode=args.score_mode)
-        solver = Solver(cnf, SolverConfig())
-        rep = run_clause_filter(solver, policy, estimator, vmap)
-        outcome = rep.outcome
-        extra = {
-            "fired_at_conflicts": rep.fired_at_conflicts,
-            "fired_mid_solve": rep.fired_mid_solve,
-            "total": rep.total, "kept": rep.kept, "dropped": rep.dropped,
-            "kept_unscored": rep.kept_unscored,
-            "score_histogram": rep.score_histogram,
-            "lbd_buckets": rep.lbd_buckets,
-        }
-    else:  # adaptive
-        policy = AdaptiveUnsatPolicy(probe_budget_seconds=args.probe)
-        phase = build_phase_policy(estimator, po, vmap, args.tau)
-        result = adaptive_solve(cnf, policy, phase_hook=make_phase_hook(phase))
-        outcome = result.outcome
-        extra = {"stage": result.stage, "stage1_wall": result.stage1_wall}
+    refresh = tuple(map(int, args.refresh.split(":"))) if args.refresh else None
+    outcome, fields = bench_mod.solve_miter(
+        parse_aiger(_read(args.file)), args.mode, args.tau, refresh,
+        ClauseFilterPolicy(conflict_budget=args.budget,
+                           threshold=args.threshold, mode=args.score_mode),
+        AdaptiveUnsatPolicy(probe_budget_seconds=args.probe))
     code = _print_outcome(outcome)
-    if extra is not None:
-        print(json.dumps(extra))
+    # the mode's own fields: the filter report, or the adaptive stage
+    extra = {k: v for k, v in fields.items() if not k.endswith("_seconds")}
+    if extra:
+        print(json.dumps(extra.get("clause_filter", extra)))
     return code
+
+
+def _modes(text: str) -> list[str]:
+    """Comma-separated MODES for ``bench run --configs``."""
+    labels = text.split(",") if text else []
+    unknown = [label for label in labels if label not in bench_mod.MODES]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown mode {', '.join(unknown)}; "
+                                         f"modes are {', '.join(bench_mod.MODES)}")
+    return labels
 
 
 def cmd_bench(args):
@@ -126,13 +100,8 @@ def cmd_bench(args):
         print(json.dumps({"cases": len(cases), "suite": args.suite}))
     elif args.bench_cmd == "run":
         cases = bench_mod.load_suite(args.suite)
-        configs = [bench_mod.BenchConfig("baseline")]
-        for label in (args.configs.split(",") if args.configs else []):
-            if label == "phase":
-                configs.append(bench_mod.BenchConfig("phase", kind="phase"))
-            elif label == "clause-filter":
-                configs.append(bench_mod.BenchConfig("clause-filter",
-                                                     kind="clause_filter"))
+        configs = [bench_mod.BenchConfig(mode, kind=mode)
+                   for mode in dict.fromkeys(["baseline", *args.configs])]
         records = bench_mod.run_suite(cases, configs, args.cutoff,
                                       jobs=args.jobs, out_path=args.out)
         print(json.dumps({"records": len(records)}))
@@ -178,10 +147,10 @@ def main(argv=None):
 
     p = sub.add_parser("csat", help="solve an AIG with probability-guided heuristics")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["phase", "clause-filter", "adaptive"],
-                   required=True)
+    p.add_argument("--mode", choices=bench_mod.MODES, required=True)
     p.add_argument("--tau", type=float, default=0.005)
-    p.add_argument("--refresh", help="K:C refresh every K restarts, max C conditions")
+    p.add_argument("--refresh", help="phase mode: refresh every K restarts "
+                   "on at most C conditions, given as K:C")
     p.add_argument("--threshold", type=float, default=0.9)
     p.add_argument("--budget", type=int, default=50000)
     p.add_argument("--score-mode", choices=["correlated", "independent"],
@@ -199,7 +168,8 @@ def main(argv=None):
     g.add_argument("--seed", type=int, default=0)
     r = bsub.add_parser("run")
     r.add_argument("--suite", required=True)
-    r.add_argument("--configs", default="phase")
+    r.add_argument("--configs", type=_modes, default="phase",
+                   help="comma-separated modes run besides baseline")
     r.add_argument("--cutoff", type=float, default=300.0)
     r.add_argument("--jobs", type=int, default=1)
     r.add_argument("--out", required=True)

@@ -59,19 +59,16 @@ class DratProof:
 
 
 class DratFileSink:
-    """Streams ASCII DRAT lines to a file while keeping an in-memory copy."""
+    """Streams ASCII DRAT lines to a file; keeps no copy in memory."""
 
     def __init__(self, path: str):
         self.path = path
-        self.proof = DratProof()
         self._fh = open(path, "w")
 
     def add(self, lits):
-        self.proof.add(lits)
         self._fh.write(format_step("a", lits) + "\n")
 
     def delete(self, lits):
-        self.proof.delete(lits)
         self._fh.write(format_step("d", lits) + "\n")
 
     def close(self):

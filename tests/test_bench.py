@@ -7,13 +7,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cascad.bench import (BenchCase, BenchConfig, CorrectnessAlarm, SuiteError,
-                          TRANSFORMS, commute_fanins, double_negate, gen_suite,
-                          load_suite, par2, par2_by_config,
-                          reassociate, report, run_case, run_suite, save_suite)
+from cascad.bench import (BenchCase, BenchConfig, CorrectnessAlarm,
+                          SuiteError, TRANSFORMS, commute_fanins, double_negate,
+                          gen_suite, load_suite, par2, par2_by_config,
+                          reassociate, report, run_case, run_suite, save_suite,
+                          solve_miter)
 from cascad.circuit import Circuit, GateKind, build_miter, mutate_circuit
+from cascad.heuristics import ClauseFilterPolicy
 from cascad.sim import exact_truth_table
-from cascad.solver import SolverConfig
 
 from conftest import random_circuit
 
@@ -154,9 +155,34 @@ class TestRunCase:
 
     def test_clause_filter_config(self):
         for case in self.small_cases():
-            record = run_case(case, BenchConfig(
-                "filter", kind="clause_filter", conflict_budget=10))
+            outcome, fields = solve_miter(
+                case.miter, "clause-filter",
+                clause_filter=ClauseFilterPolicy(conflict_budget=10))
+            assert outcome.status.value == case.expected
+            rep = fields["clause_filter"]
+            assert rep["total"] == rep["kept"] + rep["dropped"]
+            assert rep["estimator_failures"] == 0
+
+    def test_clause_filter_record_carries_report(self):
+        record = run_case(self.small_cases()[0],
+                          BenchConfig("clause-filter", kind="clause-filter"))
+        assert {"fired_at_conflicts", "kept", "dropped",
+                "estimator_failures"} <= set(record["clause_filter"])
+        assert "scores" not in record["clause_filter"]
+
+    def test_adaptive_config(self):
+        for case in self.small_cases():
+            record = run_case(case, BenchConfig("adaptive", kind="adaptive"))
             assert record["status"] == case.expected
+            assert record["stage"] == 1 and record["stage1_wall"] >= 0.0
+            assert record["inference_seconds"] > 0.0
+
+    @pytest.mark.parametrize("kind", ["phse", "clause_filter", ""])
+    def test_unknown_kind_raises(self, kind):
+        with pytest.raises(SuiteError, match="unknown mode"):
+            BenchConfig("x", kind=kind)
+        with pytest.raises(SuiteError, match="unknown mode"):
+            solve_miter(self.small_cases()[0].miter, kind)
 
     def test_record_fields(self):
         record = run_case(self.small_cases()[0], BenchConfig("baseline"))

@@ -1,12 +1,10 @@
-import random
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cascad.circuit import (AigerParseError, Circuit, CircuitError, CycleError,
                             Gate, GateKind, MutationError, ShapeError, build_miter,
-                            emit_aiger, fanin_cone, fanout_cone, levelize,
-                            mutate_circuit, parse_aiger, rebuild)
+                            emit_aiger, levelize, mutate_circuit, parse_aiger,
+                            rebuild)
 from cascad.sim import exact_truth_table
 
 from conftest import all_input_rows, eval_circuit, random_circuit
@@ -22,7 +20,7 @@ class TestParseAiger:
         c = parse_aiger(b"aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n")
         assert len(c.primary_inputs) == 2
         assert c.kind(c.primary_outputs[0]) is GateKind.AND
-        assert c.level(c.primary_outputs[0]) == 1
+        assert c.levels[c.primary_outputs[0]] == 1
 
     def test_inverted_edges_become_not_gates(self):
         # output = NOT(AND(a, NOT(b)))
@@ -211,58 +209,6 @@ class TestLevelize:
             levelize(c)
 
 
-def _bfs(circuit, root, forward, depth_bound):
-    levels = circuit.levels
-    if forward:
-        adj = circuit.fanouts()
-        within = lambda g: depth_bound is None or levels[g] - levels[root] <= depth_bound
-    else:
-        adj = [list(g.fanins) for g in circuit.gates]
-        within = lambda g: depth_bound is None or levels[root] - levels[g] <= depth_bound
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in adj[g]:
-                if s not in seen and within(s):
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return seen
-
-
-class TestCones:
-    def test_fanin_cone_of_pi(self):
-        c = Circuit()
-        a = c.add_pi()
-        assert fanin_cone(c, a).members == {a}
-
-    def test_fanin_cone_of_and(self, toy_and):
-        c, a, b, g = toy_and
-        assert fanin_cone(c, g).members == {a, b, g}
-
-    def test_fanout_cone_of_po(self, toy_and):
-        c, a, b, g = toy_and
-        assert fanout_cone(c, g, 5).members == {g}
-
-    def test_fanout_through_not(self):
-        c = Circuit()
-        a = c.add_pi()
-        n = c.add_not(a)
-        assert fanout_cone(c, a, 1).members == {a, n}
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_cones_match_bfs_oracle(self, seed):
-        c = random_circuit(seed, num_pis=6, num_gates=200)
-        rng = random.Random(seed)
-        for _ in range(10):
-            root = rng.randrange(len(c))
-            bound = rng.choice([None, 2, 5, 10])
-            assert fanin_cone(c, root, bound).members == _bfs(c, root, False, bound)
-            assert fanout_cone(c, root, bound).members == _bfs(c, root, True, bound)
-
-
 def _circuit_sat(miter):
     po = miter.primary_outputs[0]
     tt = exact_truth_table(miter)
@@ -358,6 +304,17 @@ class TestMutate:
         c.set_outputs([c.add_pi()])
         with pytest.raises(MutationError):
             mutate_circuit(c, seed=0)
+
+    def test_only_gates_an_output_observes_are_mutated(self):
+        c = Circuit()
+        a, b, d = c.add_pi(), c.add_pi(), c.add_pi()
+        c.set_outputs([c.add_and(a, b)])
+        c.add_and(b, d)  # dangling: mutating it would leave the function
+        before = exact_truth_table(c).trace(c.primary_outputs[0])
+        for seed in range(20):
+            m = mutate_circuit(c, seed=seed)
+            after = exact_truth_table(m).trace(m.primary_outputs[0])
+            assert (before != after).any(), seed
 
     def test_mutation_usually_changes_function(self):
         c = random_circuit(11, num_pis=5, num_gates=40)

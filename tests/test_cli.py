@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cascad.bench import MODES, BenchConfig, gen_suite, run_case
 from cascad.circuit import Circuit, build_miter, emit_aiger
 from cascad.cli import main
 from cascad.cnf import emit_dimacs, CnfFormula
@@ -130,6 +131,7 @@ class TestCsat:
         rep = json.loads(lines[-1])
         assert rep["total"] == rep["kept"] + rep["dropped"]
         assert set(rep["lbd_buckets"]) == {"1", "2", "3+"}
+        assert rep["estimator_failures"] == 0
 
     def test_adaptive_mode(self, tmp_path, capsys):
         rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
@@ -138,7 +140,29 @@ class TestCsat:
         assert rc == EXIT_CODES[lines[0]]
         assert json.loads(lines[-1])["stage"] in (1, 2)
 
-    @pytest.mark.parametrize("mode", ["phase", "clause-filter", "adaptive"])
+    def test_baseline_mode_prints_no_extra_line(self, tmp_path, capsys):
+        rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
+                          "--mode", "baseline")
+        lines = out.splitlines()
+        assert rc == EXIT_CODES[lines[0]]
+        assert set(json.loads(lines[-1])) >= {"conflicts", "decisions"}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_same_search_as_bench_run_case(self, tmp_path, capsys, mode):
+        bases = [random_circuit(s, num_pis=8, num_gates=120) for s in (3, 4)]
+        case = next(c for c in gen_suite(bases, 1, 1, seed=5)
+                    if c.expected == "SAT")
+        path = tmp_path / "m.aag"
+        path.write_bytes(emit_aiger(case.miter))
+        rc, out = run_cli(capsys, "csat", str(path), "--mode", mode)
+        lines = out.splitlines()
+        stats = json.loads(lines[2])
+        record = run_case(case, BenchConfig(mode, kind=mode))
+        keys = ("conflicts", "decisions", "propagations")
+        assert lines[0] == "s " + record["status"] == "s SAT"
+        assert [stats[k] for k in keys] == [record["stats"][k] for k in keys]
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_exit_codes_sat_and_unsat(self, tmp_path, capsys, mode):
         c = random_circuit(2, num_pis=5, num_gates=30)
         for circuit, answer in ((build_miter(c, c), "s UNSAT"), (c, "s SAT")):
@@ -185,3 +209,33 @@ class TestBench:
         assert "par2" in summary and "cactus" in summary
         with open(files["csv"], newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 4
+
+    def suite_dir(self, tmp_path, capsys):
+        suite_dir = str(tmp_path / "suite")
+        run_cli(capsys, "bench", "gen", *self.base_files(tmp_path),
+                "--suite", suite_dir, "--n-sat", "1", "--n-unsat", "1",
+                "--seed", "3")
+        return suite_dir
+
+    def test_run_accepts_every_mode(self, tmp_path, capsys):
+        records_path = str(tmp_path / "runs.jsonl")
+        rc, out = run_cli(capsys, "bench", "run",
+                          "--suite", self.suite_dir(tmp_path, capsys),
+                          "--configs", "baseline,clause-filter,adaptive",
+                          "--cutoff", "60", "--out", records_path)
+        assert rc == 0 and json.loads(out)["records"] == 6
+        records = [json.loads(l) for l in open(records_path)]
+        assert sorted({r["config"] for r in records}) == \
+            ["adaptive", "baseline", "clause-filter"]
+        assert all(r["status"] in ("SAT", "UNSAT") for r in records)
+        assert all("stage" in r for r in records if r["config"] == "adaptive")
+
+    @pytest.mark.parametrize("configs", ["phse", "phase,clause_filter"])
+    def test_run_rejects_unknown_mode(self, tmp_path, capsys, configs):
+        records_path = tmp_path / "runs.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "run", "--suite", self.suite_dir(tmp_path, capsys),
+                  "--configs", configs, "--out", str(records_path)])
+        assert exc.value.code == 2
+        assert "unknown mode" in capsys.readouterr().err
+        assert not records_path.exists()

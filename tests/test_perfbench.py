@@ -43,3 +43,25 @@ def test_install_tracing_finds_every_name(perfbench_modules):
     finally:
         tracer.remove()
     assert [owner.__dict__[attr] for owner, attr in originals] == before
+
+
+def test_phase_run_case_calls_the_traced_names(perfbench_modules):
+    """The product path must reach the names the tracer wraps in ``bench``:
+    a run that bypasses them would time and count nothing."""
+    from cascad import bench
+    from conftest import random_circuit
+    run, tracing = perfbench_modules
+    bases = [random_circuit(s, num_pis=8, num_gates=120) for s in (3, 4)]
+    case = next(c for c in bench.gen_suite(bases, 1, 1, seed=5)
+                if c.expected == "SAT")
+    tracer = tracing.Tracer()
+    try:
+        run.install_tracing(tracer)
+        record = bench.run_case(case, bench.BenchConfig("phase", kind="phase"))
+    finally:
+        tracer.remove()
+    assert record["status"] == "SAT"
+    names = {span[0] for span in tracer.spans}
+    assert {"bench.run_case", "cnf.encode", "heuristics.policy"} <= names
+    assert tracer.counts["heuristics.phase_forced"] + \
+        tracer.counts["heuristics.phase_abstain"] > 0
