@@ -26,8 +26,8 @@ from .cnf import tseitin_encode
 from .estimator import (EXACT_PI_CAP, Estimator, EstimatorConfig,
                         default_backend)
 from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
-                         RefreshingPhaseHook, adaptive_solve,
-                         build_phase_policy, make_phase_hook, run_clause_filter)
+                         adaptive_solve, build_phase_policy, make_phase_hook,
+                         run_clause_filter)
 from .sim import exact_truth_table
 from .solver import Solver, SolveOutcome, SolverConfig
 
@@ -234,12 +234,14 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
     """The one place a mode becomes the steps of a solve, with the first
     output asserted true.  Returns the outcome and the run's record fields:
     wall, solving and inference seconds (encoding and solver set-up in
-    neither), plus the filter report under ``clause_filter`` or the adaptive
-    ``stage`` and ``stage1_wall``.  ``refresh`` (K, C) is for phase mode."""
+    neither), plus the filter report under ``clause_filter``, the adaptive
+    ``stage`` and ``stage1_wall``, and in phase and adaptive mode
+    ``phase_fallbacks``, the phase policy's estimator failures.
+    ``refresh`` (K, C) is for phase mode."""
     check_mode(mode)
     po = miter.primary_outputs[0]
     cnf, vmap = tseitin_encode(miter, [(po, True)])
-    estimator = hook = on_restart = None
+    estimator = policy = hook = on_restart = None
     inference_seconds = 0.0
     if mode != "baseline":
         t0 = time.monotonic()
@@ -248,11 +250,9 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
         if mode != "clause-filter":
             refresh = refresh if mode == "phase" and refresh else ()
             policy = build_phase_policy(estimator, po, vmap, tau, *refresh)
+            hook = make_phase_hook(policy)
             if policy.refresh_every_restarts:
-                hook = RefreshingPhaseHook(policy, estimator, po, vmap)
-                on_restart = hook.on_restart
-            else:
-                hook = make_phase_hook(policy)
+                on_restart = policy.on_restart
         inference_seconds = time.monotonic() - t0
 
     if mode != "adaptive":
@@ -275,6 +275,8 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
     else:
         outcome = solver.solve()
     solving_seconds = time.monotonic() - t0
+    if policy is not None:
+        fields["phase_fallbacks"] = policy.fallbacks
     return outcome, {"wall_seconds": solving_seconds + inference_seconds,
                      "solving_seconds": solving_seconds,
                      "inference_seconds": inference_seconds, **fields}

@@ -10,7 +10,8 @@ from . import bench as bench_mod
 from .circuit import parse_aiger
 from .cnf import parse_dimacs
 from .drat import DratFileSink
-from .heuristics import AdaptiveUnsatPolicy, ClauseFilterPolicy
+from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
+                         PhaseSelectionPolicy, PolicyError)
 from .sim import SimulationPlan, sample_patterns, simulate, write_traces
 from .solver import Solver, SolverConfig, Status
 
@@ -67,15 +68,29 @@ def cmd_solve(args):
     return _print_outcome(outcome)
 
 
+def _refresh(text: str) -> tuple[int, int]:
+    """``csat --refresh K:C``; the phase policy checks the ranges."""
+    k, _, c = text.partition(":")
+    try:
+        return int(k), int(c)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected K:C, two integers, not {text!r}") from None
+
+
 def cmd_csat(args):
-    refresh = tuple(map(int, args.refresh.split(":"))) if args.refresh else None
+    # every policy is built, and so every flag checked, whatever the mode
+    PhaseSelectionPolicy(args.tau, {}, *(args.refresh or ()))
+    clause_filter = ClauseFilterPolicy(conflict_budget=args.budget,
+                                       threshold=args.threshold,
+                                       mode=args.score_mode)
+    adaptive = AdaptiveUnsatPolicy(probe_budget_seconds=args.probe)
     outcome, fields = bench_mod.solve_miter(
-        parse_aiger(_read(args.file)), args.mode, args.tau, refresh,
-        ClauseFilterPolicy(conflict_budget=args.budget,
-                           threshold=args.threshold, mode=args.score_mode),
-        AdaptiveUnsatPolicy(probe_budget_seconds=args.probe))
+        parse_aiger(_read(args.file)), args.mode, args.tau, args.refresh,
+        clause_filter, adaptive)
     code = _print_outcome(outcome)
-    # the mode's own fields: the filter report, or the adaptive stage
+    # the mode's own fields: the filter report, or the adaptive stage and
+    # the phase policy's fallbacks
     extra = {k: v for k, v in fields.items() if not k.endswith("_seconds")}
     if extra:
         print(json.dumps(extra.get("clause_filter", extra)))
@@ -92,6 +107,12 @@ def _modes(text: str) -> list[str]:
     return labels
 
 
+def _read_records(path: str) -> list[dict]:
+    """The JSON lines that ``bench run`` appended to ``path``."""
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
 def cmd_bench(args):
     if args.bench_cmd == "gen":
         bases = [parse_aiger(_read(p)) for p in args.bases]
@@ -106,12 +127,12 @@ def cmd_bench(args):
                                       jobs=args.jobs, out_path=args.out)
         print(json.dumps({"records": len(records)}))
     elif args.bench_cmd == "score":
-        records = [json.loads(l) for l in open(args.records) if l.strip()]
+        records = _read_records(args.records)
         scores = bench_mod.par2_by_config(records, args.cutoff)
         print(json.dumps({label: s.average for label, s in scores.items()},
                          indent=1))
     else:  # report
-        records = [json.loads(l) for l in open(args.records) if l.strip()]
+        records = _read_records(args.records)
         csv_text, summary = bench_mod.report(records, args.cutoff)
         with open(args.out + ".csv", "w") as fh:
             fh.write(csv_text)
@@ -149,8 +170,9 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--mode", choices=bench_mod.MODES, required=True)
     p.add_argument("--tau", type=float, default=0.005)
-    p.add_argument("--refresh", help="phase mode: refresh every K restarts "
-                   "on at most C conditions, given as K:C")
+    p.add_argument("--refresh", type=_refresh,
+                   help="phase mode: refresh every K restarts on at most C "
+                   "conditions, given as K:C")
     p.add_argument("--threshold", type=float, default=0.9)
     p.add_argument("--budget", type=int, default=50000)
     p.add_argument("--score-mode", choices=["correlated", "independent"],
@@ -183,7 +205,10 @@ def main(argv=None):
     p.set_defaults(func=cmd_bench)
 
     args = ap.parse_args(argv)
-    rc = args.func(args)
+    try:
+        rc = args.func(args)
+    except PolicyError as e:  # a flag value outside its policy's range
+        sub.choices[args.cmd].error(str(e))
     return rc or 0
 
 

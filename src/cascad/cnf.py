@@ -15,8 +15,8 @@ class CnfError(Exception):
     pass
 
 
-def check_literals(clauses, num_vars: int, error: type[Exception] = CnfError):
-    """Raise ``error`` if a literal in ``clauses`` (lists of literals) is 0
+def check_literals(clauses, num_vars: int):
+    """Raise CnfError if a literal in ``clauses`` (lists of literals) is 0
     or names no variable in 1..num_vars; the message names the first one.
 
     An unchecked literal would alias another literal's slot in the solver's
@@ -27,7 +27,7 @@ def check_literals(clauses, num_vars: int, error: type[Exception] = CnfError):
     if lits and (0 in lits or max(lits) > num_vars or min(lits) < -num_vars):
         bad = next(l for l in chain.from_iterable(clauses)
                    if l == 0 or abs(l) > num_vars)
-        raise error(f"literal {bad} out of range (num_vars={num_vars})")
+        raise CnfError(f"literal {bad} out of range (num_vars={num_vars})")
 
 
 @dataclass

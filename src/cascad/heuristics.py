@@ -10,7 +10,7 @@ abstain.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .cnf import VarGateMap, lit_to_signal
 from .drat import DratProof
@@ -25,94 +25,93 @@ class PolicyError(Exception):
 
 @dataclass
 class PhaseSelectionPolicy:
+    """The phase hook.  ``policy(v)`` applies the three-way rule to
+    variable v's entry.  Every ``refresh_every_restarts`` (K) restarts,
+    ``on_restart(decisions)`` asks the estimator again, on PO=1 plus the
+    last ``max_conditions`` (C) mapped decisions; K = 0 keeps the table
+    static.  ``fallbacks`` counts the estimator failures, at build and at
+    refresh, that left entries without information."""
     tau: float
     phase_table: dict[int, float | None]  # variable -> P or None (no information)
-    refresh_every_restarts: int = 0       # 0 = static table
+    refresh_every_restarts: int = 0
     max_conditions: int = 8
+    estimator: Estimator | None = None  # with po and vmap: what a refresh asks
+    po: int = 0
+    vmap: VarGateMap = field(default_factory=VarGateMap)
+    fallbacks: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not (0.0 < self.tau < 0.5):
             raise PolicyError(f"tau {self.tau} outside (0, 0.5)")
+        if self.refresh_every_restarts < 0:
+            raise PolicyError(f"refresh every K = {self.refresh_every_restarts}"
+                              " restarts: K must be >= 0")
+        if self.max_conditions < 1:
+            raise PolicyError(f"refresh on C = {self.max_conditions} "
+                              "conditions: C must be >= 1")
+        self.static_table = self.phase_table
+        self._restarts = 0
+
+    def __call__(self, variable: int) -> bool | None:
+        """Three-way phase rule; None means abstain (use the solver default)."""
+        p = self.phase_table.get(variable)
+        if p is None:
+            return None
+        if p < self.tau:
+            return False
+        if p > 1.0 - self.tau:
+            return True
+        return None
+
+    def estimate(self, conditions=()) -> dict[int, float | None]:
+        """P(gate(v)=1 | PO=1 and the conditions) for every mapped variable
+        v; every entry is None when the estimator fails."""
+        try:
+            gate_table = self.estimator.phase_table(self.po, conditions)
+        except Exception:
+            self.fallbacks += 1
+            gate_table = {}
+        return {var: gate_table.get(gate)
+                for gate, var in self.vmap.gate_to_var.items()}
+
+    def on_restart(self, decisions: list[int]):
+        """Every K-th restart, condition the table on the most recent mapped
+        decisions; undefined entries keep their static values, and a restart
+        with no decisions restores the static table."""
+        if self.refresh_every_restarts <= 0:
+            return
+        self._restarts += 1
+        if self._restarts % self.refresh_every_restarts:
+            return
+        if not decisions:
+            self.phase_table = self.static_table
+            return
+        conditions = []
+        for lit in decisions[-self.max_conditions:]:
+            sig = lit_to_signal(self.vmap, lit)
+            if sig is not None:
+                conditions.append(sig)
+        static = self.static_table
+        self.phase_table = {var: static.get(var) if p is None else p
+                            for var, p in self.estimate(conditions).items()}
 
 
 def build_phase_policy(estimator: Estimator, po: int, vmap: VarGateMap,
                        tau: float, refresh_every_restarts: int = 0,
                        max_conditions: int = 8) -> PhaseSelectionPolicy:
-    """Phase table P(gate(v)=1 | PO=1) for every mapped variable."""
-    try:
-        gate_table = estimator.phase_table(po)
-    except Exception:
-        gate_table = {}
-    table: dict[int, float | None] = {}
-    for gate, var in vmap.gate_to_var.items():
-        table[var] = gate_table.get(gate)
-    return PhaseSelectionPolicy(tau, table, refresh_every_restarts, max_conditions)
-
-
-def phase_hook(policy: PhaseSelectionPolicy, variable: int) -> bool | None:
-    """Three-way phase rule; None means abstain (use the solver default)."""
-    p = policy.phase_table.get(variable)
-    if p is None:
-        return None
-    if p < policy.tau:
-        return False
-    if p > 1.0 - policy.tau:
-        return True
-    return None
+    """The phase policy for ``po``, its table P(gate(v)=1 | PO=1) for every
+    mapped variable v."""
+    policy = PhaseSelectionPolicy(tau, {}, refresh_every_restarts,
+                                  max_conditions, estimator, po, vmap)
+    policy.phase_table = policy.static_table = policy.estimate()
+    return policy
 
 
 def make_phase_hook(policy: PhaseSelectionPolicy):
-    return lambda var: phase_hook(policy, var)
-
-
-def refresh_phase_policy(policy: PhaseSelectionPolicy, estimator: Estimator,
-                         po: int, vmap: VarGateMap,
-                         trail_decisions: list[int]) -> PhaseSelectionPolicy:
-    """Recompute the table conditioned on PO=1 plus the most recent mapped
-    decisions; undefined entries fall back to the static values."""
-    conditions = []
-    for lit in trail_decisions[-policy.max_conditions:]:
-        sig = lit_to_signal(vmap, lit)
-        if sig is not None and sig[0] != po:
-            conditions.append(sig)
-    try:
-        gate_table = estimator.phase_table(po, conditions)
-    except Exception:
-        return policy
-    table: dict[int, float | None] = {}
-    for gate, var in vmap.gate_to_var.items():
-        p = gate_table.get(gate)
-        table[var] = p if p is not None else policy.phase_table.get(var)
-    return replace(policy, phase_table=table)
-
-
-class RefreshingPhaseHook:
-    """Phase hook plus restart callback implementing ON_RESTART refresh."""
-
-    def __init__(self, policy: PhaseSelectionPolicy, estimator: Estimator,
-                 po: int, vmap: VarGateMap):
-        self.policy = policy
-        self.static_policy = policy
-        self.estimator = estimator
-        self.po = po
-        self.vmap = vmap
-        self._restarts = 0
-
-    def __call__(self, variable: int) -> bool | None:
-        return phase_hook(self.policy, variable)
-
-    def on_restart(self, decisions: list[int]):
-        every = self.static_policy.refresh_every_restarts
-        if every <= 0:
-            return
-        self._restarts += 1
-        if self._restarts % every:
-            return
-        if decisions:
-            self.policy = refresh_phase_policy(
-                self.static_policy, self.estimator, self.po, self.vmap, decisions)
-        else:
-            self.policy = self.static_policy
+    """The phase hook ``bench.solve_miter`` gives the solver: the policy
+    itself.  It has a name of its own so that a tracer can wrap the hook;
+    ``perfbench/run.py`` counts forced and abstained phases through it."""
+    return policy
 
 
 # -- clause filtering ---------------------------------------------------------
@@ -164,10 +163,8 @@ def score_clauses(snapshots: list[LearntSnapshot], estimator: Estimator,
             p = None
             failures += 1
         scores.append(p)
-        if p is None:
+        if p is None or p < policy.threshold:
             kept.append(snap)
-        elif p < policy.threshold:
-            kept.append(replace(snap, prob=p))
     return scores, kept, failures
 
 
@@ -220,9 +217,6 @@ def run_clause_filter(solver: Solver, policy: ClauseFilterPolicy,
 @dataclass
 class AdaptiveUnsatPolicy:
     probe_budget_seconds: float = 5.0
-    probe_config: SolverConfig = field(default_factory=SolverConfig)
-    unsat_config: SolverConfig = field(default_factory=lambda: replace(UNSAT_TUNED))
-    carry_learnts: bool = False  # stage 2 restarts from scratch by default
 
     def __post_init__(self):
         if self.probe_budget_seconds <= 0:
@@ -234,30 +228,20 @@ class AdaptiveOutcome:
     outcome: SolveOutcome
     stage: int  # 1 = probe answered, 2 = UNSAT-tuned config answered
     stage1_wall: float
-    proof: DratProof | None
+    proof: DratProof | None  # of the stage that answered
 
 
 def adaptive_solve(cnf, policy: AdaptiveUnsatPolicy,
                    phase_hook=None, want_proof: bool = True) -> AdaptiveOutcome:
-    """Probe with the phase-guided config under a wall budget; on timeout,
-    switch to the UNSAT-tuned config (no phase hook)."""
-    proof1 = DratProof() if want_proof else None
-    probe = Solver(cnf, policy.probe_config, phase_hook=phase_hook,
-                   drat_sink=proof1)
+    """Probe with the default config and the phase hook under a wall
+    budget; on timeout, solve afresh under UNSAT_TUNED (no phase hook)."""
+    proof = DratProof() if want_proof else None
+    probe = Solver(cnf, SolverConfig(), phase_hook=phase_hook, drat_sink=proof)
     t0 = time.monotonic()
     outcome = probe.solve(time_budget=policy.probe_budget_seconds)
     stage1_wall = time.monotonic() - t0
     if outcome.status is not Status.UNKNOWN:
-        return AdaptiveOutcome(outcome, 1, stage1_wall, proof1)
-
-    proof2 = None
-    if want_proof:
-        # imported clauses are RUP only given the probe's own learnts, some
-        # of which the probe has since deleted: replay the probe's proof
-        proof2 = DratProof(list(proof1.steps) if policy.carry_learnts else [])
-    stage2 = Solver(cnf, policy.unsat_config, drat_sink=proof2)
-    if policy.carry_learnts:
-        probe.pause_at_level0()
-        stage2.import_learnts(probe.export_learnts())
-    outcome = stage2.solve()
-    return AdaptiveOutcome(outcome, 2, stage1_wall, proof2)
+        return AdaptiveOutcome(outcome, 1, stage1_wall, proof)
+    proof = DratProof() if want_proof else None
+    outcome = Solver(cnf, UNSAT_TUNED, drat_sink=proof).solve()
+    return AdaptiveOutcome(outcome, 2, stage1_wall, proof)

@@ -80,7 +80,6 @@ class SolveOutcome:
 class LearntSnapshot:
     lits: tuple[int, ...]
     lbd: int
-    prob: float | None = None  # filled by the clause filter
 
 
 class _Clause:
@@ -466,40 +465,6 @@ class Solver:
         keep_keys = {frozenset(s.lits) for s in kept}
         drop = [c for c in self.learnts if frozenset(c.lits) not in keep_keys]
         self._remove_learnts(drop)
-
-    def import_learnts(self, snapshots: list[LearntSnapshot]):
-        """Install clauses at level 0; importing implied clauses is sound."""
-        if self.decision_level != 0:
-            raise RuntimeError("import_learnts requires decision level 0")
-        check_literals([snap.lits for snap in snapshots], self.nvars,
-                       ValueError)
-        existing = {frozenset(c.lits) for c in self.learnts}
-        for snap in snapshots:
-            lits = list(snap.lits)
-            if frozenset(lits) in existing:
-                continue
-            if self.drat is not None:
-                self.drat.add(lits)
-            if len(lits) == 1:
-                if not self._enqueue(lits[0], None):
-                    self._level0_conflict()
-                continue
-            free = [l for l in lits if self.values[l] != -1]
-            if any(self.values[l] == 1 for l in lits) or len(free) >= 2:
-                lits.sort(key=self.values.__getitem__, reverse=True)
-            elif len(free) == 1:
-                if not self._enqueue(free[0], None):
-                    self._level0_conflict()
-                continue
-            else:  # falsified at level 0
-                self._level0_conflict()
-                continue
-            clause = _Clause(lits, snap.lbd)
-            self.learnts.append(clause)
-            self.watches[lits[0]].append(clause)
-            self.watches[lits[1]].append(clause)
-        if self.propagate() is not None and self.decision_level == 0:
-            self._level0_conflict()
 
     # -- main loop ---------------------------------------------------------
 

@@ -19,7 +19,7 @@ from cascad.drat import DratProof, check_proof
 from cascad.estimator import (Backend, Estimator, EstimatorConfig, ProbQuery)
 from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                                PhaseSelectionPolicy, adaptive_solve,
-                               build_phase_policy, make_phase_hook, phase_hook,
+                               build_phase_policy, make_phase_hook,
                                run_clause_filter, score_clauses)
 from cascad.sim import exact_truth_table, run_workload_suite
 from cascad.solver import Solver, Status, solve
@@ -178,7 +178,7 @@ def test_criterion_5_phase_rule_exactness(capsys):
         for i in range(10_001):
             p = i / 10_000
             policy.phase_table[1] = p
-            got = phase_hook(policy, 1)
+            got = policy(1)
             want = False if p < tau else True if p > 1.0 - tau else None
             if got is not want:
                 deviations += 1

@@ -7,16 +7,18 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cascad.bench import (BenchCase, BenchConfig, CorrectnessAlarm,
+from cascad.bench import (MODES, BenchCase, BenchConfig, CorrectnessAlarm,
                           SuiteError, TRANSFORMS, commute_fanins, double_negate,
                           gen_suite, load_suite, par2, par2_by_config,
                           reassociate, report, run_case, run_suite, save_suite,
                           solve_miter)
 from cascad.circuit import Circuit, GateKind, build_miter, mutate_circuit
+from cascad.estimator import Estimator
 from cascad.heuristics import ClauseFilterPolicy
 from cascad.sim import exact_truth_table
 
 from conftest import random_circuit
+from test_perfbench import perfbench_modules  # noqa: F401 (fixture)
 
 
 def functionally_equal(a, b):
@@ -176,6 +178,61 @@ class TestRunCase:
             assert record["status"] == case.expected
             assert record["stage"] == 1 and record["stage1_wall"] >= 0.0
             assert record["inference_seconds"] > 0.0
+
+    def test_phase_fallbacks_in_phase_and_adaptive_records(self):
+        case = self.small_cases()[0]
+        for mode in MODES:
+            record = run_case(case, BenchConfig(mode, kind=mode))
+            if mode in ("phase", "adaptive"):
+                assert record["phase_fallbacks"] == 0
+            else:
+                assert "phase_fallbacks" not in record
+
+    @pytest.mark.parametrize("mode", ["phase", "adaptive"])
+    def test_failing_estimator_counted_as_phase_fallback(self, monkeypatch,
+                                                         mode):
+        def boom(self, po, extra_conditions=()):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(Estimator, "phase_table", boom)
+        for case in self.small_cases():
+            outcome, fields = solve_miter(case.miter, mode)
+            assert outcome.status.value == case.expected
+            assert fields["phase_fallbacks"] == 1
+
+    def test_refresh_zero_never_refreshes(self, monkeypatch):
+        case = self.small_cases()[0]
+        static, _ = solve_miter(case.miter, "phase")
+        calls = []
+        phase_table = Estimator.phase_table
+
+        def counted(self, po, extra_conditions=()):
+            calls.append(tuple(extra_conditions))
+            return phase_table(self, po, extra_conditions)
+
+        monkeypatch.setattr(Estimator, "phase_table", counted)
+        outcome, _ = solve_miter(case.miter, "phase", refresh=(0, 8))
+        assert calls == [()]  # the build, and no refresh
+        keys = ("conflicts", "decisions", "propagations", "restarts")
+        assert [getattr(outcome.stats, k) for k in keys] == \
+            [getattr(static.stats, k) for k in keys]
+
+    def test_traced_refresh_counts_phases(self, perfbench_modules):
+        """With a refresh the hook still goes through ``make_phase_hook``,
+        so the tracer counts its forced and abstained phases."""
+        run, tracing = perfbench_modules
+        bases = [random_circuit(s, num_pis=8, num_gates=120) for s in (3, 4)]
+        case = next(c for c in gen_suite(bases, 1, 1, seed=5)
+                    if c.expected == "SAT")
+        tracer = tracing.Tracer()
+        try:
+            run.install_tracing(tracer)
+            outcome, _ = solve_miter(case.miter, "phase", refresh=(1, 8))
+        finally:
+            tracer.remove()
+        assert outcome.status.value == "SAT"
+        assert tracer.counts["heuristics.phase_forced"] + \
+            tracer.counts["heuristics.phase_abstain"] > 0
 
     @pytest.mark.parametrize("kind", ["phse", "clause_filter", ""])
     def test_unknown_kind_raises(self, kind):

@@ -1,5 +1,7 @@
 import csv
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -147,6 +149,36 @@ class TestCsat:
         assert rc == EXIT_CODES[lines[0]]
         assert set(json.loads(lines[-1])) >= {"conflicts", "decisions"}
 
+    def test_phase_fallbacks_printed(self, tmp_path, capsys):
+        for mode in ("phase", "adaptive"):
+            rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
+                              "--mode", mode)
+            assert json.loads(out.splitlines()[-1])["phase_fallbacks"] == 0
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tau", "0.7", "tau 0.7 outside"),
+        ("--tau", "0", "tau 0.0 outside"),
+        ("--threshold", "2", "threshold 2.0 outside"),
+        ("--budget", "0", "budget must be >= 1"),
+        ("--probe", "0", "probe budget must be positive"),
+        ("--refresh", "a:b", "expected K:C"),
+        ("--refresh", "1:2:3", "expected K:C"),
+        ("--refresh", "3", "expected K:C"),
+        ("--refresh", "2:0", "C must be >= 1"),
+        ("--refresh", "-1:8", "K must be >= 0"),
+    ])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flag, value,
+                                     message):
+        path = self.circuit_file(tmp_path)
+        for mode in MODES:
+            with pytest.raises(SystemExit) as exc:
+                main(["csat", path, "--mode", mode, f"{flag}={value}"])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            last = captured.err.splitlines()[-1]
+            assert last.startswith("cascad csat: error:") and message in last
+            assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("mode", MODES)
     def test_same_search_as_bench_run_case(self, tmp_path, capsys, mode):
         bases = [random_circuit(s, num_pis=8, num_gates=120) for s in (3, 4)]
@@ -209,6 +241,23 @@ class TestBench:
         assert "par2" in summary and "cactus" in summary
         with open(files["csv"], newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 4
+
+    @pytest.mark.parametrize("command", ["score", "report"])
+    def test_records_file_closed(self, tmp_path, capsys, command):
+        records = tmp_path / "runs.jsonl"
+        records.write_text(json.dumps(
+            {"case": "a", "config": "baseline", "status": "SAT",
+             "wall_seconds": 1.0, "solving_seconds": 1.0,
+             "inference_seconds": 0.0}) + "\n")
+        out = ["--out", str(tmp_path / "report")] if command == "report" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            rc, _ = run_cli(capsys, "bench", command, "--records",
+                            str(records), "--cutoff", "60", *out)
+            gc.collect()
+        assert rc == 0
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def suite_dir(self, tmp_path, capsys):
         suite_dir = str(tmp_path / "suite")

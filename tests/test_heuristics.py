@@ -7,14 +7,13 @@ from cascad.circuit import Circuit, build_miter, mutate_circuit
 from cascad.cnf import CnfFormula, tseitin_encode
 from cascad.drat import DratProof, check_proof
 from cascad.estimator import Backend, Estimator, EstimatorConfig
-from cascad.heuristics import (AdaptiveOutcome, AdaptiveUnsatPolicy,
-                               ClauseFilterPolicy, PhaseSelectionPolicy,
-                               PolicyError, RefreshingPhaseHook,
+from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
+                               PhaseSelectionPolicy, PolicyError,
                                adaptive_solve, build_phase_policy,
-                               make_phase_hook, phase_hook,
-                               refresh_phase_policy, run_clause_filter,
+                               make_phase_hook, run_clause_filter,
                                score_clauses)
-from cascad.solver import LearntSnapshot, Solver, SolverConfig, Status, solve
+from cascad.solver import (UNSAT_TUNED, LearntSnapshot, Solver, Status,
+                           solve)
 
 from conftest import enum_cnf_sat, random_3cnf, random_circuit
 
@@ -35,11 +34,19 @@ class TestPhaseRule:
             with pytest.raises(PolicyError, match="tau"):
                 PhaseSelectionPolicy(bad, {})
 
+    @pytest.mark.parametrize("every, conditions, match",
+                             [(-1, 8, "K must be >= 0"),
+                              (2, 0, "C must be >= 1"),
+                              (0, -3, "C must be >= 1")])
+    def test_refresh_validated(self, every, conditions, match):
+        with pytest.raises(PolicyError, match=match):
+            PhaseSelectionPolicy(0.1, {}, every, conditions)
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 1.0), st.sampled_from([0.003, 0.005, 0.01, 0.1, 0.4]))
     def test_three_way_rule(self, p, tau):
         policy = PhaseSelectionPolicy(tau, {1: p})
-        got = phase_hook(policy, 1)
+        got = policy(1)
         if p < tau:
             assert got is False
         elif p > 1.0 - tau:
@@ -49,17 +56,22 @@ class TestPhaseRule:
 
     def test_boundaries_abstain(self):
         policy = PhaseSelectionPolicy(0.1, {1: 0.1, 2: 0.9})
-        assert phase_hook(policy, 1) is None
-        assert phase_hook(policy, 2) is None
+        assert policy(1) is None
+        assert policy(2) is None
 
     def test_unknown_variable_abstains(self):
         policy = PhaseSelectionPolicy(0.1, {1: 0.0})
-        assert phase_hook(policy, 99) is None
-        assert phase_hook(policy, 1) is False
+        assert policy(99) is None
+        assert policy(1) is False
 
     def test_none_entry_abstains(self):
         policy = PhaseSelectionPolicy(0.1, {1: None})
-        assert phase_hook(policy, 1) is None
+        assert policy(1) is None
+
+
+class Broken:
+    def phase_table(self, po, extra_conditions=()):
+        raise RuntimeError("boom")
 
 
 class TestBuildPhasePolicy:
@@ -72,16 +84,20 @@ class TestBuildPhasePolicy:
         for gate in (a, b, g):
             assert hook(vmap.gate_to_var[gate]) is True
 
+    def test_make_phase_hook_is_the_policy(self, toy_and):
+        c, *_ = toy_and
+        cnf, vmap, po = encoded_instance(c)
+        policy = build_phase_policy(exact_estimator(c), po, vmap, tau=0.1)
+        assert make_phase_hook(policy) is policy
+        assert policy.fallbacks == 0
+
     def test_estimator_failure_gives_empty_table(self, toy_and):
         c, *_ = toy_and
         cnf, vmap, po = encoded_instance(c)
-
-        class Broken:
-            def phase_table(self, po):
-                raise RuntimeError("boom")
-
         policy = build_phase_policy(Broken(), po, vmap, tau=0.1)
+        assert len(policy.phase_table) == len(vmap.gate_to_var)
         assert all(v is None for v in policy.phase_table.values())
+        assert policy.fallbacks == 1
 
     def test_guided_solve_finds_model(self):
         for seed in range(5):
@@ -96,65 +112,82 @@ class TestBuildPhasePolicy:
 
 
 class TestRefresh:
+    def policy(self, circuit, every=1, conditions=8):
+        cnf, vmap, po = encoded_instance(circuit)
+        policy = build_phase_policy(exact_estimator(circuit), po, vmap,
+                                    tau=0.1, refresh_every_restarts=every,
+                                    max_conditions=conditions)
+        return policy, vmap
+
     def test_conditioned_refresh(self, toy_and):
         c, a, b, g = toy_and
-        cnf, vmap, po = encoded_instance(c)
-        est = exact_estimator(c)
-        policy = build_phase_policy(est, po, vmap, tau=0.1)
-        refreshed = refresh_phase_policy(policy, est, po, vmap,
-                                         [vmap.gate_to_var[a]])
-        assert refreshed.phase_table[vmap.gate_to_var[b]] == 1.0
+        policy, vmap = self.policy(c)
+        assert policy(vmap.gate_to_var[b]) is True  # P(b | g) = 1 already
+        policy.on_restart([vmap.gate_to_var[a]])
+        assert policy.phase_table[vmap.gate_to_var[b]] == 1.0
+        assert policy.fallbacks == 0
 
     def test_undefined_falls_back_to_static(self):
         c = Circuit()
         x, y = c.add_pi(), c.add_pi()
         g = c.add_and(x, y)
         c.set_outputs([g])
-        cnf, vmap, po = encoded_instance(c)
-        est = exact_estimator(c)
-        policy = build_phase_policy(est, po, vmap, tau=0.1)
+        policy, vmap = self.policy(c)
+        static = dict(policy.phase_table)
         # condition x=0 contradicts g=1: conditioned table is all-None
-        refreshed = refresh_phase_policy(policy, est, po, vmap,
-                                         [-vmap.gate_to_var[x]])
-        assert refreshed.phase_table == policy.phase_table
+        policy.on_restart([-vmap.gate_to_var[x]])
+        assert policy.phase_table == static
+
+    def test_refresh_conditions_on_decisions(self):
+        c = Circuit()
+        x, y = c.add_pi(), c.add_pi()
+        c.set_outputs([c.add_not(c.add_and(c.add_not(x), c.add_not(y)))])
+        policy, vmap = self.policy(c)
+        vx, vy = vmap.gate_to_var[x], vmap.gate_to_var[y]
+        assert policy.phase_table[vy] == pytest.approx(2 / 3)
+        assert policy(vy) is None
+        policy.on_restart([-vx])  # x=0 and x OR y force y=1
+        assert policy.phase_table[vy] == 1.0 and policy(vy) is True
 
     def test_max_conditions_cap(self, toy_and):
         c, a, b, g = toy_and
-        cnf, vmap, po = encoded_instance(c)
-        est = exact_estimator(c)
-        policy = build_phase_policy(est, po, vmap, tau=0.1)
-        policy = PhaseSelectionPolicy(0.1, policy.phase_table, max_conditions=1)
+        policy, vmap = self.policy(c, conditions=1)
         # only the last decision may be used; an old contradiction is dropped
-        refreshed = refresh_phase_policy(
-            policy, est, po, vmap,
-            [-vmap.gate_to_var[a], vmap.gate_to_var[a]])
-        assert refreshed.phase_table[vmap.gate_to_var[b]] == 1.0
+        policy.on_restart([-vmap.gate_to_var[a], vmap.gate_to_var[a]])
+        assert policy.phase_table[vmap.gate_to_var[b]] == 1.0
 
     def test_refreshing_hook_cadence(self, toy_and):
         c, a, b, g = toy_and
-        cnf, vmap, po = encoded_instance(c)
-        est = exact_estimator(c)
-        policy = build_phase_policy(est, po, vmap, tau=0.1,
-                                    refresh_every_restarts=2)
-        hook = RefreshingPhaseHook(policy, est, po, vmap)
+        policy, vmap = self.policy(c, every=2)
+        static = policy.phase_table
         lit = vmap.gate_to_var[a]
-        hook.on_restart([lit])
-        assert hook.policy is policy  # first restart: no refresh yet
-        hook.on_restart([lit])
-        assert hook.policy is not policy
-        hook.on_restart([])
-        hook.on_restart([])  # empty decisions reset to the static table
-        assert hook.policy is policy
+        policy.on_restart([lit])
+        assert policy.phase_table is static  # first restart: no refresh yet
+        policy.on_restart([lit])
+        assert policy.phase_table is not static
+        policy.on_restart([])
+        policy.on_restart([])  # empty decisions reset to the static table
+        assert policy.phase_table is static
 
     def test_static_policy_never_refreshes(self, toy_and):
         c, a, b, g = toy_and
-        cnf, vmap, po = encoded_instance(c)
-        est = exact_estimator(c)
-        policy = build_phase_policy(est, po, vmap, tau=0.1)
-        hook = RefreshingPhaseHook(policy, est, po, vmap)
+        policy, vmap = self.policy(c, every=0)
+        static = policy.phase_table
         for _ in range(5):
-            hook.on_restart([vmap.gate_to_var[a]])
-        assert hook.policy is policy
+            policy.on_restart([vmap.gate_to_var[a]])
+        assert policy.phase_table is static
+
+    def test_refresh_failure_counted_and_static_kept(self, toy_and):
+        c, a, b, g = toy_and
+        cnf, vmap, po = encoded_instance(c)
+        policy = build_phase_policy(exact_estimator(c), po, vmap, tau=0.1,
+                                    refresh_every_restarts=1)
+        static = dict(policy.phase_table)
+        policy.estimator = Broken()
+        policy.on_restart([vmap.gate_to_var[a]])
+        policy.on_restart([vmap.gate_to_var[a]])
+        assert policy.fallbacks == 2
+        assert policy.phase_table == static
 
 
 class TestClauseFilterPolicy:
@@ -189,15 +222,6 @@ class TestScoreClauses:
                 [clause], est, vmap, ClauseFilterPolicy(threshold=threshold))
             assert len(kept) == expect_kept
 
-    def test_kept_snapshot_carries_prob(self, toy_and):
-        c, a, b, g = toy_and
-        _, vmap = tseitin_encode(c)
-        scores, kept, _ = score_clauses(
-            [self.snap(vmap.gate_to_var[g])], exact_estimator(c), vmap,
-            ClauseFilterPolicy(threshold=0.9))
-        assert scores == [0.25]
-        assert kept[0].prob == 0.25
-
     def test_unmapped_kept_without_score(self, toy_and):
         c, *_ = toy_and
         _, vmap = tseitin_encode(c)
@@ -205,7 +229,6 @@ class TestScoreClauses:
             [self.snap(99, 98)], exact_estimator(c), vmap,
             ClauseFilterPolicy(threshold=0.5))
         assert scores == [None] and len(kept) == 1 and failures == 0
-        assert kept[0].prob is None
 
     def test_estimator_failure_fail_safe(self, toy_and):
         c, *_ = toy_and
@@ -330,19 +353,6 @@ class TestAdaptive:
         ok, why = check_proof(cnf.clauses, result.proof)
         assert ok, why
 
-    def test_stage2_carry_learnts(self):
-        cnf = self.hard_unsat()
-        # the conflict budget ends the probe, not the clock; the short reduce
-        # interval makes the probe delete learnts before stage 2 imports the rest
-        probe = SolverConfig(conflict_budget=200, reduce_interval=50)
-        policy = AdaptiveUnsatPolicy(probe_budget_seconds=600.0,
-                                     probe_config=probe, carry_learnts=True)
-        result = adaptive_solve(cnf, policy)
-        assert result.stage == 2
-        assert result.outcome.status is Status.UNSAT
-        ok, why = check_proof(cnf.clauses, result.proof)
-        assert ok, why
-
     def test_no_proof_requested(self, toy_and):
         c, *_ = toy_and
         cnf, _, _ = encoded_instance(c)
@@ -350,7 +360,12 @@ class TestAdaptive:
         assert result.proof is None
 
     def test_stage2_uses_unsat_tuned(self):
-        policy = AdaptiveUnsatPolicy()
-        assert policy.unsat_config.restart_unit == 512
-        assert policy.unsat_config.keep_lbd == 3
-        assert policy.unsat_config.phase_default == "false"
+        # stage 2 is a fresh UNSAT_TUNED solve: the same search from scratch
+        cnf = self.hard_unsat()
+        result = adaptive_solve(cnf, AdaptiveUnsatPolicy(
+            probe_budget_seconds=0.001))
+        fresh = solve(cnf, UNSAT_TUNED)
+        assert result.stage == 2
+        got, want = result.outcome.stats.as_dict(), fresh.stats.as_dict()
+        del got["wall_time"], want["wall_time"]
+        assert got == want

@@ -499,28 +499,6 @@ class TestLearntDatabase:
         expect = solve(cnf(s.nvars, clauses)).status
         assert final.status is expect
 
-    def test_import_into_fresh_solver(self):
-        s, clauses = self.paused_solver()
-        snaps = s.export_learnts()
-        fresh = Solver(cnf(s.nvars, clauses))
-        fresh.import_learnts(snaps)
-        assert fresh.solve().status is solve(cnf(s.nvars, clauses)).status
-
-    def test_import_learnts_is_sound_many(self):
-        # exporting from a budgeted run and importing into a fresh solver
-        # must never flip satisfiability
-        for seed in range(10):
-            rng = random.Random(seed)
-            n = rng.randint(8, 14)
-            clauses = random_3cnf(rng, n)
-            s = Solver(cnf(n, clauses))
-            s.solve(conflict_budget=40)
-            s.pause_at_level0()
-            snaps = s.export_learnts()
-            fresh = Solver(cnf(n, clauses))
-            fresh.import_learnts(snaps)
-            assert (fresh.solve().status is Status.SAT) == enum_cnf_sat(n, clauses)
-
     def test_reduce_db_keeps_low_lbd(self):
         s, _ = self.paused_solver()
         glue = [c for c in s.learnts if c.lbd <= s.config.keep_lbd]
@@ -532,15 +510,6 @@ class TestLearntDatabase:
 
 
 class TestLiteralRange:
-    @pytest.mark.parametrize("lits", [(0, 1), (1, 3), (-3, 2), (-4,)])
-    def test_import_rejects_out_of_range_literal(self, lits):
-        proof = DratProof()
-        s = Solver(cnf(2, [[1, 2]]), drat_sink=proof)
-        with pytest.raises(ValueError, match="out of range"):
-            s.import_learnts([LearntSnapshot((1, -2), 2),
-                              LearntSnapshot(lits, 1)])
-        assert s.learnts == [] and proof.steps == []
-
     @pytest.mark.parametrize("clause", [[5], [1, 5], [1, -2, -5], [2, 0, 1],
                                         [0]])
     def test_init_rejects_literal_added_after_construction(self, clause):
@@ -548,7 +517,6 @@ class TestLiteralRange:
         formula.clauses.append(clause)  # CnfFormula checks only at creation
         with pytest.raises(CnfError, match="out of range"):
             Solver(formula)
-
 
     @pytest.mark.parametrize("bad", [0, 4, -4])
     def test_same_check_on_every_path(self, bad):
@@ -561,11 +529,6 @@ class TestLiteralRange:
         formula.clauses.append([-3, bad, -5])
         with pytest.raises(CnfError, match=msg):
             Solver(formula)
-        s = Solver(CnfFormula(3, [[1, 2]]))
-        with pytest.raises(ValueError, match=msg):
-            s.import_learnts([LearntSnapshot((1, -2), 2),
-                              LearntSnapshot((-3, bad, -5), 2)])
-        assert s.learnts == []
 
 
 class TestTunedConfig:
@@ -600,7 +563,7 @@ class TestSearchPin:
         "phase_hook":
             "762ce869162c8f88ebbd1479841ef6182471acfc3da3af36f7f0338132f41e27",
         "budget_replace_import":
-            "3bcbaeb0b408138d40e95f0285742097e74188c4d3b3857b34c32b8255cdff2d",
+            "cf34bbc123db40c1b5a197689105b8b8ec36941cc489d2aa906ea14ba7f45718",
         "clause_filter":
             "12d2237cafd85d4e8071874a2ad7019fbe5613b0abef2994130ab32e824266dc",
     }
@@ -659,9 +622,8 @@ class TestSearchPin:
         self.record(h, s.solve(conflict_budget=60), proof)
         s.pause_at_level0()
         snaps = s.export_learnts()
-        h.update(repr(snaps).encode())
+        h.update(repr([(snap.lits, snap.lbd) for snap in snaps]).encode())
         s.replace_learnts(snaps[::2])
-        s.import_learnts(snaps[1::2])
         self.record(h, s.solve(), proof)
 
     def clause_filter(self, h):
