@@ -13,6 +13,8 @@ from collections import namedtuple
 from enum import Enum
 from itertools import chain
 
+from .gcpause import paused_gc
+
 
 class GateKind(Enum):
     PI = "PI"
@@ -207,6 +209,7 @@ def levelize(circuit: Circuit) -> list[int]:
 # -- AIGER --------------------------------------------------------------------
 
 
+@paused_gc()
 def parse_aiger(data: bytes) -> Circuit:
     """Parse combinational AIGER, ASCII ("aag") or binary ("aig").
 

@@ -61,11 +61,25 @@ def _print_outcome(outcome) -> int:
 def cmd_solve(args):
     cnf = parse_dimacs(_read(args.file))
     sink = DratFileSink(args.drat) if args.drat else None
-    solver = Solver(cnf, SolverConfig(), drat_sink=sink)
-    outcome = solver.solve(conflict_budget=args.conflicts, time_budget=args.time)
-    if sink:
-        sink.close()
+    try:
+        solver = Solver(cnf, SolverConfig(), drat_sink=sink)
+        outcome = solver.solve(conflict_budget=args.conflicts,
+                               time_budget=args.time)
+    finally:
+        if sink:
+            sink.close()
     return _print_outcome(outcome)
+
+
+def _positive(kind):
+    """An argparse type: a ``kind`` number greater than zero."""
+    def parse(text: str):
+        value = kind(text)  # a ValueError is argparse's "invalid value"
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, not {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _refresh(text: str) -> tuple[int, int]:
@@ -162,8 +176,8 @@ def main(argv=None):
     p = sub.add_parser("solve", help="solve a DIMACS CNF")
     p.add_argument("file")
     p.add_argument("--drat")
-    p.add_argument("--conflicts", type=int)
-    p.add_argument("--time", type=float)
+    p.add_argument("--conflicts", type=_positive(int))
+    p.add_argument("--time", type=_positive(float))
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("csat", help="solve an AIG with probability-guided heuristics")

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .circuit import Circuit, GateKind
+from .gcpause import paused_gc
 
 
 class CnfError(Exception):
@@ -57,6 +58,7 @@ def lit_to_signal(vmap: VarGateMap, lit: int) -> tuple[int, bool] | None:
     return gate, lit > 0
 
 
+@paused_gc()
 def tseitin_encode(circuit: Circuit,
                    assert_outputs: list[tuple[int, bool]] | None = None
                    ) -> tuple[CnfFormula, VarGateMap]:

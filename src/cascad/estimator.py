@@ -197,8 +197,9 @@ class Estimator:
         cond_row, n_cond = self._condition(conditions)
         if n_cond == 0:
             return dict.fromkeys(gates)
+        # float64 division of exact integer counts, as float(j) / n_cond
         joint = self.traces.counts(cond_row)
-        return {g: float(joint[g]) / n_cond for g in gates}
+        return dict(zip(gates, (joint / n_cond).tolist()))
 
     def close(self):
         if self._external is not None:

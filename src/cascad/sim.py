@@ -1,7 +1,9 @@
 """Bit-parallel Boolean simulation and exact truth tables.
 
-Traces are bit-packed little-endian (numpy uint8 rows); surplus bits in the
-last byte are kept at zero so popcounts are exact.  Pattern sampling uses a
+Traces are bit-packed little-endian: pattern k is bit k % 8 of byte k // 8
+of a gate's row.  Input blocks hold uint8 rows; trace tables hold their rows
+in whole 64-bit words (see PatternTraces).  Surplus bits past the last
+pattern are kept at zero so popcounts are exact.  Pattern sampling uses a
 counter-based generator keyed by (seed, PI index, pattern index), so the same
 plan always yields the same bits regardless of evaluation order.
 """
@@ -64,25 +66,37 @@ class PatternBlock:
     num_patterns: int
 
 
-@dataclass
 class PatternTraces:
-    """Packed outcome bits, one row per gate."""
-    bits: np.ndarray  # shape (num_gates, num_bytes), uint8
-    num_patterns: int
+    """Packed outcome bits, one row per gate.
+
+    Rows are kept in whole 64-bit words (``words``, shape (num_gates,
+    ceil(n/64)), uint64), so the simulator and the counts work a machine
+    word at a time; every bit past pattern n - 1 is zero.  ``bits`` is the
+    byte view of the same rows, shape (num_gates, ceil(n/8)), and
+    ``trace`` gives one such byte row."""
+
+    def __init__(self, words: np.ndarray, num_patterns: int):
+        self.words = words
+        self.num_patterns = num_patterns
+        self._num_bytes = _num_bytes(num_patterns)
+
+    @property
+    def bits(self) -> np.ndarray:
+        return self.words.view(np.uint8)[:, :self._num_bytes]
 
     def trace(self, gate: int, polarity: bool = True) -> np.ndarray:
         """The gate's packed row, or its complement when polarity is False."""
-        row = self.bits[gate]
+        row = self.words[gate].view(np.uint8)[:self._num_bytes]
         if polarity:
             return row
-        return ~row & _tail_mask(self.num_patterns, row.shape[0])
+        return ~row & _tail_mask(self.num_patterns, self._num_bytes)
 
     @staticmethod
     def popcount(row: np.ndarray) -> int:
         return int(np.bitwise_count(row).sum())
 
     def count(self, gate: int) -> int:
-        return self.popcount(self.trace(gate))
+        return self.popcount(self.words[gate])
 
     def counts(self, cond_row: np.ndarray | None = None) -> np.ndarray:
         """Per-gate popcounts, of the patterns in cond_row when given.
@@ -90,18 +104,35 @@ class PatternTraces:
         Rows are counted COUNT_BLOCK_ROWS at a time, so the temporaries
         stay small next to the table: whole-table ones would triple the
         peak memory of a phase-table query."""
-        n = self.bits.shape[0]
+        words = self.words
+        n = words.shape[0]
         out = np.zeros(n, dtype=np.uint64)
+        if cond_row is not None:
+            cond = _word_row(cond_row, self.num_patterns)
+            masked = np.empty((min(n, COUNT_BLOCK_ROWS), words.shape[1]),
+                              dtype=np.uint64)
         for lo in range(0, n, COUNT_BLOCK_ROWS):
-            block = self.bits[lo:lo + COUNT_BLOCK_ROWS]
+            block = words[lo:lo + COUNT_BLOCK_ROWS]
             if cond_row is not None:
-                block = block & cond_row
+                block = np.bitwise_and(block, cond, out=masked[:len(block)])
             np.bitwise_count(block).sum(axis=1, out=out[lo:lo + COUNT_BLOCK_ROWS])
         return out
 
 
 def _num_bytes(n: int) -> int:
     return (n + 7) // 8
+
+
+def _word_rows(num_rows: int, num_patterns: int) -> np.ndarray:
+    """Zeroed rows of whole 64-bit words, room for num_patterns bits each."""
+    return np.zeros((num_rows, (num_patterns + 63) // 64), dtype=np.uint64)
+
+
+def _word_row(byte_row: np.ndarray, num_patterns: int) -> np.ndarray:
+    """A packed byte row copied into a zero-padded row of 64-bit words."""
+    row = _word_rows(1, num_patterns)[0]
+    row.view(np.uint8)[:len(byte_row)] = byte_row
+    return row
 
 
 def _tail_mask(num_patterns: int, num_bytes: int) -> np.ndarray:
@@ -137,26 +168,29 @@ def sample_patterns(plan: SimulationPlan, num_pis: int) -> PatternBlock:
 
 
 def simulate(circuit: Circuit, inputs: PatternBlock) -> PatternTraces:
-    """Evaluate every gate level-by-level over the packed pattern block."""
+    """Evaluate every gate in index order, 64 patterns per machine word.
+
+    Each gate is written in place into its row of the table; a NOT is an
+    XOR with the word mask of the n valid pattern bits, so surplus bits
+    stay zero."""
     if inputs.bits.shape[0] != len(circuit.primary_inputs):
         raise ShapeError(
             f"pattern block has {inputs.bits.shape[0]} PI rows, circuit has "
             f"{len(circuit.primary_inputs)}")
     n = inputs.num_patterns
-    nb = _num_bytes(n)
-    mask = _tail_mask(n, nb)
-    bits = np.zeros((len(circuit), nb), dtype=np.uint8)
-    pi_row = {g: k for k, g in enumerate(circuit.primary_inputs)}
-    for i, g in enumerate(circuit.gates):
-        if g.kind is GateKind.PI:
-            bits[i] = inputs.bits[pi_row[i]]
-        elif g.kind is GateKind.CONST0:
-            pass  # zeros
-        elif g.kind is GateKind.NOT:
-            bits[i] = ~bits[g.fanins[0]] & mask
-        else:  # AND
-            bits[i] = bits[g.fanins[0]] & bits[g.fanins[1]]
-    return PatternTraces(bits, n)
+    words = _word_rows(len(circuit), n)
+    words.view(np.uint8)[circuit.primary_inputs, :inputs.bits.shape[1]] = inputs.bits
+    mask = _word_row(_tail_mask(n, _num_bytes(n)), n)
+    rows = list(words)  # one view per gate row, made once
+    band, bxor = np.bitwise_and, np.bitwise_xor
+    AND, NOT = GateKind.AND, GateKind.NOT
+    for row, (kind, fanins) in zip(rows, circuit.gates):
+        if kind is AND:
+            band(rows[fanins[0]], rows[fanins[1]], out=row)
+        elif kind is NOT:
+            bxor(rows[fanins[0]], mask, out=row)
+        # a PI row is set above; the constant's row stays zero
+    return PatternTraces(words, n)
 
 
 def exhaustive_patterns(num_pis: int) -> PatternBlock:
@@ -175,32 +209,6 @@ def exhaustive_patterns(num_pis: int) -> PatternBlock:
 def exact_truth_table(circuit: Circuit) -> PatternTraces:
     block = exhaustive_patterns(len(circuit.primary_inputs))
     return simulate(circuit, block)
-
-
-def run_workload_suite(circuit: Circuit, num_sims: int = 200,
-                       patterns_per_sim: int = 100, seed: int = 0,
-                       workload: float | list[float] = 0.5):
-    """Repeated biased simulations: per-PI per-sim probabilities plus node
-    probabilities aggregated over all num_sims * patterns_per_sim patterns.
-
-    Returns (pi_profile, node_probs): pi_profile has shape (num_pis, num_sims)
-    and node_probs[g] is gate g's probability.
-    """
-    if num_sims < 1 or patterns_per_sim < 1:
-        raise SimError("simulation counts must be positive")
-    num_pis = len(circuit.primary_inputs)
-    pi_profile = np.zeros((num_pis, num_sims))
-    counts = np.zeros(len(circuit), dtype=np.int64)
-    for s in range(num_sims):
-        plan = SimulationPlan(patterns_per_sim, workload, seed=seed + s)
-        block = sample_patterns(plan, num_pis)
-        per_gate = simulate(circuit, block).counts()
-        counts += per_gate.astype(np.int64)
-        for k, g in enumerate(circuit.primary_inputs):
-            pi_profile[k, s] = per_gate[g] / patterns_per_sim
-    total = num_sims * patterns_per_sim
-    node_probs = [counts[g] / total for g in range(len(circuit))]
-    return pi_profile, node_probs
 
 
 # -- trace file format ("CTRC") ----------------------------------------------
@@ -241,5 +249,7 @@ def read_traces(path: str) -> PatternTraces:
     untraced = np.flatnonzero(np.unpackbits(flags, bitorder="little")[:num_gates] == 0)
     if untraced.size:
         raise SimError(f"gate {untraced[0]} has no trace row")
-    bits = np.frombuffer(data, np.uint8, num_gates * nb, _HEADER + nflags)
-    return PatternTraces(bits.reshape(num_gates, nb).copy(), num_patterns)
+    words = _word_rows(num_gates, num_patterns)
+    words.view(np.uint8)[:, :nb] = np.frombuffer(
+        data, np.uint8, num_gates * nb, _HEADER + nflags).reshape(num_gates, nb)
+    return PatternTraces(words, num_patterns)

@@ -19,6 +19,7 @@ from enum import Enum
 from heapq import heapify, heappop, heappush
 
 from .cnf import CnfFormula, check_literals
+from .gcpause import paused_gc
 
 
 class Status(Enum):
@@ -103,6 +104,7 @@ def luby(i: int) -> int:
 
 
 class Solver:
+    @paused_gc()
     def __init__(self, cnf: CnfFormula, config: SolverConfig | None = None,
                  phase_hook=None, on_restart=None, drat_sink=None):
         self.config = config or SolverConfig()

@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cascad.circuit import Circuit
 from cascad.cnf import CnfFormula
+from cascad.sim import SimulationPlan, sample_patterns, simulate
 
 
 def random_circuit(seed: int, num_pis: int = 6, num_gates: int = 40,
@@ -73,6 +75,30 @@ def pigeonhole(pigeons: int, holes: int) -> CnfFormula:
             for p2 in range(p1 + 1, pigeons):
                 clauses.append([-(p1 * holes + h + 1), -(p2 * holes + h + 1)])
     return CnfFormula(pigeons * holes, clauses)
+
+
+def run_workload_suite(circuit: Circuit, num_sims: int = 200,
+                       patterns_per_sim: int = 100, seed: int = 0,
+                       workload: float | list[float] = 0.5):
+    """Repeated biased simulations: per-PI per-sim probabilities plus node
+    probabilities aggregated over all num_sims * patterns_per_sim patterns.
+
+    Returns (pi_profile, node_probs): pi_profile has shape (num_pis, num_sims)
+    and node_probs[g] is gate g's probability.
+    """
+    num_pis = len(circuit.primary_inputs)
+    pi_profile = np.zeros((num_pis, num_sims))
+    counts = np.zeros(len(circuit), dtype=np.int64)
+    for s in range(num_sims):
+        plan = SimulationPlan(patterns_per_sim, workload, seed=seed + s)
+        block = sample_patterns(plan, num_pis)
+        per_gate = simulate(circuit, block).counts()
+        counts += per_gate.astype(np.int64)
+        for k, g in enumerate(circuit.primary_inputs):
+            pi_profile[k, s] = per_gate[g] / patterns_per_sim
+    total = num_sims * patterns_per_sim
+    node_probs = [counts[g] / total for g in range(len(circuit))]
+    return pi_profile, node_probs
 
 
 @pytest.fixture

@@ -21,10 +21,11 @@ from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                                PhaseSelectionPolicy, adaptive_solve,
                                build_phase_policy, make_phase_hook,
                                run_clause_filter, score_clauses)
-from cascad.sim import exact_truth_table, run_workload_suite
+from cascad.sim import exact_truth_table
 from cascad.solver import Solver, Status, solve
 
-from conftest import eval_circuit, pigeonhole, random_3cnf, random_circuit
+from conftest import (eval_circuit, pigeonhole, random_3cnf, random_circuit,
+                      run_workload_suite)
 
 
 def _report(capsys, criterion, ok, detail):

@@ -132,7 +132,7 @@ class TestSuiteIO:
         bases = [random_circuit(5, num_pis=4, num_gates=15)]
         cases = gen_suite(bases, n_sat=1, n_unsat=1, seed=1)
         save_suite(cases, str(tmp_path))
-        manifest = json.load(open(tmp_path / "manifest.json"))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert {e["id"] for e in manifest} == {"unsat-000", "sat-000"}
         assert all((tmp_path / e["aiger"]).exists() for e in manifest)
 
@@ -261,7 +261,8 @@ class TestRunSuite:
         assert len(records) == len(cases)
         assert {r["status"] for r in records} == {"SAT", "UNSAT"}
         run_suite(cases, [BenchConfig("baseline")], cutoff=60.0, out_path=out)
-        lines = [json.loads(l) for l in open(out)]
+        with open(out) as fh:
+            lines = [json.loads(l) for l in fh]
         assert len(lines) == 2 * len(cases)  # append-only
 
     def test_multiple_configs_and_jobs(self):

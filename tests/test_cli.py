@@ -78,7 +78,8 @@ class TestSolve:
         drat_path = str(tmp_path / "p.drat")
         rc, out = run_cli(capsys, "solve", path, "--drat", drat_path)
         assert rc == 20 and out.splitlines()[0] == "s UNSAT"
-        proof = parse_drat(open(drat_path).read())
+        with open(drat_path) as fh:
+            proof = parse_drat(fh.read())
         ok, why = check_proof([[1, 2], [1, -2], [-1, 2], [-1, -2]], proof)
         assert ok, why
 
@@ -99,9 +100,11 @@ class TestSolve:
                                              ("--conflicts", "-5")])
     def test_zero_budget_fails(self, tmp_path, capsys, flag, value):
         path = self.write_cnf(tmp_path, [[1, 2], [-1, 2], [-2]], 2)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "solve", path, flag, value)
-        assert capsys.readouterr().out == ""
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be positive" in captured.err
 
 
 EXIT_CODES = {"s SAT": 10, "s UNSAT": 20}
@@ -237,7 +240,8 @@ class TestBench:
         rc, out = run_cli(capsys, "bench", "report", "--records", records_path,
                           "--cutoff", "60", "--out", report_prefix)
         files = json.loads(out)
-        summary = json.load(open(files["json"]))
+        with open(files["json"]) as fh:
+            summary = json.load(fh)
         assert "par2" in summary and "cactus" in summary
         with open(files["csv"], newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 4
@@ -273,7 +277,8 @@ class TestBench:
                           "--configs", "baseline,clause-filter,adaptive",
                           "--cutoff", "60", "--out", records_path)
         assert rc == 0 and json.loads(out)["records"] == 6
-        records = [json.loads(l) for l in open(records_path)]
+        with open(records_path) as fh:
+            records = [json.loads(l) for l in fh]
         assert sorted({r["config"] for r in records}) == \
             ["adaptive", "baseline", "clause-filter"]
         assert all(r["status"] in ("SAT", "UNSAT") for r in records)

@@ -6,15 +6,16 @@ gates in the same order, the same clauses in the same order, the same
 variable map and the same initial watch lists.
 """
 
+import gc
 import hashlib
 import random
 
 import pytest
 
 from cascad.bench import reassociate
-from cascad.circuit import (Circuit, GateKind, build_miter, emit_aiger,
-                            mutate_circuit, parse_aiger)
-from cascad.cnf import CnfFormula, tseitin_encode
+from cascad.circuit import (AigerParseError, Circuit, GateKind, build_miter,
+                            emit_aiger, mutate_circuit, parse_aiger)
+from cascad.cnf import CnfError, CnfFormula, tseitin_encode
 from cascad.drat import DratProof
 from cascad.solver import Solver, Status
 
@@ -173,3 +174,47 @@ class TestVerifyModel:
         for model in ({1: True, 2: True}, {1: False, 2: False}):
             with pytest.raises(RuntimeError, match="violates"):
                 s._verify_model(model)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_state(request):
+    """Run the test with the collector enabled or disabled, and restore it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestGcPause:
+    """Set-up runs with the cyclic collector paused and leaves it as the
+    caller had it, on success and on error."""
+
+    def test_success(self, gc_state):
+        c = random_circuit(3, num_pis=6, num_gates=200)
+        c = parse_aiger(emit_aiger(c))
+        assert gc.isenabled() is gc_state
+        formula, _ = tseitin_encode(c, [(c.primary_outputs[0], True)])
+        assert gc.isenabled() is gc_state
+        Solver(formula)
+        assert gc.isenabled() is gc_state
+
+    def test_errors(self, gc_state):
+        with pytest.raises(AigerParseError):
+            parse_aiger(b"aag 1 1 0 1 0\n2\n5\n")  # literal 5 > maxvar 1
+        assert gc.isenabled() is gc_state
+        formula = CnfFormula(2, [[1, 2]])
+        formula.clauses.append([1, 3])  # past num_vars, unchecked here
+        with pytest.raises(CnfError, match="out of range"):
+            Solver(formula)
+        assert gc.isenabled() is gc_state
+
+    def test_paused_inside_solver_init(self, gc_state):
+        seen = []
+
+        class Probe(DratProof):
+            def add(self, lits):
+                seen.append(gc.isenabled())
+                super().add(lits)
+
+        Solver(CnfFormula(1, [[1], [-1]]), drat_sink=Probe())  # logs []
+        assert seen == [False] and gc.isenabled() is gc_state

@@ -6,13 +6,43 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cascad.circuit import Circuit
+from cascad.circuit import Circuit, GateKind
 from cascad.sim import (COUNT_BLOCK_ROWS, PatternBlock, SimError,
                         SimulationPlan, exact_truth_table, exhaustive_patterns,
-                        run_workload_suite, sample_patterns, simulate,
-                        read_traces, write_traces)
+                        sample_patterns, simulate, read_traces, write_traces)
 
-from conftest import all_input_rows, eval_circuit, random_circuit
+from conftest import (all_input_rows, eval_circuit, random_circuit,
+                      run_workload_suite)
+
+
+# pattern counts on both sides of the byte and the 64-bit word edges; 13
+# leaves three surplus bits in the last packed byte
+PATTERN_COUNTS = [1, 7, 13, 63, 64, 65, 777, 20_000]
+
+
+def traces_inputs(n):
+    return sample_patterns(SimulationPlan(n, 0.5, seed=2), 6)
+
+
+def small_traces(n):
+    c = random_circuit(5, num_pis=6, num_gates=30)
+    return c, simulate(c, traces_inputs(n))
+
+
+def per_byte_simulate(circuit, block):
+    """Reference rows: one uint8 row per gate, evaluated a byte at a time."""
+    n = block.num_patterns
+    mask = np.full((n + 7) // 8, 0xFF, dtype=np.uint8)
+    mask[-1] = 0xFF >> (8 * len(mask) - n)
+    bits = np.zeros((len(circuit), len(mask)), dtype=np.uint8)
+    for i, g in enumerate(circuit.gates):
+        if g.kind is GateKind.PI:
+            bits[i] = block.bits[circuit.primary_inputs.index(i)]
+        elif g.kind is GateKind.NOT:
+            bits[i] = ~bits[g.fanins[0]] & mask
+        elif g.kind is GateKind.AND:
+            bits[i] = bits[g.fanins[0]] & bits[g.fanins[1]]
+    return bits
 
 
 def pack_rows(pi_columns):
@@ -186,14 +216,23 @@ class TestWorkloadSuite:
 
 
 class TestTraceFile:
-    def test_round_trip(self, tmp_path, toy_and):
-        c, *_ = toy_and
-        traces = simulate(c, sample_patterns(SimulationPlan(100, 0.5, seed=7), 2))
-        path = str(tmp_path / "t.bin")
-        write_traces(traces, path)
-        back = read_traces(path)
-        assert back.num_patterns == traces.num_patterns
+    @pytest.mark.parametrize("n", PATTERN_COUNTS)
+    def test_round_trip(self, tmp_path, n):
+        c, traces = small_traces(n)
+        path = tmp_path / "t.bin"
+        write_traces(traces, str(path))
+        # header, one flag bit per gate, then ceil(n/8) bytes per gate,
+        # byte for byte the per-byte rows
+        data = path.read_bytes()
+        assert len(data) == 16 + (len(c) + 7) // 8 + len(c) * ((n + 7) // 8)
+        ref = per_byte_simulate(c, traces_inputs(n))
+        flags = np.packbits(np.ones(len(c), dtype=bool), bitorder="little")
+        assert data == (b"CTRC" + struct.pack("<III", 1, len(c), n)
+                        + flags.tobytes() + ref.tobytes())
+        back = read_traces(str(path))
+        assert back.num_patterns == n
         assert np.array_equal(back.bits, traces.bits)
+        assert np.array_equal(back.words, traces.words)
 
     def test_row_without_trace_rejected(self, tmp_path):
         # gate 1 of 3 flagged as carrying no trace row
@@ -232,22 +271,31 @@ class TestTraceFile:
 
 
 class TestPatternTraces:
-    def traces(self):
-        c = random_circuit(5, num_pis=6, num_gates=30)
-        # 13 patterns: three surplus bits in the last packed byte
-        return c, simulate(c, sample_patterns(SimulationPlan(13, 0.5, seed=2), 6))
+    @pytest.mark.parametrize("n", PATTERN_COUNTS)
+    def test_rows_match_per_byte_reference(self, n):
+        c, traces = small_traces(n)
+        ref = per_byte_simulate(c, traces_inputs(n))
+        assert traces.bits.dtype == np.uint8
+        assert traces.bits.shape == ref.shape == (len(c), (n + 7) // 8)
+        assert np.array_equal(traces.bits, ref)
+        # the word padding past pattern n - 1 holds no set bit
+        assert (traces.counts() == np.bitwise_count(ref).sum(axis=1)).all()
 
-    def test_negative_row_is_complement(self):
-        c, traces = self.traces()
+    @pytest.mark.parametrize("n", PATTERN_COUNTS)
+    def test_negative_row_is_complement(self, n):
+        c, traces = small_traces(n)
         for g in range(len(c)):
             pos, neg = traces.trace(g), traces.trace(g, polarity=False)
             assert not (pos & neg).any()
-            assert traces.popcount(pos) + traces.popcount(neg) == 13
+            assert traces.popcount(pos) + traces.popcount(neg) == n
 
-    def test_counts_under_condition_row(self):
-        c, traces = self.traces()
+    @pytest.mark.parametrize("n", PATTERN_COUNTS)
+    def test_counts_under_condition_row(self, n):
+        c, traces = small_traces(n)
+        ref = per_byte_simulate(c, traces_inputs(n))
         cond = traces.trace(c.primary_inputs[0], polarity=False)
         counts = traces.counts(cond)
+        assert (counts == np.bitwise_count(ref & cond).sum(axis=1)).all()
         for g in range(len(c)):
             assert counts[g] == traces.popcount(traces.trace(g) & cond)
             assert traces.counts()[g] == traces.count(g)

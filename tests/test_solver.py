@@ -112,7 +112,8 @@ class TestDrat:
             out = solve(cnf(n, clauses), drat_sink=sink)
             sink.close()
             assert out.status is Status.UNSAT
-            on_disk = parse_drat(open(path).read())
+            with open(path) as fh:
+                on_disk = parse_drat(fh.read())
             # the search is deterministic: a second solve logs the same proof
             in_memory = DratProof()
             solve(cnf(n, clauses), drat_sink=in_memory)
