@@ -28,12 +28,29 @@ Sorensson, SAT 2003):
   is inconsistent or the deleted clause could be the reason of a level-0
   literal (it has one true literal and all others false); any other deletion
   leaves the trail as it is.
+
+Hinted RUP, after LRAT (Cruz-Filipe, Heule, Hunt, Kaufmann & Schneider-Kamp,
+CADE 2017).  Clause ids count in attach order: original clause i is id i,
+tautologies and repeats included, then each ``a`` step takes the next id.
+A sink's ``add(lits, hints)`` may carry the ids of the clauses that unit
+propagation uses to refute the lemma, in order; the solver passes the
+reasons it resolved, then the conflict clause.  Hints are advisory.  After
+assuming the lemma's negation, the checker replays them while each names a
+live clause that is unit (its literal is assigned true) or falsified (the
+lemma is RUP).  The first hint that is out of range, deleted, satisfied or
+has two unassigned literals ends the replay, and ordinary propagation from
+the assumptions decides.  Every replayed step is a unit-propagation step over
+a live clause, so hints cannot make a lemma pass that is not RUP; they only
+spare the search for the propagations that refute it.  ``DratProof`` keeps
+the hints beside its steps; DRAT text has no place for them, so
+``DratFileSink`` drops them and its output is unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 
 
 class DratError(ValueError):
@@ -48,10 +65,14 @@ def format_step(kind: str, lits) -> str:
 
 @dataclass
 class DratProof:
-    """In-memory proof: list of ('a'|'d', lits) steps."""
+    """In-memory proof: list of ('a'|'d', lits) steps, and the hints of the
+    ``a`` steps that have some, keyed by step index."""
     steps: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
+    hints: dict[int, list[int]] = field(default_factory=dict)
 
-    def add(self, lits):
+    def add(self, lits, hints=None):
+        if hints:
+            self.hints[len(self.steps)] = hints
         self.steps.append(("a", tuple(lits)))
 
     def delete(self, lits):
@@ -65,7 +86,8 @@ class DratFileSink:
         self.path = path
         self._fh = open(path, "w")
 
-    def add(self, lits):
+    def add(self, lits, hints=None):
+        """DRAT text has no field for hints, so they are dropped."""
         self._fh.write(format_step("a", lits) + "\n")
 
     def delete(self, lits):
@@ -101,10 +123,13 @@ def check_proof(clauses: list[list[int]], proof: DratProof) -> tuple[bool, str]:
     """Forward RUP check of an UNSAT proof against the original clauses.
 
     Returns (ok, reason).  ok requires every added clause to be RUP at its
-    point in the proof and the proof to derive the empty clause.
+    point in the proof and the proof to derive the empty clause.  The
+    proof's hints, if any, only speed the check up.
     """
-    added = (lits for _, lits in proof.steps)
-    nvars = max((abs(l) for cl in chain(clauses, added) for l in cl), default=0)
+    nonempty = list(filter(None, chain(clauses,
+                                       map(itemgetter(1), proof.steps))))
+    nvars = max(max(map(max, nonempty), default=0),
+                -min(map(min, nonempty), default=0))
     # value[lit] is 1 when lit is true, -1 when false, 0 when unassigned.  A
     # negative literal indexes from the end, so lit and -lit own distinct
     # cells; the same holds for watches[lit], the ids of clauses of three or
@@ -197,7 +222,30 @@ def check_proof(clauses: list[list[int]], proof: DratProof) -> tuple[bool, str]:
                 trail.append(lit)
         return not propagate(0)
 
-    def is_rup(lits) -> bool:
+    def replay(hints) -> bool:
+        """Unit steps over the hinted clauses; True once one is falsified.
+        Stops at the first hint that names no live clause, is satisfied or
+        has two unassigned literals."""
+        for cid in hints:
+            c = db[cid] if 0 <= cid < len(db) else None
+            if c is None:
+                return False
+            unit = 0
+            for lit in c:
+                val = value[lit]
+                if val == 1:
+                    return False
+                if val == 0:
+                    if unit:
+                        return False
+                    unit = lit
+            if not unit:
+                return True
+            value[unit], value[-unit] = 1, -1
+            trail.append(unit)
+        return False
+
+    def is_rup(lits, hints) -> bool:
         base = len(trail)
         try:
             for lit in lits:
@@ -206,7 +254,7 @@ def check_proof(clauses: list[list[int]], proof: DratProof) -> tuple[bool, str]:
                 if value[lit] == 0:
                     value[lit], value[-lit] = -1, 1
                     trail.append(-lit)
-            return propagate(base)
+            return replay(hints) or propagate(base)
         finally:
             for lit in trail[base:]:
                 value[lit] = value[-lit] = 0
@@ -233,7 +281,7 @@ def check_proof(clauses: list[list[int]], proof: DratProof) -> tuple[bool, str]:
                 if not consistent or (0 not in vals and vals.count(1) == 1):
                     consistent = rebuild()
             continue
-        if consistent and not is_rup(lits):
+        if consistent and not is_rup(lits, proof.hints.get(step_no, ())):
             return False, f"step {step_no}: clause {list(lits)} is not RUP"
         if not lits:
             derived_empty = True

@@ -3,8 +3,7 @@
 Conditional probabilities are computed as trace ratios on one shared set of
 patterns (count(A and C) / count(C)), never as a quotient of independently
 estimated probabilities -- the quotient form amplifies error badly when the
-condition is polar.  A quotient mode is kept only to demonstrate that
-pathology.
+condition is polar.
 
 An external estimator (e.g. a learned model) can be attached through a
 line-delimited JSON protocol over a child process's standard streams.
@@ -75,8 +74,8 @@ class Estimator:
     """Probability oracle over a fixed circuit and one shared trace set.
 
     EXTERNAL answers node and conditional queries, and phase tables through
-    one conditional query per gate; correlated clause scores and the
-    quotient mode need a trace set and raise EstimatorError there.
+    one conditional query per gate; correlated clause scores need a trace
+    set and raise EstimatorError there.
     """
 
     def __init__(self, circuit: Circuit, config: EstimatorConfig | None = None):
@@ -138,24 +137,6 @@ class Estimator:
             return CondResult(None, p_cond)
         n_joint = t.popcount(cond_row & t.trace(tgate, tpol))
         return CondResult(n_joint / n_cond, p_cond)
-
-    def quotient_cond_prob(self, query: ProbQuery, noise: float = 0.0,
-                           noise_seed: int = 0) -> float | None:
-        """Conditional probability as a quotient of separately estimated
-        joint and condition probabilities, optionally perturbed by symmetric
-        noise.  Exists to reproduce the division-amplification pathology;
-        do not use for solving."""
-        t = self.traces
-        cond_row, n_cond = self._condition(query.conditions)
-        p_cond = n_cond / t.num_patterns
-        p_joint = t.popcount(cond_row & t.trace(*query.target)) / t.num_patterns
-        if noise:
-            rng = np.random.default_rng(noise_seed)
-            p_joint += noise * (1 if rng.random() < 0.5 else -1)
-            p_cond += noise * (1 if rng.random() < 0.5 else -1)
-        if p_cond <= 0:
-            return None
-        return min(1.0, max(0.0, p_joint / p_cond))
 
     def clause_prob(self, literals: list[int], vmap: VarGateMap,
                     mode: str = "correlated") -> float | None:

@@ -7,7 +7,8 @@ literal: a list of length 2*nvars+1 read with a negative index puts literal
 -k in slot 2*nvars+1-k, so a lookup is values[lit] with no sign flip, and
 values[v] is still variable v's value.  One Solver instance is
 single-threaded; solve() is resumable, so a caller can stop at a conflict
-budget, rewrite the learnt-clause database, and resume.
+budget, rewrite the learnt-clause database, and resume.  A DRAT sink gets
+each lemma with its unit-propagation hints (see cascad.drat).
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ class SolverConfig:
     restart_unit: int = 64          # Luby base, in conflicts
     reduce_interval: int = 2000     # conflicts between DB reductions
     keep_lbd: int = 2               # reduce_db keeps learnt clauses with lbd <= this
-    phase_default: str = "saved"    # saved | false | true
+    phase_default: str = "saved"    # saved | false
     var_decay: float = 0.95
     conflict_budget: int | None = None
     time_budget: float | None = None
 
     def __post_init__(self):
-        if self.phase_default not in ("saved", "false", "true"):
+        if self.phase_default not in ("saved", "false"):
             raise ValueError(f"bad phase_default {self.phase_default!r}")
         _check_budgets(self.conflict_budget, self.time_budget)
 
@@ -84,10 +85,11 @@ class LearntSnapshot:
 
 
 class _Clause:
-    __slots__ = ("lits", "lbd", "used")
+    __slots__ = ("lits", "id", "lbd", "used")
 
-    def __init__(self, lits, lbd=0):
+    def __init__(self, lits, cid, lbd=0):
         self.lits = lits
+        self.id = cid  # proof id, see Solver.__init__
         self.lbd = lbd  # 0 for an original clause
         self.used = False
 
@@ -142,6 +144,10 @@ class Solver:
         self._conflicts_since_restart = 0
         self._restart_count = 0
         self._next_reduce = self.config.reduce_interval
+        # Proof ids number clauses as a DRAT checker attaches them: original
+        # clause i is id i, tautologies included, then each logged lemma
+        # takes the next id.  The empty clause ends a proof, so it takes none.
+        self._next_id = len(cnf.clauses)
 
         # Each clause is copied once, without repeated literals and in
         # first-occurrence order.  A watched clause's list is also its entry
@@ -152,7 +158,7 @@ class Solver:
         watches = self.watches
         original = self.original_clauses = []
         keep = original.append
-        for cl in cnf.clauses:
+        for cid, cl in enumerate(cnf.clauses):
             size = len(cl)
             if size == 2:
                 a, b = cl
@@ -179,7 +185,7 @@ class Solver:
                 lits = list(lits)
             keep(lits)
             if len(lits) >= 2:
-                clause = _Clause(lits)
+                clause = _Clause(lits, cid)
                 watches[lits[0]].append(clause)
                 watches[lits[1]].append(clause)
             elif not lits or not self._enqueue(lits[0], None):
@@ -310,9 +316,8 @@ class Solver:
             if phase is not None:
                 return phase
         if self.config.phase_default == "saved":
-            saved = self.saved_phase[v]
-            return saved if saved is not None else False
-        return self.config.phase_default == "true"
+            return bool(self.saved_phase[v])
+        return False
 
     def decide(self) -> int | None:
         v = self._pick_branch_var()
@@ -326,8 +331,10 @@ class Solver:
 
     # -- conflict analysis -------------------------------------------------
 
-    def analyze_conflict(self, conflict: _Clause) -> tuple[list[int], int, int]:
-        """First-UIP learnt clause, backjump level, and LBD.
+    def analyze_conflict(self, conflict: _Clause
+                         ) -> tuple[list[int], int, int, list[_Clause]]:
+        """First-UIP learnt clause, backjump level, LBD, and the clauses
+        resolved: the conflict, then the reasons in reverse trail order.
 
         Bumped variables are all assigned, so _backtrack queues them at
         their new activity when it unassigns them."""
@@ -339,6 +346,7 @@ class Solver:
         var_inc = self.var_inc
         level = len(self.trail_lim)
         learnt = [0]
+        chain = [conflict]
         counter = 0
         lits = conflict.lits
         idx = len(trail) - 1
@@ -369,13 +377,15 @@ class Solver:
             idx -= 1
             if counter == 0:
                 break
-            lits = reasons[v].lits
+            reason = reasons[v]
+            chain.append(reason)
+            lits = reason.lits
         learnt[0] = -p
         for q in learnt:
             seen[q if q > 0 else -q] = False
 
         if len(learnt) == 1:
-            return learnt, 0, 1
+            return learnt, 0, 1, chain
         # move the highest-level tail literal to position 1
         k, bj_level = 1, -1
         lbd_levels = {level}
@@ -386,7 +396,7 @@ class Solver:
             if lv > bj_level:
                 k, bj_level = j, lv
         learnt[1], learnt[k] = learnt[k], learnt[1]
-        return learnt, bj_level, len(lbd_levels)
+        return learnt, bj_level, len(lbd_levels), chain
 
     def _backtrack(self, level: int):
         trail_lim = self.trail_lim
@@ -412,15 +422,19 @@ class Solver:
                 self._rebuild_order()
         self.qhead = len(trail)
 
-    def _learn(self, learnt: list[int], lbd: int):
+    def _learn(self, learnt: list[int], lbd: int, chain: list[_Clause]):
         self.stats.learnt_total += 1
+        cid = self._next_id
+        self._next_id += 1
         if self.drat is not None:
-            self.drat.add(learnt)
+            # unit-propagation hints: under the lemma's negation each reason
+            # is unit in trail order, and then the conflict is falsified
+            self.drat.add(learnt, [c.id for c in reversed(chain)])
         if len(learnt) == 1:
             if not self._enqueue(learnt[0], None):
                 self._level0_conflict()
             return
-        clause = _Clause(list(learnt), lbd)
+        clause = _Clause(list(learnt), cid, lbd)
         self.learnts.append(clause)
         self.watches[learnt[0]].append(clause)
         self.watches[learnt[1]].append(clause)
@@ -506,9 +520,9 @@ class Solver:
                     self._level0_conflict()
                     outcome = Status.UNSAT
                     break
-                learnt, bj_level, lbd = self.analyze_conflict(conflict)
+                learnt, bj_level, lbd, chain = self.analyze_conflict(conflict)
                 self._backtrack(bj_level)
-                self._learn(learnt, lbd)
+                self._learn(learnt, lbd, chain)
                 self.var_inc /= self.config.var_decay
                 if self.stats.conflicts >= self._next_reduce:
                     self._next_reduce += self.config.reduce_interval

@@ -1,11 +1,13 @@
 import itertools
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from cascad.circuit import Circuit
 from cascad.cnf import CnfFormula
+from cascad.estimator import Estimator, ProbQuery
 from cascad.sim import SimulationPlan, sample_patterns, simulate
 
 
@@ -99,6 +101,25 @@ def run_workload_suite(circuit: Circuit, num_sims: int = 200,
     total = num_sims * patterns_per_sim
     node_probs = [counts[g] / total for g in range(len(circuit))]
     return pi_profile, node_probs
+
+
+def quotient_cond_prob(est: Estimator, query: ProbQuery, noise: float = 0.0,
+                       noise_seed: int = 0) -> float | None:
+    """P(target | conditions) as a quotient of separately estimated joint and
+    condition probabilities over est's trace set, each optionally moved by
+    +-noise.  The division-amplification pathology the estimator avoids by
+    counting trace ratios; criterion 2 and test_estimator.py measure it."""
+    t = est.traces
+    cond_row = reduce(np.bitwise_and, (t.trace(*c) for c in query.conditions))
+    p_cond = t.popcount(cond_row) / t.num_patterns
+    p_joint = t.popcount(cond_row & t.trace(*query.target)) / t.num_patterns
+    if noise:
+        rng = np.random.default_rng(noise_seed)
+        p_joint += noise * (1 if rng.random() < 0.5 else -1)
+        p_cond += noise * (1 if rng.random() < 0.5 else -1)
+    if p_cond <= 0:
+        return None
+    return min(1.0, max(0.0, p_joint / p_cond))
 
 
 @pytest.fixture

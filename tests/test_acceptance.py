@@ -24,8 +24,8 @@ from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
 from cascad.sim import exact_truth_table
 from cascad.solver import Solver, Status, solve
 
-from conftest import (eval_circuit, pigeonhole, random_3cnf, random_circuit,
-                      run_workload_suite)
+from conftest import (eval_circuit, pigeonhole, quotient_cond_prob,
+                      random_3cnf, random_circuit, run_workload_suite)
 
 
 def _report(capsys, criterion, ok, detail):
@@ -91,7 +91,7 @@ def test_criterion_2_division_amplification(capsys):
     trace_errs = [abs(est.cond_prob(query).p - 1.0) for _ in range(100)]
     quot_errs = []
     for seed in range(100):
-        q = est.quotient_cond_prob(query, noise=0.003, noise_seed=seed)
+        q = quotient_cond_prob(est, query, noise=0.003, noise_seed=seed)
         if q is not None:
             quot_errs.append(abs(q - exact_p))
     trace_mae = sum(trace_errs) / len(trace_errs)

@@ -1,11 +1,14 @@
 import hashlib
+import importlib.util
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascad.bench import reassociate
-from cascad.circuit import build_miter
+from cascad.circuit import build_miter, parse_aiger
 from cascad.cnf import CnfError, CnfFormula, tseitin_encode
 from cascad.drat import (DratError, DratFileSink, DratProof, check_proof,
                          parse_drat)
@@ -373,6 +376,230 @@ class TestCheckerAgainstRescan:
         assert check_proof(clauses, proof) == rescan_check(clauses, proof)
 
 
+def level0_closure(db) -> set[int] | None:
+    """The literals that naive unit propagation over db makes true, or None
+    on a conflict."""
+    true: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for clause in db:
+            if any(lit in true for lit in clause):
+                continue
+            free = {lit for lit in clause if -lit not in true}
+            if not free:
+                return None
+            if len(free) == 1:
+                true |= free
+                changed = True
+    return true
+
+
+def unsettled_lemmas(clauses, proof: DratProof) -> list[int]:
+    """Reference hint replay, independent of ``cascad.drat``: the indices of
+    the non-empty ``a`` steps whose hints do not reach a falsified clause.
+    From the lemma's negation and the level-0 closure, each hint must name a
+    live clause that is unit, whose literal then holds, or falsified.  Ids
+    count the original clauses, then the ``a`` steps; a deletion kills the
+    newest live copy of its set of literals."""
+    db = [set(cl) for cl in clauses]
+    live = [True] * len(db)
+    top = level0_closure(db)
+    stale = False
+    unsettled = []
+    for step_no, (kind, lits) in enumerate(proof.steps):
+        if kind == "d":
+            for cid in reversed(range(len(db))):
+                if live[cid] and db[cid] == set(lits):
+                    live[cid] = False
+                    stale = True
+                    break
+            continue
+        if not lits:
+            break
+        if stale:
+            top = level0_closure([cl for cl, on in zip(db, live) if on])
+            stale = False
+        assert top is not None  # the solver logs [] at a level-0 conflict
+        assign = top | {-lit for lit in lits}
+        settled = any(lit in top for lit in lits)
+        for cid in [] if settled else proof.hints.get(step_no, ()):
+            if not (0 <= cid < len(db) and live[cid]) or \
+                    not assign.isdisjoint(db[cid]):
+                break
+            free = {lit for lit in db[cid] if -lit not in assign}
+            if not free:
+                settled = True
+                break
+            if len(free) > 1:
+                break
+            assign |= free
+        if not settled:
+            unsettled.append(step_no)
+        db.append(set(lits))
+        live.append(True)
+        # a lemma with at most one literal not false at level 0 extends it
+        stale = sum(-lit not in top for lit in set(lits)) <= 1
+    return unsettled
+
+
+def load_perfbench_gen():
+    """``perfbench/gen.py``, the benchmark's instance generator."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unsat_3cnf_proof(seed: int):
+    """A random UNSAT 3-CNF, small enough to enumerate, and its hinted proof;
+    a short reduce interval puts deletions into it."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(10, 16)
+        clauses = random_3cnf(rng, n, ratio=rng.uniform(5.0, 7.0))
+        proof = DratProof()
+        config = SolverConfig(reduce_interval=rng.randint(4, 20), keep_lbd=1)
+        if solve(cnf(n, clauses), config, drat_sink=proof).status \
+                is Status.UNSAT:
+            return n, clauses, proof
+
+
+class TestHints:
+    """Hints are advisory: ``check_proof`` accepts and rejects the same
+    proofs with any hints, and the solver's hints settle every lemma."""
+
+    @pytest.mark.parametrize("clauses, steps, hints", [
+        # test_checker_rejects_non_rup_step, with the lemma's own id, an id
+        # past the end, negative ids and a clause that is only unit
+        ([[1, 2]], [("a", [1]), ("a", [])], [1]),
+        ([[1, 2]], [("a", [1]), ("a", [])], [7]),
+        ([[1, 2]], [("a", [1]), ("a", [])], [-1]),
+        ([[1, 2]], [("a", [1]), ("a", [])], [0, -2, 0]),
+        ([[1, 2]], [("a", [1]), ("a", [])], [0]),
+        # [1, -2] would falsify once [1, 2] gives 2, but it is deleted
+        ([[1, 2], [1, -2]], [("d", [-2, 1]), ("a", [1]), ("a", [])], [0, 1]),
+        # [-1, 2] is satisfied by the assumption -1, so it implies nothing
+        ([[-1, 2], [-2, 1]], [("a", [1]), ("a", [])], [0, 1]),
+        # [2, 3] has two open literals; 2 from it would falsify [-2, 1]
+        ([[2, 3], [-2, 1]], [("a", [1]), ("a", [])], [0, 1]),
+    ])
+    def test_bogus_hints_pass_no_non_rup_lemma(self, clauses, steps, hints):
+        step_no = steps.index(("a", [1]))
+        expected = (False, f"step {step_no}: clause [1] is not RUP")
+        proof = steps_proof(steps)
+        assert check_proof(clauses, proof) == expected
+        proof.hints[step_no] = hints
+        assert check_proof(clauses, proof) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_hints_change_no_answer(self, seed):
+        rng = random.Random(seed)
+        clauses, proof = random_proof(rng)
+        plain = check_proof(clauses, proof)
+        top = len(clauses) + len(proof.steps)
+        for step_no, (kind, _) in enumerate(proof.steps):
+            if kind == "a":
+                proof.hints[step_no] = [rng.randint(-3, top + 2)
+                                        for _ in range(rng.randint(1, 6))]
+        assert check_proof(clauses, proof) == plain
+
+    def test_hints_of_another_proof(self):
+        # without its last clause the formula is satisfiable, so the proof
+        # must fail; the lemma ids move down by one as well
+        seed = 0
+        while True:
+            n, clauses, proof = unsat_3cnf_proof(seed)
+            seed += 1
+            if enum_cnf_sat(n, clauses[:-1]):
+                break
+        _, _, other = unsat_3cnf_proof(seed)
+        weaker = clauses[:-1]
+        ok, why = check_proof(weaker, DratProof(proof.steps))
+        assert not ok and why.startswith("step ") and why.endswith("not RUP")
+        for hints in (proof.hints, other.hints):
+            assert check_proof(weaker, DratProof(proof.steps, hints)) == \
+                (ok, why)
+
+    @pytest.mark.parametrize("variant", ["dropped", "truncated", "shuffled"])
+    def test_real_proof_accepted_with_broken_hints(self, variant):
+        proof = DratProof()
+        formula = pigeonhole(5, 4)
+        assert solve(formula, drat_sink=proof).status is Status.UNSAT
+        rng = random.Random(7)
+        hints = {}
+        if variant == "truncated":
+            hints = {k: h[:len(h) // 2] for k, h in proof.hints.items()}
+        elif variant == "shuffled":
+            hints = {k: rng.sample(h, len(h)) for k, h in proof.hints.items()}
+        broken = DratProof(proof.steps, hints)
+        assert unsettled_lemmas(formula.clauses, broken)  # falls back
+        assert check_proof(formula.clauses, broken) == (True, "ok")
+
+    def check_settled(self, clauses, proof):
+        lemmas = sum(kind == "a" and bool(lits) for kind, lits in proof.steps)
+        assert lemmas > 0 and len(proof.hints) == lemmas
+        assert unsettled_lemmas(clauses, proof) == []
+        assert check_proof(clauses, proof) == (True, "ok")
+
+    def test_solver_hints_settle_multiplier_proofs(self):
+        gen = load_perfbench_gen()
+        deletions = 0
+        for _, data, _, _ in gen.multiplier_miters(3, [4, 4, 4]):
+            miter = parse_aiger(data)
+            po = miter.primary_outputs[0]
+            formula, vmap = tseitin_encode(miter, [(po, True)])
+            proof = DratProof()
+            report = run_clause_filter(
+                Solver(formula, drat_sink=proof),
+                ClauseFilterPolicy(conflict_budget=150),
+                Estimator(miter, EstimatorConfig(backend=Backend.EXACT)), vmap)
+            assert report.fired_mid_solve
+            assert report.outcome.status is Status.UNSAT
+            deletions += sum(kind == "d" for kind, _ in proof.steps)
+            self.check_settled(formula.clauses, proof)
+        assert deletions > 0
+
+    def test_solver_hints_settle_pigeonhole_proof(self):
+        proof = DratProof()
+        formula = pigeonhole(6, 5)
+        assert solve(formula, drat_sink=proof).status is Status.UNSAT
+        self.check_settled(formula.clauses, proof)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_solver_hints_settle_random_3cnf_proofs(self, seed):
+        _, clauses, proof = unsat_3cnf_proof(seed)
+        self.check_settled(clauses, proof)
+
+    def test_checker_replays_hints_instead_of_propagating(self):
+        # ignoring the hints would accept the same proofs, only slower, so
+        # count the propagations that lemma checks start
+        proof = DratProof()
+        formula = pigeonhole(6, 5)
+        assert solve(formula, drat_sink=proof).status is Status.UNSAT
+
+        def lemma_propagations(checked):
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += (event == "call"
+                          and frame.f_code.co_name == "propagate"
+                          and frame.f_back.f_code.co_name == "is_rup")
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                assert check_proof(formula.clauses, checked) == (True, "ok")
+            finally:
+                sys.setprofile(previous)
+            return calls
+
+        assert lemma_propagations(proof) == 0
+        assert lemma_propagations(DratProof(proof.steps)) > 0
+
+
 class TestBudgetsAndResume:
     def hard_instance(self):
         rng = random.Random(423)
@@ -423,10 +650,11 @@ class TestPhaseControl:
         assert out.status is Status.SAT and out.stats.conflicts == 0
 
     def test_hook_abstains_to_default(self):
-        out = solve(cnf(1, [[1, 1], [1, -1]]),
-                    SolverConfig(phase_default="true"),
+        # the first decision, on variable 1, takes the default phase false
+        out = solve(cnf(2, [[1, 2]]), SolverConfig(phase_default="false"),
                     phase_hook=lambda v: None)
-        assert out.model[1] is True
+        assert out.model == {1: False, 2: True}
+        assert out.stats.decisions == 1
 
     def test_phase_default_false(self):
         out = solve(cnf(2, [[1, 2], [1, -2], [-1, -2]]),
