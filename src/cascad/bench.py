@@ -150,12 +150,11 @@ TRANSFORMS = {
 }
 
 
-def _functionally_equal(a: Circuit, b: Circuit) -> bool:
-    ta, tb = exact_truth_table(a), exact_truth_table(b)
-    for pa, pb in zip(a.primary_outputs, b.primary_outputs):
-        if not np.array_equal(ta.trace(pa), tb.trace(pb)):
-            return False
-    return True
+def _output_rows(circuit: Circuit) -> list[np.ndarray]:
+    """The outputs' exact truth-table rows, copied out so that the table,
+    a row for every gate, is freed on return."""
+    table = exact_truth_table(circuit)
+    return [table.trace(p).copy() for p in circuit.primary_outputs]
 
 
 def gen_suite(bases: list[Circuit], n_sat: int, n_unsat: int,
@@ -163,13 +162,25 @@ def gen_suite(bases: list[Circuit], n_sat: int, n_unsat: int,
     rng = random.Random(seed)
     cases: list[BenchCase] = []
     names = list(TRANSFORMS)
+    # each base's output rows, simulated once, so a check builds one gate
+    # table at a time: two ~10 MB tables freed together leave the C heap's
+    # free top close to glibc's trim threshold, and whether that memory
+    # goes back to the system then varies from run to run
+    base_rows: dict[int, list[np.ndarray]] = {}
+
+    def same_function(k: int, other: Circuit) -> bool:
+        i = k % len(bases)
+        if i not in base_rows:
+            base_rows[i] = _output_rows(bases[i])
+        return all(map(np.array_equal, base_rows[i], _output_rows(other)))
+
     for k in range(n_unsat):
         base = bases[k % len(bases)]
         recipe = rng.choice(names)
         tseed = rng.randrange(2**32)
         twin = TRANSFORMS[recipe](base, tseed)
         verifiable = len(base.primary_inputs) <= EXACT_PI_CAP
-        if verifiable and not _functionally_equal(base, twin):
+        if verifiable and not same_function(k, twin):
             raise SuiteError(f"transform {recipe} changed the function")
         cases.append(BenchCase(
             id=f"unsat-{k:03d}", miter=build_miter(base, twin),
@@ -186,7 +197,7 @@ def gen_suite(bases: list[Circuit], n_sat: int, n_unsat: int,
                 candidate = mutate_circuit(base, mseed)
             except MutationError:
                 continue
-            if not verifiable or not _functionally_equal(base, candidate):
+            if not verifiable or not same_function(k, candidate):
                 mutant = candidate
                 break
         if mutant is None:

@@ -12,7 +12,7 @@ from .cnf import parse_dimacs
 from .drat import DratFileSink
 from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                          PhaseSelectionPolicy, PolicyError)
-from .sim import SimulationPlan, sample_patterns, simulate, write_traces
+from .sim import SimulationPlan, sample_patterns, simulate
 from .solver import Solver, SolverConfig, Status
 
 
@@ -40,8 +40,6 @@ def cmd_sim(args):
     workload = _parse_workload(args.workload)
     plan = SimulationPlan(args.patterns, workload, args.seed)
     traces = simulate(circuit, sample_patterns(plan, len(circuit.primary_inputs)))
-    if args.out:
-        write_traces(traces, args.out)
     probs = {g: traces.count(g) / traces.num_patterns
              for g in range(len(circuit))}
     print(json.dumps({"num_patterns": traces.num_patterns,
@@ -170,7 +168,6 @@ def main(argv=None):
     p.add_argument("--workload", default="uniform:0.5",
                    help="'uniform:RHO' or comma-separated per-PI values")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write CTRC trace file here")
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("solve", help="solve a DIMACS CNF")

@@ -1,6 +1,8 @@
-"""Tseitin encoding and DIMACS I/O with a bidirectional variable-gate map.
+"""Tseitin encoding and DIMACS I/O with a variable-gate map.
 
-Literals are DIMACS-style signed ints: +v / -v for variable v >= 1.
+Literals are DIMACS-style signed ints: +v / -v for variable v >= 1.  Only
+PI, AND and CONST0 gates own a variable; a NOT gate is the sign of its
+fanin's literal.
 """
 
 from __future__ import annotations
@@ -42,16 +44,27 @@ class CnfFormula:
 
 @dataclass
 class VarGateMap:
+    """Which variable carries which gate.
+
+    ``gate_to_var`` and ``var_to_gate`` are a bijection between the
+    variables and the gates that own them: the PI, AND and CONST0 gates.
+    ``gate_lits[g]`` is the literal that carries gate g's value, for every
+    gate: a NOT gate's is the negated literal of its fanin, so it owns no
+    variable.
+    """
     gate_to_var: dict[int, int] = field(default_factory=dict)
     var_to_gate: dict[int, int] = field(default_factory=dict)
+    gate_lits: list[int] = field(default_factory=list)
 
 
 def signal_to_lit(vmap: VarGateMap, gate: int, polarity: bool = True) -> int:
-    var = vmap.gate_to_var[gate]
-    return var if polarity else -var
+    lit = vmap.gate_lits[gate]
+    return lit if polarity else -lit
 
 
 def lit_to_signal(vmap: VarGateMap, lit: int) -> tuple[int, bool] | None:
+    """The owning gate of ``lit``'s variable and the value ``lit`` gives it;
+    a NOT gate is never returned, since it owns no variable."""
     gate = vmap.var_to_gate.get(abs(lit))
     if gate is None:
         return None  # auxiliary variable with no circuit image
@@ -62,35 +75,43 @@ def lit_to_signal(vmap: VarGateMap, lit: int) -> tuple[int, bool] | None:
 def tseitin_encode(circuit: Circuit,
                    assert_outputs: list[tuple[int, bool]] | None = None
                    ) -> tuple[CnfFormula, VarGateMap]:
-    """Standard (full, not polarity-reduced) Tseitin encoding.
+    """Standard (full, not polarity-reduced) Tseitin encoding, with
+    inverters as literal signs.
 
-    Gate i is variable i + 1, so variables follow the topological order and
-    the map is total and bidirectional; NOT gates are encoded with two
-    binary clauses.  Each gate's clauses come in gate order: [-v] for the
-    constant; [-v, -a], [v, a] for v = NOT a; [-v, a], [-v, b], [v, -a, -b]
-    for v = AND(a, b).
+    Only PI, AND and CONST0 gates own a variable, numbered densely from 1 in
+    gate (topological) order.  A NOT gate's literal is the negation of its
+    fanin's, so NOT chains resolve to a signed literal of the gate at their
+    foot and add no variable and no clause (Een, Mishchenko & Sorensson,
+    SAT 2007).  Each owner's clauses come in gate order: [-v] for the
+    constant; [-v, a], [-v, b], [v, -a, -b] for v = AND(a, b), where a and b
+    are the fanins' signed literals.  AND(x, NOT x) thus gives the
+    tautology [v, -a, a]; it keeps its place, and so its proof id, and the
+    solver never watches it.
     """
-    # one int object per gate id and per variable, shared by the map and
-    # the clauses, so a formula holds no more ints than the variables need
-    gate_ids = list(range(len(circuit.gates)))
-    var_ids = list(range(1, len(gate_ids) + 1))
-    vmap = VarGateMap(dict(zip(gate_ids, var_ids)), dict(zip(var_ids, gate_ids)))
+    gate_lits = [0] * len(circuit.gates)
+    owners: list[int] = []
     clauses: list[list[int]] = []
     add = clauses.extend
     AND, NOT, CONST0 = GateKind.AND, GateKind.NOT, GateKind.CONST0
-    for v, (kind, fanins) in zip(var_ids, circuit.gates):
+    for g, (kind, fanins) in enumerate(circuit.gates):
+        if kind is NOT:
+            gate_lits[g] = -gate_lits[fanins[0]]
+            continue
+        owners.append(g)
+        v = gate_lits[g] = len(owners)
         if kind is AND:
-            a = var_ids[fanins[0]]
-            b = var_ids[fanins[1]]
+            a = gate_lits[fanins[0]]
+            b = gate_lits[fanins[1]]
             add(([-v, a], [-v, b], [v, -a, -b]))
-        elif kind is NOT:
-            a = var_ids[fanins[0]]
-            add(([-v, -a], [v, a]))
         elif kind is CONST0:
             clauses.append([-v])
+    # the map shares the owners' variable ints with gate_lits and the clauses
+    var_ids = [gate_lits[g] for g in owners]
+    vmap = VarGateMap(dict(zip(owners, var_ids)), dict(zip(var_ids, owners)),
+                      gate_lits)
     for gate, polarity in (assert_outputs or []):
         clauses.append([signal_to_lit(vmap, gate, polarity)])
-    return CnfFormula(len(var_ids), clauses), vmap
+    return CnfFormula(len(owners), clauses), vmap
 
 
 def emit_dimacs(cnf: CnfFormula, comments: list[str] | None = None) -> bytes:

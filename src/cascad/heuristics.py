@@ -72,7 +72,7 @@ class PhaseSelectionPolicy:
             self.fallbacks += 1
             gate_table = {}
         return {var: gate_table.get(gate)
-                for gate, var in self.vmap.gate_to_var.items()}
+                for var, gate in self.vmap.var_to_gate.items()}
 
     def on_restart(self, decisions: list[int]):
         """Every K-th restart, condition the table on the most recent mapped

@@ -10,7 +10,6 @@ plan always yields the same bits regardless of evaluation order.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,47 +208,3 @@ def exhaustive_patterns(num_pis: int) -> PatternBlock:
 def exact_truth_table(circuit: Circuit) -> PatternTraces:
     block = exhaustive_patterns(len(circuit.primary_inputs))
     return simulate(circuit, block)
-
-
-# -- trace file format ("CTRC") ----------------------------------------------
-# magic, <III version/num_gates/num_patterns, one packed "has a trace" flag
-# bit per gate (always set), then the packed rows.
-
-_MAGIC = b"CTRC"
-_VERSION = 1
-_HEADER = len(_MAGIC) + struct.calcsize("<III")
-
-
-def write_traces(traces: PatternTraces, path: str):
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _VERSION, traces.bits.shape[0],
-                             traces.num_patterns))
-        flags = np.ones(traces.bits.shape[0], dtype=bool)
-        fh.write(np.packbits(flags, bitorder="little").tobytes())
-        fh.write(traces.bits.tobytes())
-
-
-def read_traces(path: str) -> PatternTraces:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise SimError(f"bad trace file magic {data[:4]!r}")
-    if len(data) < _HEADER:
-        raise SimError(f"truncated trace file header: {len(data)} bytes")
-    version, num_gates, num_patterns = struct.unpack_from("<III", data, 4)
-    if version != _VERSION:
-        raise SimError(f"unsupported trace file version {version}")
-    nflags = _num_bytes(num_gates)
-    nb = _num_bytes(num_patterns)
-    if len(data) < _HEADER + nflags + num_gates * nb:
-        raise SimError(f"truncated trace file: {len(data)} bytes for {num_gates} "
-                       f"gates x {num_patterns} patterns")
-    flags = np.frombuffer(data, np.uint8, nflags, _HEADER)
-    untraced = np.flatnonzero(np.unpackbits(flags, bitorder="little")[:num_gates] == 0)
-    if untraced.size:
-        raise SimError(f"gate {untraced[0]} has no trace row")
-    words = _word_rows(num_gates, num_patterns)
-    words.view(np.uint8)[:, :nb] = np.frombuffer(
-        data, np.uint8, num_gates * nb, _HEADER + nflags).reshape(num_gates, nb)
-    return PatternTraces(words, num_patterns)

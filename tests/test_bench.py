@@ -85,6 +85,28 @@ class TestGenSuite:
         b = gen_suite(self.bases(), n_sat=2, n_unsat=2, seed=11)
         assert [c.provenance for c in a] == [c.provenance for c in b]
 
+    def test_one_truth_table_at_a_time(self, monkeypatch):
+        # each base is simulated once, and a check's table is freed before
+        # the next is built, so the memory the suite leaves behind does not
+        # hang on how two large frees line up in the C heap
+        import weakref
+        import cascad.bench as bench
+        bases = self.bases()
+        simulated, tables, most = [], [], [0]
+
+        def counting_table(circuit):
+            table = exact_truth_table(circuit)
+            simulated.append(circuit)
+            # the word array, which output rows that are views keep alive
+            tables.append(weakref.ref(table.words))
+            most[0] = max(most[0], sum(t() is not None for t in tables))
+            return table
+
+        monkeypatch.setattr(bench, "exact_truth_table", counting_table)
+        cases = gen_suite(bases, n_sat=4, n_unsat=4, seed=3)
+        assert len(cases) == 8 and most[0] == 1
+        assert [c for c in simulated if c in bases] == bases
+
     def test_large_circuit_marked_unknown(self):
         big = random_circuit(3, num_pis=17, num_gates=40)
         cases = gen_suite([big], n_sat=0, n_unsat=1, seed=0)

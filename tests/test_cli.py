@@ -10,7 +10,6 @@ from cascad.circuit import Circuit, build_miter, emit_aiger
 from cascad.cli import main
 from cascad.cnf import emit_dimacs, CnfFormula
 from cascad.drat import check_proof, parse_drat
-from cascad.sim import read_traces
 
 from conftest import random_circuit
 
@@ -43,14 +42,12 @@ class TestParse:
 
 
 class TestSim:
-    def test_probabilities_and_trace_file(self, toy_aag, tmp_path, capsys):
-        trace_path = str(tmp_path / "t.ctrc")
+    def test_probabilities(self, toy_aag, capsys):
         rc, out = run_cli(capsys, "sim", toy_aag, "--patterns", "20000",
-                          "--workload", "uniform:0.5", "--out", trace_path)
+                          "--workload", "uniform:0.5")
         info = json.loads(out)
         assert info["num_patterns"] == 20000
         assert abs(info["probabilities"]["2"] - 0.25) < 0.02
-        assert read_traces(trace_path).num_patterns == 20000
 
     def test_per_pi_workload(self, toy_aag, capsys):
         rc, out = run_cli(capsys, "sim", toy_aag, "--patterns", "20000",

@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cascad.circuit import Circuit
+from cascad.circuit import Circuit, Gate, GateKind, _new, build_miter
 from cascad.cli import main
 from cascad.cnf import (CnfError, CnfFormula, emit_dimacs, lit_to_signal,
                         parse_dimacs, signal_to_lit, tseitin_encode)
-from cascad.drat import check_proof, parse_drat
+from cascad.drat import DratProof, check_proof, format_step, parse_drat
+from cascad.solver import Solver, Status
 
 from conftest import all_input_rows, enum_cnf_sat, eval_circuit, random_circuit
 
@@ -22,6 +23,36 @@ def cnf_models(cnf):
     return out
 
 
+def lit_value(model, lit) -> bool:
+    return model[abs(lit)] == (lit > 0)
+
+
+def assert_encoding_sound(c: Circuit, po: int, polarity: bool):
+    """With (po, polarity) asserted, the CNF's models projected onto the PIs
+    are exactly the input rows where po has that value, each row extends to
+    one model only, and in every model signal_to_lit(g) carries gate g's
+    simulated value for every gate, NOT gates included."""
+    cnf, vmap = tseitin_encode(c, assert_outputs=[(po, polarity)])
+    models = cnf_models(cnf)
+    pis = c.primary_inputs
+    rows = {tuple(vals[p] for p in pis) for _, vals in all_input_rows(c)
+            if eval_circuit(c, vals)[po] == polarity}
+    got = [tuple(lit_value(m, signal_to_lit(vmap, p)) for p in pis)
+           for m in models]
+    assert set(got) == rows and len(got) == len(rows)
+    for m, row in zip(models, got):
+        ref = eval_circuit(c, dict(zip(pis, row)))
+        for g in range(len(c)):
+            assert lit_value(m, signal_to_lit(vmap, g)) == ref[g]
+            assert lit_value(m, signal_to_lit(vmap, g, False)) != ref[g]
+
+
+def raw_not(c: Circuit, a: int) -> int:
+    """NOT(a) appended as is, so add_not cannot collapse a chain of them."""
+    c.gates.append(_new(Gate, (GateKind.NOT, (a,))))
+    return len(c.gates) - 1
+
+
 class TestTseitin:
     def test_and_clause_shape(self, toy_and):
         c, a, b, g = toy_and
@@ -31,20 +62,31 @@ class TestTseitin:
         assert sorted(map(sorted, cnf.clauses)) == sorted(map(sorted, [
             [-vg, va], [-vg, vb], [vg, -va, -vb]]))
 
-    def test_variable_numbering_is_topological(self):
-        c = random_circuit(0, num_pis=4, num_gates=20)
-        _, vmap = tseitin_encode(c)
-        pairs = sorted(vmap.gate_to_var.items())
-        assert [v for _, v in pairs] == list(range(1, len(pairs) + 1))
-
-    def test_not_gets_own_variable(self):
+    def test_not_owns_no_variable(self):
         c = Circuit()
         a = c.add_pi()
         n = c.add_not(a)
         c.set_outputs([n])
         cnf, vmap = tseitin_encode(c)
-        assert cnf.num_vars == 2
-        assert vmap.gate_to_var[n] != vmap.gate_to_var[a]
+        assert cnf.num_vars == 1 and cnf.clauses == []
+        assert n not in vmap.gate_to_var
+        assert signal_to_lit(vmap, n) == -signal_to_lit(vmap, a)
+        assert lit_to_signal(vmap, signal_to_lit(vmap, n)) == (a, False)
+
+    def test_variable_numbering_is_topological(self):
+        """Only PI, AND and CONST0 gates own a variable, numbered densely in
+        gate order."""
+        c = random_circuit(0, num_pis=5, num_gates=30, not_prob=0.5)
+        c.add_const0()
+        cnf, vmap = tseitin_encode(c)
+        kinds = [g.kind for g in c.gates]
+        owners = [g for g, k in enumerate(kinds) if k is not GateKind.NOT]
+        assert list(vmap.gate_to_var) == owners
+        assert list(vmap.gate_to_var.values()) == list(range(1, len(owners) + 1))
+        assert vmap.var_to_gate == {v: g for g, v in vmap.gate_to_var.items()}
+        assert cnf.num_vars == len(owners)
+        assert len(cnf.clauses) == 3 * kinds.count(GateKind.AND) + 1
+        assert len(vmap.gate_lits) == len(c)
 
     def test_const0_unit(self):
         c = Circuit()
@@ -53,32 +95,98 @@ class TestTseitin:
         cnf, vmap = tseitin_encode(c)
         assert [-vmap.gate_to_var[z]] in cnf.clauses
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(12))
     def test_models_project_to_circuit_rows(self, seed):
-        """Equisatisfiability both ways: CNF models with the output asserted
-        true are exactly the circuit input rows producing true."""
-        c = random_circuit(seed, num_pis=3, num_gates=4, not_prob=0.3)
+        """Equisatisfiability both ways, under either asserted value."""
+        c = random_circuit(seed, num_pis=3, num_gates=7, not_prob=0.5)
         po = c.primary_outputs[0]
-        cnf, vmap = tseitin_encode(c, assert_outputs=[(po, True)])
-        models = cnf_models(cnf)
-        true_rows = {tuple(vals[p] for p in c.primary_inputs)
-                     for _, vals in all_input_rows(c)
-                     if eval_circuit(c, vals)[po]}
-        got_rows = {tuple(m[vmap.gate_to_var[p]] for p in c.primary_inputs)
-                    for m in models}
-        assert got_rows == true_rows
-        # internal consistency: each model assigns every gate its simulated value
-        for m in models:
-            vals = {p: m[vmap.gate_to_var[p]] for p in c.primary_inputs}
-            ref = eval_circuit(c, vals)
-            for g, v in vmap.gate_to_var.items():
-                assert m[v] == ref[g]
+        assert_encoding_sound(c, po, polarity=seed % 2 == 0)
 
     def test_negative_assertion(self, toy_and):
         c, a, b, g = toy_and
         cnf, vmap = tseitin_encode(c, assert_outputs=[(g, False)])
         models = cnf_models(cnf)
         assert len(models) == 3  # all rows except a=b=1
+
+
+class TestInverterEdgeCases:
+    """Circuits whose inverters resolve to signed literals in corner cases;
+    each is checked by assert_encoding_sound under both asserted values."""
+
+    @staticmethod
+    def check(c):
+        for polarity in (True, False):
+            assert_encoding_sound(c, c.primary_outputs[0], polarity)
+
+    def test_raw_not_chain(self):
+        c = Circuit()
+        a, b = c.add_pi(), c.add_pi()
+        chain = [a]
+        for _ in range(5):
+            chain.append(raw_not(c, chain[-1]))
+        g = c.add_and(chain[3], b)
+        out = raw_not(c, raw_not(c, raw_not(c, g)))
+        c.set_outputs([out])
+        cnf, vmap = tseitin_encode(c)
+        assert cnf.num_vars == 3  # a, b and the AND
+        for k, n in enumerate(chain):
+            assert signal_to_lit(vmap, n) == (-1) ** k * signal_to_lit(vmap, a)
+        assert cnf.clauses == [[-3, -1], [-3, 2], [3, 1, -2]]
+        assert signal_to_lit(vmap, out) == -3
+        self.check(c)
+
+    def test_and_of_a_signal_with_itself(self):
+        c = Circuit()
+        a = c.add_pi()
+        c.set_outputs([c.add_and(a, a)])
+        self.check(c)
+
+    def test_and_of_a_signal_with_its_negation(self):
+        c = Circuit()
+        a, b = c.add_pi(), c.add_pi()
+        g = c.add_and(a, c.add_not(a))
+        c.set_outputs([c.add_and(g, b)])
+        cnf, vmap = tseitin_encode(c)
+        va = signal_to_lit(vmap, a)
+        assert [signal_to_lit(vmap, g), -va, va] in cnf.clauses  # a tautology
+        self.check(c)
+
+    def test_po_is_not_of_pi(self):
+        c = Circuit()
+        a = c.add_pi()
+        c.set_outputs([c.add_not(a)])
+        cnf, _ = tseitin_encode(c, [(c.primary_outputs[0], True)])
+        assert cnf.clauses == [[-1]]
+        self.check(c)
+
+    def test_po_is_not_of_const0(self):
+        c = Circuit()
+        c.add_pi()
+        c.set_outputs([c.add_not(c.add_const0())])
+        cnf, _ = tseitin_encode(c, [(c.primary_outputs[0], True)])
+        assert cnf.clauses == [[-2], [-2]]
+        self.check(c)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_proof_of_miter_with_tautological_and_is_checked(self, seed):
+        """base against base OR (x AND NOT x): an UNSAT miter whose CNF holds
+        the tautology [t, -x, x]; its proof, hinted and as DRAT text, passes
+        check_proof."""
+        base = random_circuit(seed, num_pis=6, num_gates=60)
+        twin = base.copy()
+        x = twin.primary_inputs[seed % 6]
+        t = twin.add_and(x, twin.add_not(x))
+        o = twin.primary_outputs[0]
+        twin.set_outputs([twin.add_not(twin.add_and(twin.add_not(o),
+                                                    twin.add_not(t)))])
+        miter = build_miter(base, twin)
+        cnf, _ = tseitin_encode(miter, [(miter.primary_outputs[0], True)])
+        assert any(len(cl) == 3 and cl[1] == -cl[2] for cl in cnf.clauses)
+        proof = DratProof()
+        assert Solver(cnf, drat_sink=proof).solve().status is Status.UNSAT
+        assert check_proof(cnf.clauses, proof) == (True, "ok")
+        text = "\n".join(format_step(k, lits) for k, lits in proof.steps)
+        assert check_proof(cnf.clauses, parse_drat(text)) == (True, "ok")
 
 
 class TestSignalLitMap:

@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from cascad.circuit import Circuit
-from cascad.cnf import tseitin_encode
+from cascad.cnf import signal_to_lit, tseitin_encode
 from cascad.estimator import (Backend, CondResult, Estimator, EstimatorConfig,
                               EstimatorError, ProbQuery)
 
@@ -214,9 +214,9 @@ class TestPolarAndPhaseTable:
 
 PIN_DIGESTS = {
     Backend.EXACT:
-        "633530c95b97c875d664d20c6beede420fa28b937dde3a0d43e8bc7eed893a9b",
+        "f0ac11b3832bfe227103074d93b4603f232fbd4cdd62146f458d306613cf825a",
     Backend.SIMULATION:
-        "0be264dfa90c0f01b02e5d5bae21813f68308da9ba9b6da951a6ee8cdef0823e",
+        "8596caea6dfd3b80a2bb4b0d6bd6d56e803eff056b415d8d52fb08a45141bb3b",
 }
 
 
@@ -247,11 +247,16 @@ def pin_lines(backend: Backend, seed: int) -> list[str]:
                              (rng.choice(gates), extra[:1])):
         lines.append(repr(sorted(est.phase_table(root, conditions).items())))
     _, vmap = tseitin_encode(c)
+    unmapped = len(vmap.var_to_gate) + 1  # one variable past the map's end
     for _ in range(20):
-        # one variable past the map's end: an unmapped literal
-        lits = [rng.choice((1, -1)) * rng.randint(1, len(vmap.var_to_gate) + 1)
+        # clauses drawn over (gate, polarity) signals, None for the unmapped
+        # literal, so a line names no variable number: it reads the same
+        # under any encoding that maps the signals to literals soundly
+        sigs = [signal() if rng.random() < 0.9 else None
                 for _ in range(rng.randint(1, 4))]
-        lines.append(repr((lits, est.clause_prob(lits, vmap),
+        lits = [unmapped if sig is None else signal_to_lit(vmap, *sig)
+                for sig in sigs]
+        lines.append(repr((sigs, est.clause_prob(lits, vmap),
                            est.clause_prob(lits, vmap, mode="independent"))))
     return lines
 

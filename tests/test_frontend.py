@@ -119,9 +119,9 @@ class TestFrontEndPin:
         "parse":
             "205ab2be87006e5060f4a48c147f7bfc3289c8e0f2ff7e0a8a897f79015459da",
         "encode":
-            "ddd180f45453747ff8d37ee58d6960db3592523821f84018db457f98123323fe",
+            "201ace9fea472754e10a830d19df2f3b0f96c34c2db54723ce8609bce3e26700",
         "init":
-            "d3acbbe69518aa3ab6008f6dd63a63a68e7b79ffe3dd6e0ddd5eb93ff4f4bdd5",
+            "10d0ccf41bf0dfc71c2f21615accc22bcead66594a0b3fe3896ebf70322bf4cf",
     }
 
     def test_parse(self):
@@ -145,7 +145,8 @@ class TestFrontEndPin:
                 formula, vmap = tseitin_encode(c, outputs)
                 h.update(repr((formula.num_vars, formula.clauses,
                                list(vmap.gate_to_var.items()),
-                               list(vmap.var_to_gate.items()))).encode())
+                               list(vmap.var_to_gate.items()),
+                               vmap.gate_lits)).encode())
         assert h.hexdigest() == self.DIGESTS["encode"]
 
     def test_init(self):

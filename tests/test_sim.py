@@ -1,15 +1,10 @@
-import os
-import struct
-import tempfile
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from cascad.circuit import Circuit, GateKind
 from cascad.sim import (COUNT_BLOCK_ROWS, PatternBlock, SimError,
                         SimulationPlan, exact_truth_table, exhaustive_patterns,
-                        sample_patterns, simulate, read_traces, write_traces)
+                        sample_patterns, simulate)
 
 from conftest import (all_input_rows, eval_circuit, random_circuit,
                       run_workload_suite)
@@ -213,61 +208,6 @@ class TestWorkloadSuite:
         profile, _ = run_workload_suite(c, num_sims=10, patterns_per_sim=50, seed=0)
         assert profile.shape == (2, 10)
         assert ((0 <= profile) & (profile <= 1)).all()
-
-
-class TestTraceFile:
-    @pytest.mark.parametrize("n", PATTERN_COUNTS)
-    def test_round_trip(self, tmp_path, n):
-        c, traces = small_traces(n)
-        path = tmp_path / "t.bin"
-        write_traces(traces, str(path))
-        # header, one flag bit per gate, then ceil(n/8) bytes per gate,
-        # byte for byte the per-byte rows
-        data = path.read_bytes()
-        assert len(data) == 16 + (len(c) + 7) // 8 + len(c) * ((n + 7) // 8)
-        ref = per_byte_simulate(c, traces_inputs(n))
-        flags = np.packbits(np.ones(len(c), dtype=bool), bitorder="little")
-        assert data == (b"CTRC" + struct.pack("<III", 1, len(c), n)
-                        + flags.tobytes() + ref.tobytes())
-        back = read_traces(str(path))
-        assert back.num_patterns == n
-        assert np.array_equal(back.bits, traces.bits)
-        assert np.array_equal(back.words, traces.words)
-
-    def test_row_without_trace_rejected(self, tmp_path):
-        # gate 1 of 3 flagged as carrying no trace row
-        p = tmp_path / "t.bin"
-        p.write_bytes(b"CTRC" + struct.pack("<III", 1, 3, 8)
-                      + bytes([0b101, 0x0F, 0xF0, 0xFF]))
-        with pytest.raises(SimError, match="gate 1 has no trace"):
-            read_traces(str(p))
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        p.write_bytes(b"XXXX" + b"\0" * 16)
-        with pytest.raises(SimError, match="magic"):
-            read_traces(str(p))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(
-        st.binary(max_size=40),
-        st.builds(lambda version, gates, patterns, body, cut:
-                  (b"CTRC" + struct.pack("<III", version, gates, patterns)
-                   + body)[:cut],
-                  st.sampled_from([1, 2]), st.integers(0, 6),
-                  st.integers(0, 20), st.binary(max_size=30),
-                  st.integers(0, 60))))
-    @example(b"CTRC\x01\x00")
-    @example(b"CTRC" + struct.pack("<III", 1, 2, 8) + b"\x03")
-    def test_fuzz_raises_only_sim_error(self, data):
-        with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "t.ctrc")
-            with open(path, "wb") as fh:
-                fh.write(data)
-            try:
-                read_traces(path)
-            except SimError:
-                pass
 
 
 class TestPatternTraces:

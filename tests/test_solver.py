@@ -794,7 +794,7 @@ class TestSearchPin:
         "budget_replace_import":
             "cf34bbc123db40c1b5a197689105b8b8ec36941cc489d2aa906ea14ba7f45718",
         "clause_filter":
-            "12d2237cafd85d4e8071874a2ad7019fbe5613b0abef2994130ab32e824266dc",
+            "c85dfb9bc1b77fc5cde2a31ca821784328ecdc9268de761b4a7509e0767e4399",
     }
 
     @staticmethod
