@@ -23,8 +23,7 @@ import numpy as np
 from .circuit import (Circuit, Gate, GateKind, MutationError, build_miter,
                       emit_aiger, mutate_circuit, parse_aiger, rebuild)
 from .cnf import tseitin_encode
-from .estimator import (EXACT_PI_CAP, Estimator, EstimatorConfig,
-                        default_backend)
+from .estimator import EXACT_PI_CAP, Estimator
 from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                          adaptive_solve, build_phase_policy, make_phase_hook,
                          run_clause_filter)
@@ -256,8 +255,7 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
     inference_seconds = 0.0
     if mode != "baseline":
         t0 = time.monotonic()
-        estimator = Estimator(miter, EstimatorConfig(
-            backend=default_backend(miter)))
+        estimator = Estimator(miter)
         if mode != "clause-filter":
             refresh = refresh if mode == "phase" and refresh else ()
             policy = build_phase_policy(estimator, po, vmap, tau, *refresh)
@@ -394,8 +392,7 @@ def par2_by_config(records: list[dict], cutoff: float) -> dict[str, Par2Score]:
             for label in configs}
 
 
-def report(records: list[dict], cutoff: float,
-           baseline_label: str = "baseline") -> tuple[str, dict]:
+def report(records: list[dict], cutoff: float) -> tuple[str, dict]:
     """CSV of per-run records plus a JSON summary with cactus data, scatter
     pairs against the baseline, PAR-2 table, and inference-time totals."""
     buf = io.StringIO()
@@ -412,7 +409,7 @@ def report(records: list[dict], cutoff: float,
     scatter = {}
     inference = {}
     base_times = {r["case"]: r["wall_seconds"] for r in records
-                  if r["config"] == baseline_label
+                  if r["config"] == "baseline"
                   and r["status"] in ("SAT", "UNSAT")}
     for label in configs:
         rows = [r for r in records if r["config"] == label]
@@ -421,7 +418,7 @@ def report(records: list[dict], cutoff: float,
         cactus[label] = [{"solved": i + 1, "time": t}
                          for i, t in enumerate(solved)]
         inference[label] = sum(r.get("inference_seconds", 0.0) for r in rows)
-        if label != baseline_label:
+        if label != "baseline":
             scatter[label] = [
                 {"case": r["case"], "ours": r["wall_seconds"],
                  "baseline": base_times[r["case"]]}

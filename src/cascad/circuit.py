@@ -145,9 +145,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def kind(self, g: int) -> GateKind:
-        return self.gates[g].kind
-
     @property
     def levels(self) -> list[int]:
         if self._levels is None:
@@ -477,21 +474,21 @@ def rebuild(src: Circuit, dst: Circuit, node_map: dict[int, int],
     return node_map
 
 
-def build_miter(left: Circuit, right: Circuit,
-                po_pairing: list[tuple[int, int]] | None = None) -> Circuit:
+def build_miter(left: Circuit, right: Circuit) -> Circuit:
     """Combine two circuits over shared PIs into a single-output miter.
 
-    The output is 1 iff some paired outputs differ.  XOR and OR are
-    macro-expanded into AND/NOT so the result stays in the two-gate alphabet.
+    The output is 1 iff some pair of outputs, taken in order, differs.
+    XOR and OR are macro-expanded into AND/NOT so the result stays in the
+    two-gate alphabet.
     """
     if len(left.primary_inputs) != len(right.primary_inputs):
         raise ShapeError(
             f"PI count mismatch: {len(left.primary_inputs)} vs "
             f"{len(right.primary_inputs)}")
-    if po_pairing is None:
-        if len(left.primary_outputs) != len(right.primary_outputs):
-            raise ShapeError("PO count mismatch and no explicit pairing")
-        po_pairing = list(zip(left.primary_outputs, right.primary_outputs))
+    if len(left.primary_outputs) != len(right.primary_outputs):
+        raise ShapeError(
+            f"PO count mismatch: {len(left.primary_outputs)} vs "
+            f"{len(right.primary_outputs)}")
 
     miter = Circuit()
     shared = [miter.add_pi() for _ in left.primary_inputs]
@@ -504,7 +501,8 @@ def build_miter(left: Circuit, right: Circuit,
         # OR(a, b) via De Morgan
         return miter.add_not(miter.add_and(miter.add_not(a), miter.add_not(b)))
 
-    diffs = [xor(lmap[lp], rmap[rp]) for lp, rp in po_pairing]
+    diffs = [xor(lmap[lp], rmap[rp])
+             for lp, rp in zip(left.primary_outputs, right.primary_outputs)]
     acc = diffs[0]
     for d in diffs[1:]:
         acc = miter.add_not(miter.add_and(miter.add_not(acc), miter.add_not(d)))

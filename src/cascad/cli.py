@@ -12,7 +12,7 @@ from .cnf import parse_dimacs
 from .drat import DratFileSink
 from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                          PhaseSelectionPolicy, PolicyError)
-from .sim import SimulationPlan, sample_patterns, simulate
+from .sim import SimError, SimulationPlan, sample_patterns, simulate
 from .solver import Solver, SolverConfig, Status
 
 
@@ -29,16 +29,22 @@ def cmd_parse(args):
         print(json.dumps({"gates": len(circuit)}))
 
 
-def _parse_workload(spec: str):
-    if spec.startswith("uniform:"):
-        return float(spec.split(":", 1)[1])
-    return [float(x) for x in spec.split(",")]
+def _workload(text: str) -> float | list[float]:
+    """``sim --workload``: 'uniform:RHO' or comma-separated per-PI rates;
+    the simulation plan checks the ranges and the count."""
+    try:
+        if text.startswith("uniform:"):
+            return float(text.split(":", 1)[1])
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'uniform:RHO' or comma-separated rates, not {text!r}"
+        ) from None
 
 
 def cmd_sim(args):
     circuit = parse_aiger(_read(args.file))
-    workload = _parse_workload(args.workload)
-    plan = SimulationPlan(args.patterns, workload, args.seed)
+    plan = SimulationPlan(args.patterns, args.workload, args.seed)
     traces = simulate(circuit, sample_patterns(plan, len(circuit.primary_inputs)))
     probs = {g: traces.count(g) / traces.num_patterns
              for g in range(len(circuit))}
@@ -165,7 +171,7 @@ def main(argv=None):
     p = sub.add_parser("sim", help="bit-parallel random simulation")
     p.add_argument("file")
     p.add_argument("--patterns", type=int, default=20000)
-    p.add_argument("--workload", default="uniform:0.5",
+    p.add_argument("--workload", type=_workload, default="uniform:0.5",
                    help="'uniform:RHO' or comma-separated per-PI values")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sim)
@@ -218,7 +224,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         rc = args.func(args)
-    except PolicyError as e:  # a flag value outside its policy's range
+    except (PolicyError, SimError) as e:
+        # a flag value outside the range of its policy or simulation plan
         sub.choices[args.cmd].error(str(e))
     return rc or 0
 

@@ -1,4 +1,4 @@
-"""Tseitin encoding and DIMACS I/O with a variable-gate map.
+"""Tseitin encoding with a variable-gate map, and DIMACS parsing.
 
 Literals are DIMACS-style signed ints: +v / -v for variable v >= 1.  Only
 PI, AND and CONST0 gates own a variable; a NOT gate is the sign of its
@@ -112,13 +112,6 @@ def tseitin_encode(circuit: Circuit,
     for gate, polarity in (assert_outputs or []):
         clauses.append([signal_to_lit(vmap, gate, polarity)])
     return CnfFormula(len(owners), clauses), vmap
-
-
-def emit_dimacs(cnf: CnfFormula, comments: list[str] | None = None) -> bytes:
-    lines = [f"c {c}" for c in (comments or [])]
-    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    lines += [" ".join(str(l) for l in cl) + " 0" for cl in cnf.clauses]
-    return ("\n".join(lines) + "\n").encode()
 
 
 def parse_dimacs(data: bytes) -> CnfFormula:

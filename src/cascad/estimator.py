@@ -12,8 +12,10 @@ line-delimited JSON protocol over a child process's standard streams.
 from __future__ import annotations
 
 import json
+import os
 import select
 import subprocess
+import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +31,8 @@ from .sim import (PatternTraces, SimulationPlan, exact_truth_table,
 
 # widest circuit whose exhaustive truth table is the default trace set
 EXACT_PI_CAP = 16
+# seconds the external estimator has to answer each request
+EXTERNAL_TIMEOUT = 10.0
 
 
 class EstimatorError(Exception):
@@ -50,12 +54,10 @@ def default_backend(circuit: Circuit) -> Backend:
 
 @dataclass
 class EstimatorConfig:
-    backend: Backend = Backend.EXACT
-    num_patterns: int = 20_000
+    backend: Backend | None = None  # None: default_backend(circuit)
+    num_patterns: int = 20_000  # SIMULATION: uniform patterns, rho = 0.5
     seed: int = 0
-    workload: float | list[float] = 0.5
     external_command: list[str] | None = None
-    external_timeout: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -81,24 +83,25 @@ class Estimator:
     def __init__(self, circuit: Circuit, config: EstimatorConfig | None = None):
         self.circuit = circuit
         self.config = config or EstimatorConfig()
+        self.backend = self.config.backend or default_backend(circuit)
         self._traces: PatternTraces | None = None
         self._external: _ExternalBackend | None = None
-        if self.config.backend is Backend.EXTERNAL:
+        if self.backend is Backend.EXTERNAL:
             if not self.config.external_command:
                 raise EstimatorError("EXTERNAL backend needs external_command")
-            self._external = _ExternalBackend(
-                self.config.external_command, circuit, self.config.external_timeout)
+            self._external = _ExternalBackend(self.config.external_command,
+                                              circuit)
 
     @property
     def traces(self) -> PatternTraces:
         if self._external is not None:
             raise EstimatorError("the EXTERNAL backend has no trace set")
         if self._traces is None:
-            if self.config.backend is Backend.EXACT:
+            if self.backend is Backend.EXACT:
                 self._traces = exact_truth_table(self.circuit)
             else:
                 plan = SimulationPlan(self.config.num_patterns,
-                                      self.config.workload, self.config.seed)
+                                      seed=self.config.seed)
                 block = sample_patterns(plan, len(self.circuit.primary_inputs))
                 self._traces = simulate(self.circuit, block)
         return self._traces
@@ -191,26 +194,32 @@ class Estimator:
 
 
 class _ExternalBackend:
-    """Line-delimited JSON over a child process's stdin/stdout."""
+    """Line-delimited JSON over a child process's stdin/stdout; a failed
+    start closes the child and removes the graph file before it raises."""
 
-    def __init__(self, command: list[str], circuit: Circuit, timeout: float):
-        self.timeout = timeout
+    def __init__(self, command: list[str], circuit: Circuit):
+        self._graph_path = None
         self.proc = subprocess.Popen(
             command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        import tempfile, os
-        fd, self._graph_path = tempfile.mkstemp(suffix=".json", prefix="cascad-graph-")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(circuit.to_json())
-        reply = self._request({"op": "load", "graph": self._graph_path})
-        if not reply.get("ok"):
-            raise EstimatorError(f"external estimator failed handshake: {reply}")
+        try:
+            fd, self._graph_path = tempfile.mkstemp(suffix=".json",
+                                                    prefix="cascad-graph-")
+            with os.fdopen(fd, "w") as fh:
+                fh.write(circuit.to_json())
+            reply = self._request({"op": "load", "graph": self._graph_path})
+            if not reply.get("ok"):
+                raise EstimatorError(
+                    f"external estimator failed handshake: {reply}")
+        except BaseException:
+            self.close()
+            raise
 
     def _request(self, obj: dict) -> dict:
         if self.proc.poll() is not None:
             raise EstimatorError("external estimator process exited")
         self.proc.stdin.write(json.dumps(obj) + "\n")
         self.proc.stdin.flush()
-        ready, _, _ = select.select([self.proc.stdout], [], [], self.timeout)
+        ready, _, _ = select.select([self.proc.stdout], [], [], EXTERNAL_TIMEOUT)
         if not ready:
             raise EstimatorError(f"external estimator timed out on {obj}")
         line = self.proc.stdout.readline()
@@ -241,14 +250,15 @@ class _ExternalBackend:
         })
 
     def close(self):
-        import os
         try:
-            if self.proc.poll() is None:
-                self.proc.stdin.close()
-                self.proc.wait(timeout=2)
-        except Exception:
+            self.proc.stdin.close()
+            self.proc.wait(timeout=2)
+        except Exception:  # a broken pipe, or a child that does not exit
             self.proc.kill()
-        try:
-            os.unlink(self._graph_path)
-        except OSError:
-            pass
+            self.proc.wait()
+        self.proc.stdout.close()
+        if self._graph_path is not None:
+            try:
+                os.unlink(self._graph_path)
+            except OSError:
+                pass

@@ -192,12 +192,10 @@ def _build_report(snapshots, scores, failures, fired_at, mid_solve,
 
 
 def run_clause_filter(solver: Solver, policy: ClauseFilterPolicy,
-                      estimator: Estimator, vmap: VarGateMap,
-                      time_budget: float | None = None) -> FilterReport:
+                      estimator: Estimator, vmap: VarGateMap) -> FilterReport:
     """Solve until the conflict checkpoint, filter the learnt database by
     clause probability, then resume solving to completion."""
-    outcome = solver.solve(conflict_budget=policy.conflict_budget,
-                           time_budget=time_budget)
+    outcome = solver.solve(conflict_budget=policy.conflict_budget)
     mid_solve = outcome.status is Status.UNKNOWN
     solver.pause_at_level0()
     snapshots = solver.export_learnts()
@@ -206,7 +204,7 @@ def run_clause_filter(solver: Solver, policy: ClauseFilterPolicy,
                            solver.stats.conflicts, mid_solve, policy.threshold)
     if mid_solve:
         solver.replace_learnts(kept)
-        outcome = solver.solve(time_budget=time_budget)
+        outcome = solver.solve()
     report.outcome = outcome
     return report
 

@@ -1,11 +1,10 @@
 """Bit-parallel Boolean simulation and exact truth tables.
 
-Traces are bit-packed little-endian: pattern k is bit k % 8 of byte k // 8
-of a gate's row.  Input blocks hold uint8 rows; trace tables hold their rows
-in whole 64-bit words (see PatternTraces).  Surplus bits past the last
-pattern are kept at zero so popcounts are exact.  Pattern sampling uses a
-counter-based generator keyed by (seed, PI index, pattern index), so the same
-plan always yields the same bits regardless of evaluation order.
+Every row, input or gate, is bit-packed into whole 64-bit words: pattern k
+is bit k % 64 of word k // 64.  Surplus bits past the last pattern are kept
+at zero so popcounts are exact.  Pattern sampling uses a counter-based
+generator keyed by (seed, PI index, pattern index), so the same plan always
+yields the same bits regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -61,34 +60,29 @@ class SimulationPlan:
 @dataclass
 class PatternBlock:
     """Packed input bits, one row per PI."""
-    bits: np.ndarray  # shape (num_pis, num_bytes), uint8
+    words: np.ndarray  # shape (num_pis, ceil(n/64)), uint64
     num_patterns: int
 
 
 class PatternTraces:
     """Packed outcome bits, one row per gate.
 
-    Rows are kept in whole 64-bit words (``words``, shape (num_gates,
-    ceil(n/64)), uint64), so the simulator and the counts work a machine
-    word at a time; every bit past pattern n - 1 is zero.  ``bits`` is the
-    byte view of the same rows, shape (num_gates, ceil(n/8)), and
-    ``trace`` gives one such byte row."""
+    ``words`` has shape (num_gates, ceil(n/64)), uint64, so the simulator
+    and the counts work a machine word at a time; every bit past pattern
+    n - 1 is zero.  ``valid`` is the row of the n valid pattern bits, so a
+    row's complement is an XOR with it."""
 
     def __init__(self, words: np.ndarray, num_patterns: int):
         self.words = words
         self.num_patterns = num_patterns
-        self._num_bytes = _num_bytes(num_patterns)
-
-    @property
-    def bits(self) -> np.ndarray:
-        return self.words.view(np.uint8)[:, :self._num_bytes]
+        self.valid = np.full(words.shape[1], ~np.uint64(0))
+        if num_patterns % 64:
+            self.valid[-1] = (1 << (num_patterns % 64)) - 1
 
     def trace(self, gate: int, polarity: bool = True) -> np.ndarray:
         """The gate's packed row, or its complement when polarity is False."""
-        row = self.words[gate].view(np.uint8)[:self._num_bytes]
-        if polarity:
-            return row
-        return ~row & _tail_mask(self.num_patterns, self._num_bytes)
+        row = self.words[gate]
+        return row if polarity else row ^ self.valid
 
     @staticmethod
     def popcount(row: np.ndarray) -> int:
@@ -107,19 +101,14 @@ class PatternTraces:
         n = words.shape[0]
         out = np.zeros(n, dtype=np.uint64)
         if cond_row is not None:
-            cond = _word_row(cond_row, self.num_patterns)
             masked = np.empty((min(n, COUNT_BLOCK_ROWS), words.shape[1]),
                               dtype=np.uint64)
         for lo in range(0, n, COUNT_BLOCK_ROWS):
             block = words[lo:lo + COUNT_BLOCK_ROWS]
             if cond_row is not None:
-                block = np.bitwise_and(block, cond, out=masked[:len(block)])
+                block = np.bitwise_and(block, cond_row, out=masked[:len(block)])
             np.bitwise_count(block).sum(axis=1, out=out[lo:lo + COUNT_BLOCK_ROWS])
         return out
-
-
-def _num_bytes(n: int) -> int:
-    return (n + 7) // 8
 
 
 def _word_rows(num_rows: int, num_patterns: int) -> np.ndarray:
@@ -127,26 +116,20 @@ def _word_rows(num_rows: int, num_patterns: int) -> np.ndarray:
     return np.zeros((num_rows, (num_patterns + 63) // 64), dtype=np.uint64)
 
 
-def _word_row(byte_row: np.ndarray, num_patterns: int) -> np.ndarray:
-    """A packed byte row copied into a zero-padded row of 64-bit words."""
-    row = _word_rows(1, num_patterns)[0]
-    row.view(np.uint8)[:len(byte_row)] = byte_row
-    return row
-
-
-def _tail_mask(num_patterns: int, num_bytes: int) -> np.ndarray:
-    mask = np.full(num_bytes, 0xFF, dtype=np.uint8)
-    surplus = num_bytes * 8 - num_patterns
-    if surplus:
-        mask[-1] = 0xFF >> surplus
-    return mask
+def _packed_bytes(words: np.ndarray, num_patterns: int) -> np.ndarray:
+    """The bytes of word rows that np.packbits fills for num_patterns bits;
+    it zero-fills the last one, so surplus bits stay zero."""
+    return words.view(np.uint8)[:, :(num_patterns + 7) // 8]
 
 
 def sample_patterns(plan: SimulationPlan, num_pis: int) -> PatternBlock:
     """Independent Bernoulli(rho_i) bits from the counter-based generator."""
+    if isinstance(plan.workload, (list, tuple)) and len(plan.workload) != num_pis:
+        raise SimError(f"workload gives {len(plan.workload)} rates for "
+                       f"{num_pis} PIs")
     n = plan.num_patterns
-    nb = _num_bytes(n)
-    out = np.zeros((num_pis, nb), dtype=np.uint8)
+    words = _word_rows(num_pis, n)
+    packed = _packed_bytes(words, n)
     counter = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
     for j in range(num_pis):
         rho = plan.rho_for(j)
@@ -159,37 +142,34 @@ def sample_patterns(plan: SimulationPlan, num_pis: int) -> PatternBlock:
                           ^ _mix64(np.uint64(j) + _GOLDEN))
             draws = _mix64(base + counter)
             threshold = np.uint64(int(rho * 2**64))
-            bits = (draws < threshold).astype(np.uint8)
-        out[j] = np.packbits(bits, bitorder="little")
-    mask = _tail_mask(n, nb)
-    out &= mask
-    return PatternBlock(out, n)
+            bits = draws < threshold
+        packed[j] = np.packbits(bits, bitorder="little")
+    return PatternBlock(words, n)
 
 
 def simulate(circuit: Circuit, inputs: PatternBlock) -> PatternTraces:
     """Evaluate every gate in index order, 64 patterns per machine word.
 
     Each gate is written in place into its row of the table; a NOT is an
-    XOR with the word mask of the n valid pattern bits, so surplus bits
-    stay zero."""
-    if inputs.bits.shape[0] != len(circuit.primary_inputs):
+    XOR with the table's valid-bits row, so surplus bits stay zero."""
+    if inputs.words.shape[0] != len(circuit.primary_inputs):
         raise ShapeError(
-            f"pattern block has {inputs.bits.shape[0]} PI rows, circuit has "
+            f"pattern block has {inputs.words.shape[0]} PI rows, circuit has "
             f"{len(circuit.primary_inputs)}")
-    n = inputs.num_patterns
-    words = _word_rows(len(circuit), n)
-    words.view(np.uint8)[circuit.primary_inputs, :inputs.bits.shape[1]] = inputs.bits
-    mask = _word_row(_tail_mask(n, _num_bytes(n)), n)
-    rows = list(words)  # one view per gate row, made once
+    traces = PatternTraces(_word_rows(len(circuit), inputs.num_patterns),
+                           inputs.num_patterns)
+    traces.words[circuit.primary_inputs] = inputs.words
+    valid = traces.valid
+    rows = list(traces.words)  # one view per gate row, made once
     band, bxor = np.bitwise_and, np.bitwise_xor
     AND, NOT = GateKind.AND, GateKind.NOT
     for row, (kind, fanins) in zip(rows, circuit.gates):
         if kind is AND:
             band(rows[fanins[0]], rows[fanins[1]], out=row)
         elif kind is NOT:
-            bxor(rows[fanins[0]], mask, out=row)
+            bxor(rows[fanins[0]], valid, out=row)
         # a PI row is set above; the constant's row stays zero
-    return PatternTraces(words, n)
+    return traces
 
 
 def exhaustive_patterns(num_pis: int) -> PatternBlock:
@@ -197,12 +177,17 @@ def exhaustive_patterns(num_pis: int) -> PatternBlock:
     if num_pis > TRUTH_TABLE_CAP:
         raise SimError(f"{num_pis} PIs exceeds the {TRUTH_TABLE_CAP}-PI truth-table cap")
     n = 1 << num_pis
+    words = _word_rows(num_pis, n)
+    packed = _packed_bytes(words, n)
     rows = np.arange(n, dtype=np.uint32)
-    out = np.zeros((num_pis, _num_bytes(n)), dtype=np.uint8)
     for j in range(num_pis):
+        # bit stays bound until the next shift is made: with each 2^m-wide
+        # temporary freed as soon as it is used, malloc gives its pages
+        # back and faults them in again (at m = 16, 9x the minor faults
+        # and 3x the time)
         bit = (rows >> (num_pis - 1 - j)) & 1
-        out[j] = np.packbits(bit.astype(np.uint8), bitorder="little")
-    return PatternBlock(out, n)
+        packed[j] = np.packbits(bit.astype(np.uint8), bitorder="little")
+    return PatternBlock(words, n)
 
 
 def exact_truth_table(circuit: Circuit) -> PatternTraces:

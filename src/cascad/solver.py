@@ -31,25 +31,17 @@ class Status(Enum):
 
 @dataclass
 class SolverConfig:
+    """How the search runs; how long it runs is ``Solver.solve``'s
+    budgets."""
     restart_unit: int = 64          # Luby base, in conflicts
     reduce_interval: int = 2000     # conflicts between DB reductions
     keep_lbd: int = 2               # reduce_db keeps learnt clauses with lbd <= this
     phase_default: str = "saved"    # saved | false
     var_decay: float = 0.95
-    conflict_budget: int | None = None
-    time_budget: float | None = None
 
     def __post_init__(self):
         if self.phase_default not in ("saved", "false"):
             raise ValueError(f"bad phase_default {self.phase_default!r}")
-        _check_budgets(self.conflict_budget, self.time_budget)
-
-
-def _check_budgets(*budgets):
-    """None means unbounded; any other budget must be positive."""
-    for budget in budgets:
-        if budget is not None and budget <= 0:
-            raise ValueError("budgets must be positive")
 
 
 # UNSAT-tuned variant: longer restarts, wider LBD keep, fixed false phases,
@@ -486,14 +478,10 @@ class Solver:
 
     def solve(self, conflict_budget: int | None = None,
               time_budget: float | None = None) -> SolveOutcome:
-        """Run until SAT/UNSAT or a budget runs out (resumable).  A budget
-        left at None falls back to the config's; a given one must be
-        positive."""
-        _check_budgets(conflict_budget, time_budget)
-        if conflict_budget is None:
-            conflict_budget = self.config.conflict_budget
-        if time_budget is None:
-            time_budget = self.config.time_budget
+        """Run until SAT/UNSAT or a budget runs out (resumable).  None
+        means unbounded; a given budget must be positive."""
+        if any(b is not None and b <= 0 for b in (conflict_budget, time_budget)):
+            raise ValueError("budgets must be positive")
         start = time.monotonic()
         start_conflicts = self.stats.conflicts
         restart_limit = self.config.restart_unit * luby(self._restart_count)
@@ -568,9 +556,3 @@ class Solver:
                         None)
         if violated is not None:
             raise RuntimeError(f"internal error: model violates clause {violated}")
-
-
-def solve(cnf: CnfFormula, config: SolverConfig | None = None,
-          phase_hook=None, on_restart=None, drat_sink=None) -> SolveOutcome:
-    return Solver(cnf, config, phase_hook=phase_hook, on_restart=on_restart,
-                  drat_sink=drat_sink).solve()

@@ -9,6 +9,7 @@ from cascad.circuit import Circuit
 from cascad.cnf import CnfFormula
 from cascad.estimator import Estimator, ProbQuery
 from cascad.sim import SimulationPlan, sample_patterns, simulate
+from cascad.solver import Solver, SolveOutcome, SolverConfig
 
 
 def random_circuit(seed: int, num_pis: int = 6, num_gates: int = 40,
@@ -53,6 +54,20 @@ def all_input_rows(circuit: Circuit):
     m = len(pis)
     for r in range(1 << m):
         yield r, {pis[j]: bool((r >> (m - 1 - j)) & 1) for j in range(m)}
+
+
+def solve(cnf: CnfFormula, config: SolverConfig | None = None,
+          phase_hook=None, on_restart=None, drat_sink=None) -> SolveOutcome:
+    """One unbudgeted solve on a fresh Solver."""
+    return Solver(cnf, config, phase_hook=phase_hook, on_restart=on_restart,
+                  drat_sink=drat_sink).solve()
+
+
+def emit_dimacs(cnf: CnfFormula) -> bytes:
+    """DIMACS text of cnf: the problem line, then one clause a line."""
+    lines = [f"p cnf {cnf.num_vars} {len(cnf.clauses)}"]
+    lines += [" ".join(str(l) for l in cl) + " 0" for cl in cnf.clauses]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def enum_cnf_sat(num_vars: int, clauses) -> bool:

@@ -22,10 +22,10 @@ from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                                build_phase_policy, make_phase_hook,
                                run_clause_filter, score_clauses)
 from cascad.sim import exact_truth_table
-from cascad.solver import Solver, Status, solve
+from cascad.solver import Solver, Status
 
 from conftest import (eval_circuit, pigeonhole, quotient_cond_prob,
-                      random_3cnf, random_circuit, run_workload_suite)
+                      random_3cnf, random_circuit, run_workload_suite, solve)
 
 
 def _report(capsys, criterion, ok, detail):

@@ -19,21 +19,21 @@ class TestParseAiger:
     def test_single_and(self):
         c = parse_aiger(b"aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n")
         assert len(c.primary_inputs) == 2
-        assert c.kind(c.primary_outputs[0]) is GateKind.AND
+        assert c.gates[c.primary_outputs[0]].kind is GateKind.AND
         assert c.levels[c.primary_outputs[0]] == 1
 
     def test_inverted_edges_become_not_gates(self):
         # output = NOT(AND(a, NOT(b)))
         c = parse_aiger(b"aag 3 2 0 1 1\n2\n4\n7\n6 2 5\n")
         po = c.primary_outputs[0]
-        assert c.kind(po) is GateKind.NOT
+        assert c.gates[po].kind is GateKind.NOT
         rows = {r: eval_circuit(c, vals)[po] for r, vals in all_input_rows(c)}
         # a=1,b=0 is the only row where AND(a, NOT b)=1
         assert rows == {0: True, 1: True, 2: False, 3: True}
 
     def test_const_false_output(self):
         c = parse_aiger(b"aag 1 1 0 1 0\n2\n0\n")
-        assert c.kind(c.primary_outputs[0]) is GateKind.CONST0
+        assert c.gates[c.primary_outputs[0]].kind is GateKind.CONST0
 
     def test_latches_rejected(self):
         with pytest.raises(AigerParseError, match="latch"):
@@ -51,7 +51,7 @@ class TestParseAiger:
         # binary encoding of AND(a, b): deltas 2, 2
         data = b"aig 3 2 0 1 1\n6\n" + bytes([2, 2])
         c = parse_aiger(data)
-        assert c.kind(c.primary_outputs[0]) is GateKind.AND
+        assert c.gates[c.primary_outputs[0]].kind is GateKind.AND
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
@@ -282,7 +282,7 @@ class TestRebuild:
         dst = Circuit()
         node_map = rebuild(c, dst, {},
                            lambda i, fanins: dst.add_not(fanins[0]))
-        assert dst.kind(node_map[g]) is GateKind.NOT
+        assert dst.gates[node_map[g]].kind is GateKind.NOT
 
 
 class TestMutate:

@@ -8,10 +8,10 @@ import pytest
 from cascad.bench import MODES, BenchConfig, gen_suite, run_case
 from cascad.circuit import Circuit, build_miter, emit_aiger
 from cascad.cli import main
-from cascad.cnf import emit_dimacs, CnfFormula
+from cascad.cnf import CnfFormula
 from cascad.drat import check_proof, parse_drat
 
-from conftest import random_circuit
+from conftest import emit_dimacs, random_circuit
 
 
 @pytest.fixture
@@ -54,6 +54,29 @@ class TestSim:
                           "--workload", "0.7,0.9")
         info = json.loads(out)
         assert abs(info["probabilities"]["2"] - 0.63) < 0.02
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--workload", "0.7,0.9", "workload gives 2 rates for 3 PIs"),
+        ("--workload", "0.5,0.5,0.5,0.5", "workload gives 4 rates for 3 PIs"),
+        ("--workload", "uniform:abc", "expected 'uniform:RHO'"),
+        ("--workload", "0.5,x,0.5", "expected 'uniform:RHO'"),
+        ("--workload", "uniform:1.5", "workload 1.5 outside [0, 1]"),
+        ("--patterns", "0", "num_patterns must be >= 1"),
+    ])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flag, value,
+                                     message):
+        c = Circuit()
+        pis = [c.add_pi() for _ in range(3)]
+        c.set_outputs([c.add_and(c.add_and(pis[0], pis[1]), pis[2])])
+        path = tmp_path / "three.aag"
+        path.write_bytes(emit_aiger(c))
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", str(path), f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("cascad sim: error:") and message in last
+        assert "Traceback" not in captured.err
 
 
 class TestSolve:

@@ -5,12 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from cascad.circuit import Circuit, Gate, GateKind, _new, build_miter
 from cascad.cli import main
-from cascad.cnf import (CnfError, CnfFormula, emit_dimacs, lit_to_signal,
-                        parse_dimacs, signal_to_lit, tseitin_encode)
+from cascad.cnf import (CnfError, CnfFormula, lit_to_signal, parse_dimacs,
+                        signal_to_lit, tseitin_encode)
 from cascad.drat import DratProof, check_proof, format_step, parse_drat
 from cascad.solver import Solver, Status
 
-from conftest import all_input_rows, enum_cnf_sat, eval_circuit, random_circuit
+from conftest import (all_input_rows, emit_dimacs, enum_cnf_sat, eval_circuit,
+                      random_circuit)
 
 
 def cnf_models(cnf):
@@ -208,11 +209,10 @@ class TestDimacs:
     def test_emit_format(self, toy_and):
         c, *_ = toy_and
         cnf, _ = tseitin_encode(c, assert_outputs=[(c.primary_outputs[0], True)])
-        text = emit_dimacs(cnf, comments=["hello"]).decode()
+        text = emit_dimacs(cnf).decode()
         lines = text.splitlines()
-        assert lines[0] == "c hello"
-        assert lines[1] == "p cnf 3 4"
-        assert all(l.endswith(" 0") for l in lines[2:])
+        assert lines[0] == "p cnf 3 4"
+        assert all(l.endswith(" 0") for l in lines[1:])
 
     def test_round_trip(self):
         rng = random.Random(0)

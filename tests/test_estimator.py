@@ -1,6 +1,8 @@
 import hashlib
 import random
+import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
@@ -38,6 +40,15 @@ class TestNodeProb:
         c, *_ = toy_and
         cfg = EstimatorConfig(backend=Backend.SIMULATION, num_patterns=500, seed=9)
         assert Estimator(c, cfg).node_prob(2) == Estimator(c, cfg).node_prob(2)
+
+    @pytest.mark.parametrize("num_pis, backend, num_patterns", [
+        (16, Backend.EXACT, 1 << 16), (17, Backend.SIMULATION, 20_000)])
+    def test_unset_backend_follows_pi_count(self, num_pis, backend,
+                                            num_patterns):
+        c = random_circuit(1, num_pis=num_pis, num_gates=20)
+        for est in (Estimator(c), Estimator(c, EstimatorConfig(seed=4))):
+            assert est.backend is backend
+            assert est.traces.num_patterns == num_patterns
 
 
 class TestCondProb:
@@ -300,8 +311,7 @@ def stub_command(tmp_path, mode="0.5"):
 class TestExternalBackend:
     def make(self, circuit, tmp_path, mode="0.5"):
         cfg = EstimatorConfig(backend=Backend.EXTERNAL,
-                              external_command=stub_command(tmp_path, mode),
-                              external_timeout=10.0)
+                              external_command=stub_command(tmp_path, mode))
         return Estimator(circuit, cfg)
 
     def test_node_and_cond_queries(self, toy_and, tmp_path):
@@ -369,4 +379,30 @@ class TestExternalBackend:
         with pytest.raises(EstimatorError):
             est.node_prob(g)
         est.close()
+
+    @pytest.mark.parametrize("reply, message", [
+        ('{"ok": false}', "failed handshake"), ("not json", "bad reply")])
+    def test_failed_handshake_leaves_nothing(self, toy_and, tmp_path,
+                                             monkeypatch, reply, message):
+        c, *_ = toy_and
+        stub = tmp_path / "refuse.py"
+        stub.write_text("import sys\nfor line in sys.stdin:\n"
+                        f"    print({reply!r}, flush=True)\n")
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        children = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            children.append(popen(*args, **kwargs))
+            return children[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        cfg = EstimatorConfig(backend=Backend.EXTERNAL,
+                              external_command=[sys.executable, str(stub)])
+        with pytest.raises(EstimatorError, match=message):
+            Estimator(c, cfg)
+        assert len(children) == 1 and children[0].poll() is not None
+        assert list(scratch.iterdir()) == []
 

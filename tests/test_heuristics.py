@@ -12,10 +12,9 @@ from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                                adaptive_solve, build_phase_policy,
                                make_phase_hook, run_clause_filter,
                                score_clauses)
-from cascad.solver import (UNSAT_TUNED, LearntSnapshot, Solver, Status,
-                           solve)
+from cascad.solver import UNSAT_TUNED, LearntSnapshot, Solver, Status
 
-from conftest import enum_cnf_sat, random_3cnf, random_circuit
+from conftest import enum_cnf_sat, random_3cnf, random_circuit, solve
 
 
 def exact_estimator(circuit):

@@ -1,9 +1,17 @@
-"""Every name a cascad module imports must be used in that module."""
+"""Every name a cascad module imports must be used in that module, and the
+package's exports and config fields are pinned: a new option or export is
+a visible edit here."""
 
 import ast
+import dataclasses
 import pathlib
+import types
 
 import pytest
+
+import cascad
+from cascad.estimator import EstimatorConfig
+from cascad.solver import SolverConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cascad"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -35,3 +43,25 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     source = "import os\nfrom json import dumps, loads\nprint(loads, os.sep)\n"
     assert unused_imports(source) == ["line 2: dumps"]
+
+
+def test_config_fields_pinned():
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "restart_unit", "reduce_interval", "keep_lbd", "phase_default",
+        "var_decay"]
+    assert [f.name for f in dataclasses.fields(EstimatorConfig)] == [
+        "backend", "num_patterns", "seed", "external_command"]
+
+
+def test_package_exports_pinned():
+    exported = {name for name, value in vars(cascad).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == {
+        "Circuit", "Gate", "GateKind", "build_miter", "emit_aiger",
+        "levelize", "mutate_circuit", "parse_aiger",
+        "CnfFormula", "VarGateMap", "parse_dimacs", "tseitin_encode",
+        "Backend", "Estimator", "EstimatorConfig", "ProbQuery",
+        "PatternTraces", "SimulationPlan", "exact_truth_table",
+        "sample_patterns", "simulate",
+        "Solver", "SolverConfig", "SolveOutcome", "Status"}

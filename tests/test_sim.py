@@ -24,15 +24,21 @@ def small_traces(n):
     return c, simulate(c, traces_inputs(n))
 
 
+def byte_rows(words, n):
+    """The bytes of packed word rows that hold patterns 0..n-1."""
+    return words.view(np.uint8)[..., :(n + 7) // 8]
+
+
 def per_byte_simulate(circuit, block):
     """Reference rows: one uint8 row per gate, evaluated a byte at a time."""
     n = block.num_patterns
     mask = np.full((n + 7) // 8, 0xFF, dtype=np.uint8)
     mask[-1] = 0xFF >> (8 * len(mask) - n)
+    inputs = byte_rows(block.words, n)
     bits = np.zeros((len(circuit), len(mask)), dtype=np.uint8)
     for i, g in enumerate(circuit.gates):
         if g.kind is GateKind.PI:
-            bits[i] = block.bits[circuit.primary_inputs.index(i)]
+            bits[i] = inputs[circuit.primary_inputs.index(i)]
         elif g.kind is GateKind.NOT:
             bits[i] = ~bits[g.fanins[0]] & mask
         elif g.kind is GateKind.AND:
@@ -43,9 +49,11 @@ def per_byte_simulate(circuit, block):
 def pack_rows(pi_columns):
     """PatternBlock from explicit per-PI bit lists."""
     n = len(pi_columns[0])
-    bits = np.array([np.packbits(np.array(col, dtype=np.uint8), bitorder="little")
-                     for col in pi_columns])
-    return PatternBlock(bits, n)
+    words = np.zeros((len(pi_columns), (n + 63) // 64), dtype=np.uint64)
+    for row, col in zip(words, pi_columns):
+        packed = np.packbits(np.array(col, dtype=np.uint8), bitorder="little")
+        byte_rows(row, n)[:] = packed
+    return PatternBlock(words, n)
 
 
 def minterm_circuit(columns, num_pis):
@@ -79,15 +87,16 @@ def minterm_circuit(columns, num_pis):
 class TestSamplePatterns:
     def test_rho_one_all_ones(self):
         block = sample_patterns(SimulationPlan(100, 1.0, seed=1), 2)
-        assert np.bitwise_count(block.bits).sum() == 200
+        assert block.words.dtype == np.uint64
+        assert np.bitwise_count(block.words).sum() == 200
 
     def test_rho_zero_all_zeros(self):
         block = sample_patterns(SimulationPlan(100, 0.0, seed=1), 2)
-        assert block.bits.sum() == 0
+        assert not block.words.any()
 
     def test_empirical_mean_near_rho(self):
         block = sample_patterns(SimulationPlan(20_000, 0.1, seed=3), 4)
-        for row in block.bits:
+        for row in block.words:
             mean = np.bitwise_count(row).sum() / 20_000
             assert abs(mean - 0.1) < 0.01  # binomial 99% interval
 
@@ -95,17 +104,22 @@ class TestSamplePatterns:
         p = SimulationPlan(513, 0.3, seed=42)
         b1 = sample_patterns(p, 5)
         b2 = sample_patterns(p, 5)
-        assert np.array_equal(b1.bits, b2.bits)
+        assert np.array_equal(b1.words, b2.words)
 
     def test_per_pi_workloads(self):
         block = sample_patterns(SimulationPlan(20_000, [0.2, 0.8], seed=9), 2)
-        m0 = np.bitwise_count(block.bits[0]).sum() / 20_000
-        m1 = np.bitwise_count(block.bits[1]).sum() / 20_000
+        m0 = np.bitwise_count(block.words[0]).sum() / 20_000
+        m1 = np.bitwise_count(block.words[1]).sum() / 20_000
         assert abs(m0 - 0.2) < 0.02 and abs(m1 - 0.8) < 0.02
 
     def test_surplus_bits_masked(self):
         block = sample_patterns(SimulationPlan(13, 1.0, seed=0), 1)
-        assert np.bitwise_count(block.bits).sum() == 13
+        assert np.bitwise_count(block.words).sum() == 13
+
+    @pytest.mark.parametrize("rates", [[0.7], [0.5, 0.5, 0.5, 0.5]])
+    def test_per_pi_workload_length_must_match(self, rates):
+        with pytest.raises(SimError, match=f"{len(rates)} rates for 3 PIs"):
+            sample_patterns(SimulationPlan(8, rates, seed=0), 3)
 
 
 class TestSimulate:
@@ -131,7 +145,8 @@ class TestSimulate:
         block = pack_rows(list(zip(*pi_rows)))
         traces = simulate(c, block)
         for po, expect in zip(c.primary_outputs, (x_col, y_col, z_col)):
-            got = list(np.unpackbits(traces.trace(po), bitorder="little")[:8])
+            got = list(np.unpackbits(byte_rows(traces.trace(po), 8),
+                                     bitorder="little"))
             assert got == expect
         # node x probability over the 8 rows
         assert traces.count(c.primary_outputs[0]) / traces.num_patterns == 0.5
@@ -141,7 +156,8 @@ class TestSimulate:
         c = random_circuit(seed, num_pis=7, num_gates=300)
         block = sample_patterns(SimulationPlan(512, 0.5, seed=seed), 7)
         traces = simulate(c, block)
-        unpacked = {g: np.unpackbits(traces.bits[g], bitorder="little")[:512]
+        unpacked = {g: np.unpackbits(byte_rows(traces.words[g], 512),
+                                     bitorder="little")
                     for g in range(len(c))}
         for k in range(0, 512, 37):  # spot-check rows
             vals = {p: bool(unpacked[p][k]) for p in c.primary_inputs}
@@ -162,7 +178,8 @@ class TestExactTruthTable:
         n = c.add_not(a)
         c.set_outputs([n])
         tt = exact_truth_table(c)
-        assert list(np.unpackbits(tt.trace(n), bitorder="little")[:2]) == [1, 0]
+        row = np.unpackbits(byte_rows(tt.trace(n), 2), bitorder="little")
+        assert list(row[:2]) == [1, 0]
 
     def test_and_single_true_row(self, toy_and):
         c, a, b, g = toy_and
@@ -180,10 +197,11 @@ class TestExactTruthTable:
     def test_matches_interpreter_everywhere(self, seed):
         c = random_circuit(seed, num_pis=5, num_gates=50)
         tt = exact_truth_table(c)
+        rows = byte_rows(tt.words, tt.num_patterns)
         for r, vals in all_input_rows(c):
             ref = eval_circuit(c, vals)
             for g, v in ref.items():
-                got = bool((tt.bits[g][r // 8] >> (r % 8)) & 1)
+                got = bool((rows[g][r // 8] >> (r % 8)) & 1)
                 assert got == v, (g, r)
 
 
@@ -215,9 +233,9 @@ class TestPatternTraces:
     def test_rows_match_per_byte_reference(self, n):
         c, traces = small_traces(n)
         ref = per_byte_simulate(c, traces_inputs(n))
-        assert traces.bits.dtype == np.uint8
-        assert traces.bits.shape == ref.shape == (len(c), (n + 7) // 8)
-        assert np.array_equal(traces.bits, ref)
+        assert traces.words.dtype == np.uint64
+        assert traces.words.shape == (len(c), (n + 63) // 64)
+        assert np.array_equal(byte_rows(traces.words, n), ref)
         # the word padding past pattern n - 1 holds no set bit
         assert (traces.counts() == np.bitwise_count(ref).sum(axis=1)).all()
 
@@ -226,6 +244,7 @@ class TestPatternTraces:
         c, traces = small_traces(n)
         for g in range(len(c)):
             pos, neg = traces.trace(g), traces.trace(g, polarity=False)
+            assert pos.dtype == neg.dtype == np.uint64
             assert not (pos & neg).any()
             assert traces.popcount(pos) + traces.popcount(neg) == n
 
@@ -235,7 +254,8 @@ class TestPatternTraces:
         ref = per_byte_simulate(c, traces_inputs(n))
         cond = traces.trace(c.primary_inputs[0], polarity=False)
         counts = traces.counts(cond)
-        assert (counts == np.bitwise_count(ref & cond).sum(axis=1)).all()
+        want = np.bitwise_count(ref & byte_rows(cond, n)).sum(axis=1)
+        assert (counts == want).all()
         for g in range(len(c)):
             assert counts[g] == traces.popcount(traces.trace(g) & cond)
             assert traces.counts()[g] == traces.count(g)
@@ -245,10 +265,10 @@ class TestPatternTraces:
         c = random_circuit(7, num_pis=8, num_gates=2 * COUNT_BLOCK_ROWS + 40)
         traces = simulate(c, sample_patterns(SimulationPlan(77, 0.5, seed=3), 8))
         cond = traces.trace(len(c) - 1)
-        want = np.bitwise_count(traces.bits & cond).sum(axis=1)
+        want = np.bitwise_count(traces.words & cond).sum(axis=1)
         got = traces.counts(cond)
         assert got.dtype == want.dtype and (got == want).all()
-        assert (traces.counts() == np.bitwise_count(traces.bits).sum(axis=1)).all()
+        assert (traces.counts() == np.bitwise_count(traces.words).sum(axis=1)).all()
 
 
 class TestOracleAgreement:
@@ -267,4 +287,4 @@ class TestOracleAgreement:
         c, a, b, g = toy_and
         tt = exact_truth_table(c)
         traces = simulate(c, exhaustive_patterns(2))
-        assert np.array_equal(tt.bits, traces.bits)
+        assert np.array_equal(tt.words, traces.words)

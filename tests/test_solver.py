@@ -13,11 +13,12 @@ from cascad.cnf import CnfError, CnfFormula, tseitin_encode
 from cascad.drat import (DratError, DratFileSink, DratProof, check_proof,
                          parse_drat)
 from cascad.solver import (LearntSnapshot, Solver, SolverConfig, Status,
-                           UNSAT_TUNED, luby, solve)
+                           UNSAT_TUNED, luby)
 from cascad.estimator import Backend, Estimator, EstimatorConfig
 from cascad.heuristics import ClauseFilterPolicy, run_clause_filter
 
-from conftest import enum_cnf_sat, pigeonhole, random_3cnf, random_circuit
+from conftest import (enum_cnf_sat, pigeonhole, random_3cnf, random_circuit,
+                      solve)
 
 
 def cnf(num_vars, clauses):
@@ -672,10 +673,6 @@ class TestPhaseControl:
     def test_bad_phase_default_rejected(self):
         with pytest.raises(ValueError, match="phase_default"):
             SolverConfig(phase_default="maybe")
-
-    def test_bad_budget_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            SolverConfig(conflict_budget=0)
 
 
 class TestRestarts:
