@@ -314,6 +314,10 @@ def run_suite(cases: list[BenchCase], configs: list[BenchConfig],
               out_path: str | None = None) -> list[dict]:
     """Run every (case, config) pair in an isolated process with a wall
     cutoff; records are appended to out_path (JSON lines) as they finish."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {jobs}")
+    if not cutoff > 0:
+        raise ValueError(f"cutoff must be positive, not {cutoff}")
     tasks = [(case, cfg) for case in cases for cfg in configs]
     records: list[dict] = []
     active: dict = {}  # result pipe -> (process, case, config, deadline)
@@ -365,8 +369,10 @@ def run_suite(cases: list[BenchCase], configs: list[BenchConfig],
                 conn.close()
                 finish(record, case)
     finally:
-        for proc, *_ in active.values():
+        for conn, (proc, *_) in active.items():
             proc.terminate()
+            proc.join()
+            conn.close()
         if sink:
             sink.close()
     return records

@@ -7,7 +7,6 @@ inverted edges are materialized on parse and re-absorbed on emit.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import namedtuple
 from enum import Enum
@@ -174,16 +173,6 @@ class Circuit:
         c._not_cache = dict(self._not_cache)
         c._const0 = self._const0
         return c
-
-    # -- serialization (JSON graph sent to an external estimator)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "gates": [{"kind": g.kind.value, "fanins": list(g.fanins)}
-                      for g in self.gates],
-            "inputs": self.primary_inputs,
-            "outputs": self.primary_outputs,
-        })
 
 
 def levelize(circuit: Circuit) -> list[int]:

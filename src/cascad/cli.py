@@ -103,9 +103,13 @@ def cmd_csat(args):
                                        threshold=args.threshold,
                                        mode=args.score_mode)
     adaptive = AdaptiveUnsatPolicy(probe_budget_seconds=args.probe)
+    miter = parse_aiger(_read(args.file))
+    if not miter.primary_outputs:
+        print(f"cascad csat: {args.file} has no outputs to assert",
+              file=sys.stderr)
+        return 2
     outcome, fields = bench_mod.solve_miter(
-        parse_aiger(_read(args.file)), args.mode, args.tau, args.refresh,
-        clause_filter, adaptive)
+        miter, args.mode, args.tau, args.refresh, clause_filter, adaptive)
     code = _print_outcome(outcome)
     # the mode's own fields: the filter report, or the adaptive stage and
     # the phase policy's fallbacks
@@ -209,15 +213,15 @@ def main(argv=None):
     r.add_argument("--suite", required=True)
     r.add_argument("--configs", type=_modes, default="phase",
                    help="comma-separated modes run besides baseline")
-    r.add_argument("--cutoff", type=float, default=300.0)
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--cutoff", type=_positive(float), default=300.0)
+    r.add_argument("--jobs", type=_positive(int), default=1)
     r.add_argument("--out", required=True)
     s = bsub.add_parser("score")
     s.add_argument("--records", required=True)
-    s.add_argument("--cutoff", type=float, default=300.0)
+    s.add_argument("--cutoff", type=_positive(float), default=300.0)
     rep = bsub.add_parser("report")
     rep.add_argument("--records", required=True)
-    rep.add_argument("--cutoff", type=float, default=300.0)
+    rep.add_argument("--cutoff", type=_positive(float), default=300.0)
     rep.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 

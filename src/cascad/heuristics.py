@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .cnf import VarGateMap, lit_to_signal
 from .drat import DratProof
@@ -149,12 +150,13 @@ class FilterReport:
 
 def score_clauses(snapshots: list[LearntSnapshot], estimator: Estimator,
                   vmap: VarGateMap, policy: ClauseFilterPolicy):
-    """Score every clause; returns (scores, kept_snapshots, failures).
+    """Score every clause; returns (scores, keep, failures), where keep[i]
+    is the one decision on snapshots[i].
 
     A clause is kept when its score is below the threshold or when it has
     no score: no circuit evidence, or an estimator failure (fail-safe)."""
     scores: list[float | None] = []
-    kept = []
+    keep: list[bool] = []
     failures = 0
     for snap in snapshots:
         try:
@@ -163,30 +165,25 @@ def score_clauses(snapshots: list[LearntSnapshot], estimator: Estimator,
             p = None
             failures += 1
         scores.append(p)
-        if p is None or p < policy.threshold:
-            kept.append(snap)
-    return scores, kept, failures
+        keep.append(p is None or p < policy.threshold)
+    return scores, keep, failures
 
 
-def _build_report(snapshots, scores, failures, fired_at, mid_solve,
-                  threshold) -> FilterReport:
+def _build_report(snapshots, scores, keep, failures, fired_at,
+                  mid_solve) -> FilterReport:
     hist = {f"{k/10:.1f}-{(k+1)/10:.1f}": 0 for k in range(10)}
     buckets = {b: {"total": 0, "kept": 0, "low_prob": 0} for b in ("1", "2", "3+")}
-    kept = 0
-    for snap, p in zip(snapshots, scores):
-        low = p is not None and p < threshold
-        keep = p is None or low
+    for snap, p, kept in zip(snapshots, scores, keep):
         bucket = buckets[str(snap.lbd) if snap.lbd <= 2 else "3+"]
         bucket["total"] += 1
-        bucket["kept"] += keep
-        bucket["low_prob"] += low
-        kept += keep
+        bucket["kept"] += kept
+        bucket["low_prob"] += kept and p is not None
         if p is not None:
             k = min(int(p * 10), 9)
             hist[f"{k/10:.1f}-{(k+1)/10:.1f}"] += 1
     return FilterReport(
         fired_at_conflicts=fired_at, fired_mid_solve=mid_solve,
-        total=len(snapshots), kept=kept, dropped=len(snapshots) - kept,
+        total=len(snapshots), kept=sum(keep), dropped=keep.count(False),
         kept_unscored=scores.count(None), estimator_failures=failures,
         score_histogram=hist, lbd_buckets=buckets, scores=scores)
 
@@ -199,11 +196,11 @@ def run_clause_filter(solver: Solver, policy: ClauseFilterPolicy,
     mid_solve = outcome.status is Status.UNKNOWN
     solver.pause_at_level0()
     snapshots = solver.export_learnts()
-    scores, kept, failures = score_clauses(snapshots, estimator, vmap, policy)
-    report = _build_report(snapshots, scores, failures,
-                           solver.stats.conflicts, mid_solve, policy.threshold)
+    scores, keep, failures = score_clauses(snapshots, estimator, vmap, policy)
+    report = _build_report(snapshots, scores, keep, failures,
+                           solver.stats.conflicts, mid_solve)
     if mid_solve:
-        solver.replace_learnts(kept)
+        solver.replace_learnts(list(compress(snapshots, keep)))
         outcome = solver.solve()
     report.outcome = outcome
     return report

@@ -244,10 +244,11 @@ def test_criterion_7_clause_filter_protocol(capsys):
                               or report.fired_at_conflicts < 50_000)
             # replay: rescore the same snapshots independently
             snaps = [s for s in solver.export_learnts()]
-            scores, kept, _ = score_clauses(snaps, est, vmap, policy)
+            scores, keep, _ = score_clauses(snaps, est, vmap, policy)
             want_kept = {frozenset(s.lits) for s, p in zip(snaps, scores)
                          if p is None or p < threshold}
-            replay_ok &= {frozenset(s.lits) for s in kept} == want_kept
+            replay_ok &= {frozenset(s.lits)
+                          for s, k in zip(snaps, keep) if k} == want_kept
             kept_counts.append(report.kept)
         monotone_ok &= kept_counts == sorted(kept_counts)
     ok = replay_ok and status_ok and monotone_ok and checkpoint_ok

@@ -119,6 +119,17 @@ class TestGenSuite:
             gen_suite([c], n_sat=1, n_unsat=0, seed=0)
 
 
+def graph_json(c: Circuit) -> str:
+    """The gate list, inputs and outputs as one JSON text: what the copy
+    digest hashes."""
+    return json.dumps({
+        "gates": [{"kind": g.kind.value, "fanins": list(g.fanins)}
+                  for g in c.gates],
+        "inputs": c.primary_inputs,
+        "outputs": c.primary_outputs,
+    })
+
+
 class TestCopyPin:
     # SHA-256 over the gate lists the copying transforms produced before
     # their four copy loops became circuit.rebuild; any change to gate order,
@@ -135,7 +146,7 @@ class TestCopyPin:
             cases = gen_suite([c], n_sat=2, n_unsat=2, seed=seed)
             for out in twins + [build_miter(c, t) for t in twins] + \
                     [case.miter for case in cases]:
-                h.update(out.to_json().encode())
+                h.update(graph_json(out).encode())
         assert h.hexdigest() == self.DIGEST
 
 
@@ -336,6 +347,44 @@ class TestRunSuite:
                           sat_case.provenance)
         with pytest.raises(CorrectnessAlarm):
             run_suite([lying], [BenchConfig("baseline")], cutoff=60.0)
+
+    def test_alarm_reaps_every_worker(self, monkeypatch):
+        import cascad.bench as bench_mod
+        cases = self.suite()
+        sat_case = next(c for c in cases if c.expected == "SAT")
+        slow = next(c for c in cases if c.expected == "UNSAT")
+        lying = BenchCase(sat_case.id, sat_case.miter, "UNSAT",
+                          sat_case.provenance)
+        real_run_case, real_process = bench_mod.run_case, bench_mod.mp.Process
+        procs = []
+
+        def slow_or_real(case, config):
+            if case.id == slow.id:
+                time.sleep(30)
+            return real_run_case(case, config)
+
+        def recording_process(*args, **kwargs):
+            procs.append(real_process(*args, **kwargs))
+            return procs[-1]
+
+        monkeypatch.setattr(bench_mod, "run_case", slow_or_real)
+        monkeypatch.setattr(bench_mod.mp, "Process", recording_process)
+        with pytest.raises(CorrectnessAlarm):
+            run_suite([slow, lying], [BenchConfig("baseline")], cutoff=60.0,
+                      jobs=2)
+        assert len(procs) == 2
+        assert all(p.exitcode is not None for p in procs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"jobs": 0}, "jobs"), ({"cutoff": 0.0}, "cutoff"),
+        ({"cutoff": -1.0}, "cutoff")])
+    def test_impossible_jobs_or_cutoff_rejected(self, tmp_path, kwargs,
+                                                message):
+        out = tmp_path / "runs.jsonl"
+        with pytest.raises(ValueError, match=message):
+            run_suite(self.suite(), [BenchConfig("baseline")],
+                      **{"cutoff": 60.0, **kwargs}, out_path=str(out))
+        assert not out.exists()
 
 
 class TestPar2:

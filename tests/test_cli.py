@@ -227,6 +227,17 @@ class TestCsat:
             assert out.splitlines()[0] == answer and rc == EXIT_CODES[answer]
 
 
+    def test_no_outputs_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "none.aag"
+        path.write_text("aag 1 1 0 0 0\n2\n")
+        for mode in MODES:
+            rc = main(["csat", str(path), "--mode", mode])
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            assert captured.err.splitlines() == [
+                f"cascad csat: {path} has no outputs to assert"]
+
+
 class TestBench:
     def base_files(self, tmp_path):
         paths = []
@@ -313,3 +324,30 @@ class TestBench:
         assert exc.value.code == 2
         assert "unknown mode" in capsys.readouterr().err
         assert not records_path.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--jobs", "0"), ("run", "--jobs", "-2"),
+        ("run", "--cutoff", "0"), ("run", "--cutoff", "-1"),
+        ("score", "--cutoff", "0"), ("report", "--cutoff", "-1")])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, command, flag,
+                                     value):
+        records = tmp_path / "runs.jsonl"
+        if command == "run":
+            argv = ["--suite", self.suite_dir(tmp_path, capsys),
+                    "--out", str(records)]
+        else:
+            records.write_text(json.dumps(
+                {"case": "a", "config": "baseline", "status": "SAT",
+                 "wall_seconds": 1.0}) + "\n")
+            argv = ["--records", str(records)]
+            if command == "report":
+                argv += ["--out", str(tmp_path / "report")]
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", command, *argv, f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith(f"cascad bench {command}: error:")
+        assert "must be positive" in last
+        assert (command == "run") != records.exists()
+        assert not (tmp_path / "report.json").exists()

@@ -1,9 +1,5 @@
 import hashlib
 import random
-import subprocess
-import sys
-import tempfile
-import textwrap
 
 import pytest
 
@@ -280,129 +276,3 @@ def test_estimator_pin(backend):
     for seed in range(40):
         h.update("\n".join(pin_lines(backend, seed)).encode() + b"\n")
     assert h.hexdigest() == PIN_DIGESTS[backend]
-
-
-STUB = textwrap.dedent("""\
-    import json, sys
-    state = {}
-    for line in sys.stdin:
-        req = json.loads(line)
-        op = req["op"]
-        if op == "load":
-            state["graph"] = json.load(open(req["graph"]))
-            out = {"ok": True}
-        elif op == "node_prob":
-            out = {"p": MODE}
-        elif op == "cond_prob":
-            out = {"p": 0.75}
-        else:
-            out = {"error": "unknown op " + op}
-        sys.stdout.write(json.dumps(out) + "\\n")
-        sys.stdout.flush()
-""")
-
-
-def stub_command(tmp_path, mode="0.5"):
-    path = tmp_path / "stub.py"
-    path.write_text(STUB.replace("MODE", mode))
-    return [sys.executable, str(path)]
-
-
-class TestExternalBackend:
-    def make(self, circuit, tmp_path, mode="0.5"):
-        cfg = EstimatorConfig(backend=Backend.EXTERNAL,
-                              external_command=stub_command(tmp_path, mode))
-        return Estimator(circuit, cfg)
-
-    def test_node_and_cond_queries(self, toy_and, tmp_path):
-        c, a, b, g = toy_and
-        est = self.make(c, tmp_path)
-        try:
-            assert est.node_prob(g) == 0.5
-            r = est.cond_prob(ProbQuery((g, True), ((a, True),)))
-            assert r.p == 0.75
-        finally:
-            est.close()
-
-    def test_degenerate_answered_locally(self, toy_and, tmp_path):
-        c, a, b, g = toy_and
-        est = self.make(c, tmp_path, mode="2.5")  # would be rejected if asked
-        try:
-            assert est.cond_prob(ProbQuery((a, True), ((a, True),))).p == 1.0
-        finally:
-            est.close()
-
-    def test_out_of_range_reply_rejected(self, toy_and, tmp_path):
-        c, a, b, g = toy_and
-        est = self.make(c, tmp_path, mode="1.7")
-        try:
-            with pytest.raises(EstimatorError, match="out-of-range"):
-                est.node_prob(g)
-        finally:
-            est.close()
-
-    def test_clamping_within_tolerance(self, toy_and, tmp_path):
-        c, a, b, g = toy_and
-        est = self.make(c, tmp_path, mode="1.0005")
-        try:
-            assert est.node_prob(g) == 1.0
-        finally:
-            est.close()
-
-    def test_missing_command_rejected(self, toy_and):
-        c, *_ = toy_and
-        with pytest.raises(EstimatorError, match="external_command"):
-            Estimator(c, EstimatorConfig(backend=Backend.EXTERNAL))
-
-    def test_phase_table_through_cond_prob(self, toy_and, tmp_path):
-        c, a, b, g = toy_and
-        _, vmap = tseitin_encode(c)
-        est = self.make(c, tmp_path)
-        try:
-            assert est.phase_table(g) == {a: 0.75, b: 0.75, g: 1.0}
-            # a condition that is also the target is answered locally
-            assert est.phase_table(g, [(a, False)]) == {a: 0.0, b: 0.75, g: 1.0}
-            assert est._traces is None
-            with pytest.raises(EstimatorError):
-                est.clause_prob([vmap.gate_to_var[a], vmap.gate_to_var[b]], vmap)
-            with pytest.raises(EstimatorError):
-                quotient_cond_prob(est, ProbQuery((g, True), ((a, True),)))
-            assert est._traces is None
-        finally:
-            est.close()
-
-    def test_dead_process_detected(self, toy_and, tmp_path):
-        c, a, b, g = toy_and
-        est = self.make(c, tmp_path)
-        est._external.proc.kill()
-        est._external.proc.wait()
-        with pytest.raises(EstimatorError):
-            est.node_prob(g)
-        est.close()
-
-    @pytest.mark.parametrize("reply, message", [
-        ('{"ok": false}', "failed handshake"), ("not json", "bad reply")])
-    def test_failed_handshake_leaves_nothing(self, toy_and, tmp_path,
-                                             monkeypatch, reply, message):
-        c, *_ = toy_and
-        stub = tmp_path / "refuse.py"
-        stub.write_text("import sys\nfor line in sys.stdin:\n"
-                        f"    print({reply!r}, flush=True)\n")
-        scratch = tmp_path / "tmp"
-        scratch.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-        children = []
-        popen = subprocess.Popen
-
-        def recording_popen(*args, **kwargs):
-            children.append(popen(*args, **kwargs))
-            return children[-1]
-
-        monkeypatch.setattr(subprocess, "Popen", recording_popen)
-        cfg = EstimatorConfig(backend=Backend.EXTERNAL,
-                              external_command=[sys.executable, str(stub)])
-        with pytest.raises(EstimatorError, match=message):
-            Estimator(c, cfg)
-        assert len(children) == 1 and children[0].poll() is not None
-        assert list(scratch.iterdir()) == []
-

@@ -217,17 +217,17 @@ class TestScoreClauses:
         va, vb = vmap.gate_to_var[a], vmap.gate_to_var[b]
         clause = self.snap(va, vb)  # P(a or b) = 0.75
         for threshold, expect_kept in ((0.75, 0), (0.76, 1)):
-            _, kept, _ = score_clauses(
+            _, keep, _ = score_clauses(
                 [clause], est, vmap, ClauseFilterPolicy(threshold=threshold))
-            assert len(kept) == expect_kept
+            assert sum(keep) == expect_kept
 
     def test_unmapped_kept_without_score(self, toy_and):
         c, *_ = toy_and
         _, vmap = tseitin_encode(c)
-        scores, kept, failures = score_clauses(
+        scores, keep, failures = score_clauses(
             [self.snap(99, 98)], exact_estimator(c), vmap,
             ClauseFilterPolicy(threshold=0.5))
-        assert scores == [None] and len(kept) == 1 and failures == 0
+        assert scores == [None] and keep == [True] and failures == 0
 
     def test_estimator_failure_fail_safe(self, toy_and):
         c, *_ = toy_and
@@ -237,9 +237,9 @@ class TestScoreClauses:
             def clause_prob(self, lits, vmap, mode):
                 raise RuntimeError("boom")
 
-        scores, kept, failures = score_clauses(
+        scores, keep, failures = score_clauses(
             [self.snap(1, 2)], Broken(), vmap, ClauseFilterPolicy())
-        assert failures == 1 and len(kept) == 1 and scores == [None]
+        assert failures == 1 and keep == [True] and scores == [None]
 
     def test_retention_monotone_in_threshold(self):
         c = random_circuit(3, num_pis=6, num_gates=40)
@@ -251,9 +251,9 @@ class TestScoreClauses:
         est = exact_estimator(c)
         counts = []
         for threshold in (0.8, 0.85, 0.9, 0.95):
-            _, kept, _ = score_clauses(snaps, est, vmap,
+            _, keep, _ = score_clauses(snaps, est, vmap,
                                        ClauseFilterPolicy(threshold=threshold))
-            counts.append(len(kept))
+            counts.append(sum(keep))
         assert counts == sorted(counts)
 
 

@@ -1,5 +1,6 @@
 """Every name a cascad module imports must be used in that module, and the
-package's exports and config fields are pinned: a new option or export is
+package's exports, config fields, estimator backends and process-spawning
+imports are pinned: a new option, export, backend or child-process path is
 a visible edit here."""
 
 import ast
@@ -10,7 +11,7 @@ import types
 import pytest
 
 import cascad
-from cascad.estimator import EstimatorConfig
+from cascad.estimator import Backend, EstimatorConfig
 from cascad.solver import SolverConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cascad"
@@ -50,7 +51,32 @@ def test_config_fields_pinned():
         "restart_unit", "reduce_interval", "keep_lbd", "phase_default",
         "var_decay"]
     assert [f.name for f in dataclasses.fields(EstimatorConfig)] == [
-        "backend", "num_patterns", "seed", "external_command"]
+        "backend", "num_patterns", "seed"]
+
+
+def test_backends_pinned():
+    assert [b.name for b in Backend] == ["EXACT", "SIMULATION"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level package of every module that ``source`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_child_processes_only_in_bench():
+    """No module talks to a child process over its standard streams, and
+    only bench's isolated runs start processes."""
+    imports = {p.name: imported_modules(p.read_text()) for p in MODULES}
+    assert [name for name, mods in imports.items()
+            if mods & {"subprocess", "select", "tempfile"}] == []
+    assert [name for name, mods in imports.items()
+            if "multiprocessing" in mods] == ["bench.py"]
 
 
 def test_package_exports_pinned():
