@@ -21,7 +21,8 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from .circuit import (Circuit, Gate, GateKind, MutationError, build_miter,
-                      emit_aiger, mutate_circuit, parse_aiger, rebuild)
+                      emit_aiger, mutate_circuit, parse_aiger, rebuild,
+                      strash)
 from .cnf import tseitin_encode
 from .estimator import EXACT_PI_CAP, Estimator
 from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
@@ -242,13 +243,23 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
                 adaptive: AdaptiveUnsatPolicy | None = None
                 ) -> tuple[SolveOutcome, dict]:
     """The one place a mode becomes the steps of a solve, with the first
-    output asserted true.  Returns the outcome and the run's record fields:
-    wall, solving and inference seconds (encoding and solver set-up in
-    neither), plus the filter report under ``clause_filter``, the adaptive
+    output asserted true.  The miter is structurally hashed first (``strash``),
+    so a gate both halves share is encoded, simulated and searched once;
+    the encoding, the estimator and every mode work on the hashed miter.
+    In phase and adaptive mode the phase policy follows the solver, so
+    each phase is conditioned on the decisions before it too.
+    Its PIs keep their order and so own CNF variables 1..len(PIs): a SAT
+    model's first len(PIs) values are an input row on which the given
+    miter's output is 1.
+
+    Returns the outcome and the run's record fields: wall, solving and
+    inference seconds (hashing, encoding and solver set-up in none of
+    them), plus the filter report under ``clause_filter``, the adaptive
     ``stage`` and ``stage1_wall``, and in phase and adaptive mode
     ``phase_fallbacks``, the phase policy's estimator failures.
     ``refresh`` (K, C) is for phase mode."""
     check_mode(mode)
+    miter = strash(miter)
     po = miter.primary_outputs[0]
     cnf, vmap = tseitin_encode(miter, [(po, True)])
     estimator = policy = hook = on_restart = None
@@ -267,6 +278,8 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
     if mode != "adaptive":
         solver = Solver(cnf, SolverConfig(), phase_hook=hook,
                         on_restart=on_restart)
+        if policy is not None:
+            policy.follow(solver)
     fields: dict = {}
     t0 = time.monotonic()
     if mode == "clause-filter":
@@ -278,7 +291,8 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
     elif mode == "adaptive":
         # no proof is read yet, so none is logged
         result = adaptive_solve(cnf, adaptive or AdaptiveUnsatPolicy(),
-                                phase_hook=hook, want_proof=False)
+                                phase_hook=hook, want_proof=False,
+                                follow=policy.follow)
         outcome = result.outcome
         fields.update(stage=result.stage, stage1_wall=result.stage1_wall)
     else:

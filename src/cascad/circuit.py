@@ -447,20 +447,49 @@ def rebuild(src: Circuit, dst: Circuit, node_map: dict[int, int],
     already mapped into dst, may return the dst node to use in place of
     AND(fanins).
     """
-    for i, g in enumerate(src.gates):
+    add_and, add_not = dst.add_and, dst.add_not
+    for i, (kind, fanins) in enumerate(src.gates):
         if i in node_map:
             continue
-        if g.kind is GateKind.PI:
-            node_map[i] = dst.add_pi()
-        elif g.kind is GateKind.CONST0:
-            node_map[i] = dst.add_const0()
-        elif g.kind is GateKind.NOT:
-            node_map[i] = dst.add_not(node_map[g.fanins[0]])
-        else:
-            fanins = (node_map[g.fanins[0]], node_map[g.fanins[1]])
+        if kind is _AND:
+            fanins = (node_map[fanins[0]], node_map[fanins[1]])
             node = edit(i, fanins) if edit is not None else None
-            node_map[i] = dst.add_and(*fanins) if node is None else node
+            node_map[i] = add_and(*fanins) if node is None else node
+        elif kind is _NOT:
+            node_map[i] = add_not(node_map[fanins[0]])
+        elif kind is GateKind.PI:
+            node_map[i] = dst.add_pi()
+        else:
+            node_map[i] = dst.add_const0()
     return node_map
+
+
+def strash(circuit: Circuit) -> Circuit:
+    """Structural hashing: a copy in which no two ANDs have the same pair
+    of fanins, in either order.
+
+    The copy is a rebuild whose edit looks each AND up by its mapped
+    fanins, sorted, and returns the AND already built for that pair, so a
+    gate duplicated in the source, such as one both halves of a miter
+    share, is built once.  NOTs are shared and double negations collapse
+    as in every rebuild.  The PIs come first, in their order, and every
+    output is mapped, in its order.
+    """
+    out = Circuit()
+    node_map = {pi: out.add_pi() for pi in circuit.primary_inputs}
+    table: dict[tuple[int, int], int] = {}
+
+    def edit(_i, fanins):
+        a, b = fanins
+        key = (a, b) if a <= b else (b, a)
+        node = table.get(key)
+        if node is None:
+            node = table[key] = out.add_and(a, b)
+        return node
+
+    rebuild(circuit, out, node_map, edit)
+    out.set_outputs([node_map[p] for p in circuit.primary_outputs])
+    return out
 
 
 def build_miter(left: Circuit, right: Circuit) -> Circuit:

@@ -7,8 +7,8 @@ import json
 import sys
 
 from . import bench as bench_mod
-from .circuit import parse_aiger
-from .cnf import parse_dimacs
+from .circuit import CircuitError, parse_aiger
+from .cnf import CnfError, parse_dimacs
 from .drat import DratFileSink
 from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                          PhaseSelectionPolicy, PolicyError)
@@ -16,13 +16,22 @@ from .sim import SimError, SimulationPlan, sample_patterns, simulate
 from .solver import Solver, SolverConfig, Status
 
 
-def _read(path: str) -> bytes:
+class BadInput(Exception):
+    """A malformed input file; ``main`` prints it as one line, exit 2."""
+
+
+def _load(parse, path: str):
+    """``parse`` (``parse_aiger`` or ``parse_dimacs``) of the file's bytes."""
     with open(path, "rb") as fh:
-        return fh.read()
+        data = fh.read()
+    try:
+        return parse(data)
+    except (CircuitError, CnfError) as e:
+        raise BadInput(f"{path}: {e}") from None
 
 
 def cmd_parse(args):
-    circuit = parse_aiger(_read(args.file))
+    circuit = _load(parse_aiger, args.file)
     if args.stats:
         print(json.dumps(circuit.stats(), indent=1))
     else:
@@ -43,7 +52,7 @@ def _workload(text: str) -> float | list[float]:
 
 
 def cmd_sim(args):
-    circuit = parse_aiger(_read(args.file))
+    circuit = _load(parse_aiger, args.file)
     plan = SimulationPlan(args.patterns, args.workload, args.seed)
     traces = simulate(circuit, sample_patterns(plan, len(circuit.primary_inputs)))
     probs = {g: traces.count(g) / traces.num_patterns
@@ -63,7 +72,7 @@ def _print_outcome(outcome) -> int:
 
 
 def cmd_solve(args):
-    cnf = parse_dimacs(_read(args.file))
+    cnf = _load(parse_dimacs, args.file)
     sink = DratFileSink(args.drat) if args.drat else None
     try:
         solver = Solver(cnf, SolverConfig(), drat_sink=sink)
@@ -75,12 +84,16 @@ def cmd_solve(args):
     return _print_outcome(outcome)
 
 
-def _positive(kind):
-    """An argparse type: a ``kind`` number greater than zero."""
+def _positive(kind, zero_ok=False):
+    """An argparse type: a ``kind`` number greater than zero, or with
+    ``zero_ok`` zero or more."""
     def parse(text: str):
         value = kind(text)  # a ValueError is argparse's "invalid value"
+        if zero_ok and value == 0:
+            return value
         if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, not {text}")
+            raise argparse.ArgumentTypeError(
+                f"must be {'>= 0' if zero_ok else 'positive'}, not {text}")
         return value
     parse.__name__ = kind.__name__
     return parse
@@ -103,7 +116,7 @@ def cmd_csat(args):
                                        threshold=args.threshold,
                                        mode=args.score_mode)
     adaptive = AdaptiveUnsatPolicy(probe_budget_seconds=args.probe)
-    miter = parse_aiger(_read(args.file))
+    miter = _load(parse_aiger, args.file)
     if not miter.primary_outputs:
         print(f"cascad csat: {args.file} has no outputs to assert",
               file=sys.stderr)
@@ -137,7 +150,7 @@ def _read_records(path: str) -> list[dict]:
 
 def cmd_bench(args):
     if args.bench_cmd == "gen":
-        bases = [parse_aiger(_read(p)) for p in args.bases]
+        bases = [_load(parse_aiger, p) for p in args.bases]
         cases = bench_mod.gen_suite(bases, args.n_sat, args.n_unsat, args.seed)
         bench_mod.save_suite(cases, args.suite)
         print(json.dumps({"cases": len(cases), "suite": args.suite}))
@@ -206,8 +219,8 @@ def main(argv=None):
     g = bsub.add_parser("gen")
     g.add_argument("bases", nargs="+")
     g.add_argument("--suite", required=True)
-    g.add_argument("--n-sat", type=int, default=50)
-    g.add_argument("--n-unsat", type=int, default=50)
+    g.add_argument("--n-sat", type=_positive(int, zero_ok=True), default=50)
+    g.add_argument("--n-unsat", type=_positive(int, zero_ok=True), default=50)
     g.add_argument("--seed", type=int, default=0)
     r = bsub.add_parser("run")
     r.add_argument("--suite", required=True)
@@ -231,6 +244,9 @@ def main(argv=None):
     except (PolicyError, SimError) as e:
         # a flag value outside the range of its policy or simulation plan
         sub.choices[args.cmd].error(str(e))
+    except BadInput as e:
+        print(f"cascad {args.cmd}: {e}", file=sys.stderr)
+        return 2
     return rc or 0
 
 

@@ -4,7 +4,8 @@ filtering, and the adaptive UNSAT switch.
 Phase rule, for threshold tau in (0, 0.5) and P = P(signal=1 | PO=1):
 assign 0 when P < tau, assign 1 when P > 1 - tau, otherwise leave the
 solver's default phase in place.  Inequalities are strict; boundary values
-abstain.
+abstain.  A policy that follows a solver also conditions P on the
+solver's current decisions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import compress
 
 from .cnf import VarGateMap, lit_to_signal
 from .drat import DratProof
-from .estimator import Estimator
+from .estimator import Estimator, ProbQuery
 from .solver import (UNSAT_TUNED, LearntSnapshot, Solver, SolverConfig,
                      SolveOutcome, Status)
 
@@ -27,11 +28,14 @@ class PolicyError(Exception):
 @dataclass
 class PhaseSelectionPolicy:
     """The phase hook.  ``policy(v)`` applies the three-way rule to
-    variable v's entry.  Every ``refresh_every_restarts`` (K) restarts,
-    ``on_restart(decisions)`` asks the estimator again, on PO=1 plus the
-    last ``max_conditions`` (C) mapped decisions; K = 0 keeps the table
-    static.  ``fallbacks`` counts the estimator failures, at build and at
-    refresh, that left entries without information."""
+    variable v's entry.  Once it ``follow``s a solver, an entry strictly
+    between 0 and 1 is first conditioned on the solver's current
+    decisions too (the table entry stands where no trace meets them).
+    Every ``refresh_every_restarts`` (K) restarts, ``on_restart(decisions)``
+    asks the estimator again, on PO=1 plus the last ``max_conditions`` (C)
+    mapped decisions; K = 0 keeps the table static.  ``fallbacks`` counts
+    the estimator failures, at build and at refresh, that left entries
+    without information."""
     tau: float
     phase_table: dict[int, float | None]  # variable -> P or None (no information)
     refresh_every_restarts: int = 0
@@ -52,17 +56,37 @@ class PhaseSelectionPolicy:
                               "conditions: C must be >= 1")
         self.static_table = self.phase_table
         self._restarts = 0
+        self._solver: Solver | None = None
 
     def __call__(self, variable: int) -> bool | None:
         """Three-way phase rule; None means abstain (use the solver default)."""
         p = self.phase_table.get(variable)
         if p is None:
             return None
+        if self._solver is not None and 0.0 < p < 1.0:
+            p = self._conditioned(variable, p)
         if p < self.tau:
             return False
         if p > 1.0 - self.tau:
             return True
         return None
+
+    def follow(self, solver: Solver):
+        """Condition every later phase on ``solver``'s decisions as well."""
+        self._solver = solver
+
+    def _conditioned(self, variable: int, p: float) -> float:
+        """P(gate(variable)=1 | PO=1 and the solver's decisions), or p when
+        no trace meets them."""
+        conditions = [(self.po, True)]
+        for lit in self._solver.decisions:
+            sig = lit_to_signal(self.vmap, lit)
+            if sig is not None:
+                conditions.append(sig)
+        query = ProbQuery((self.vmap.var_to_gate[variable], True),
+                          tuple(conditions))
+        conditioned = self.estimator.cond_prob(query).p
+        return p if conditioned is None else conditioned
 
     def estimate(self, conditions=()) -> dict[int, float | None]:
         """P(gate(v)=1 | PO=1 and the conditions) for every mapped variable
@@ -227,11 +251,16 @@ class AdaptiveOutcome:
 
 
 def adaptive_solve(cnf, policy: AdaptiveUnsatPolicy,
-                   phase_hook=None, want_proof: bool = True) -> AdaptiveOutcome:
+                   phase_hook=None, want_proof: bool = True,
+                   follow=None) -> AdaptiveOutcome:
     """Probe with the default config and the phase hook under a wall
-    budget; on timeout, solve afresh under UNSAT_TUNED (no phase hook)."""
+    budget; on timeout, solve afresh under UNSAT_TUNED (no phase hook).
+    ``follow(probe)``, e.g. ``PhaseSelectionPolicy.follow``, lets the hook
+    read the probe's decisions."""
     proof = DratProof() if want_proof else None
     probe = Solver(cnf, SolverConfig(), phase_hook=phase_hook, drat_sink=proof)
+    if follow is not None:
+        follow(probe)
     t0 = time.monotonic()
     outcome = probe.solve(time_budget=policy.probe_budget_seconds)
     stage1_wall = time.monotonic() - t0

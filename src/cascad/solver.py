@@ -189,6 +189,13 @@ class Solver:
     def decision_level(self) -> int:
         return len(self.trail_lim)
 
+    @property
+    def decisions(self) -> list[int]:
+        """The decided literals on the trail, oldest first; a phase hook
+        sees those made before the decision it is asked about."""
+        trail = self.trail
+        return [trail[i] for i in self.trail_lim]
+
     def _level0_conflict(self):
         self.unsat = True
         if self.drat is not None:
@@ -316,8 +323,8 @@ class Solver:
         if v is None:
             return None
         self.stats.decisions += 1
-        self.trail_lim.append(len(self.trail))
         lit = v if self._pick_phase(v) else -v
+        self.trail_lim.append(len(self.trail))
         self._enqueue(lit, None)
         return lit
 
@@ -521,8 +528,7 @@ class Solver:
                 continue
             if self._conflicts_since_restart >= restart_limit:
                 if self.on_restart is not None:
-                    decisions = [self.trail[i] for i in self.trail_lim]
-                    self.on_restart(decisions)
+                    self.on_restart(self.decisions)
                 self._backtrack(0)
                 self.stats.restarts += 1
                 self._restart_count += 1

@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from cascad.bench import gen_suite, par2
+from cascad.bench import gen_suite, par2, solve_miter
 from cascad.circuit import Circuit
 from cascad.cnf import CnfFormula, tseitin_encode
 from cascad.drat import DratProof, check_proof
-from cascad.estimator import (Backend, Estimator, EstimatorConfig, ProbQuery)
+from cascad.estimator import (Backend, Estimator, EstimatorConfig, ProbQuery,
+                              default_backend)
 from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                                PhaseSelectionPolicy, adaptive_solve,
-                               build_phase_policy, make_phase_hook,
                                run_clause_filter, score_clauses)
 from cascad.sim import exact_truth_table
 from cascad.solver import Solver, Status
@@ -190,20 +190,19 @@ def test_criterion_5_phase_rule_exactness(capsys):
 def test_criterion_6_phase_guidance_effectiveness(capsys):
     """On 50 satisfiable miters with the exact estimator and tau = 0.005,
     guided decision counts have median <= baseline and geometric-mean ratio
-    <= 0.8, within 10 minutes."""
+    <= 0.8, within 10 minutes.  Both sides run as ``csat`` and ``bench run``
+    do, through ``solve_miter`` (strash, encode, then solve), and at 16 PIs
+    its estimator is the exact one."""
     t0 = time.monotonic()
     bases = [random_circuit(200 + s, num_pis=16, num_gates=800)
              for s in range(10)]
     cases = gen_suite(bases, n_sat=50, n_unsat=0, seed=20)
     base_decisions, guided_decisions, ratios = [], [], []
     for case in cases:
-        po = case.miter.primary_outputs[0]
-        cnf, vmap = tseitin_encode(case.miter, [(po, True)])
-        base = Solver(cnf).solve()
+        assert default_backend(case.miter) is Backend.EXACT
+        base, _ = solve_miter(case.miter, "baseline")
         assert base.status is Status.SAT
-        est = Estimator(case.miter, EstimatorConfig(backend=Backend.EXACT))
-        policy = build_phase_policy(est, po, vmap, tau=0.005)
-        guided = Solver(cnf, phase_hook=make_phase_hook(policy)).solve()
+        guided, _ = solve_miter(case.miter, "phase", tau=0.005)
         assert guided.status is Status.SAT
         base_decisions.append(base.stats.decisions)
         guided_decisions.append(guided.stats.decisions)

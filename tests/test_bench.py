@@ -13,11 +13,13 @@ from cascad.bench import (MODES, BenchCase, BenchConfig, CorrectnessAlarm,
                           reassociate, report, run_case, run_suite, save_suite,
                           solve_miter)
 from cascad.circuit import Circuit, GateKind, build_miter, mutate_circuit
+from cascad.cnf import tseitin_encode
 from cascad.estimator import Estimator
-from cascad.heuristics import ClauseFilterPolicy
+from cascad.heuristics import ClauseFilterPolicy, PhaseSelectionPolicy
+from cascad.solver import Solver
 from cascad.sim import exact_truth_table
 
-from conftest import random_circuit
+from conftest import eval_circuit, random_circuit
 from test_perfbench import perfbench_modules  # noqa: F401 (fixture)
 
 
@@ -279,6 +281,75 @@ class TestRunCase:
         assert {"case", "config", "status", "wall_seconds",
                 "solving_seconds", "inference_seconds", "stats"} <= set(record)
         assert record["stats"]["conflicts"] >= 0
+
+
+class TestSolveMiter:
+    """``solve_miter`` strashes the miter, then encodes and solves it."""
+
+    def cases(self):
+        bases = [random_circuit(s, num_pis=8, num_gates=120) for s in (3, 4)]
+        return gen_suite(bases, n_sat=3, n_unsat=3, seed=5)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_verdicts(self, mode):
+        cases = self.cases()
+        assert {c.expected for c in cases} == {"SAT", "UNSAT"}
+        for case in cases:
+            outcome, _ = solve_miter(
+                case.miter, mode,
+                clause_filter=ClauseFilterPolicy(conflict_budget=10))
+            assert outcome.status.value == case.expected, case.id
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_phase_policy_follows_the_solver(self, monkeypatch, mode):
+        followed = []
+        follow = PhaseSelectionPolicy.follow
+
+        def recording(policy, solver):
+            followed.append(solver)
+            follow(policy, solver)
+
+        monkeypatch.setattr(PhaseSelectionPolicy, "follow", recording)
+        solve_miter(self.cases()[0].miter, mode,
+                    clause_filter=ClauseFilterPolicy(conflict_budget=10))
+        assert len(followed) == (mode in ("phase", "adaptive"))
+        assert all(isinstance(s, Solver) for s in followed)
+
+    def test_hashed_cnf_is_smaller(self, monkeypatch):
+        import cascad.bench as bench_mod
+        base = random_circuit(6, num_pis=8, num_gates=120)
+        miter = build_miter(base, commute_fanins(base, 1))
+        encoded = []
+
+        def recording_encode(circuit, assumptions):
+            result = tseitin_encode(circuit, assumptions)
+            encoded.append(result[0])
+            return result
+
+        monkeypatch.setattr(bench_mod, "tseitin_encode", recording_encode)
+        outcome, _ = solve_miter(miter, "baseline")
+        assert outcome.status.value == "UNSAT"
+        plain, _ = tseitin_encode(miter, [(miter.primary_outputs[0], True)])
+        alone, _ = tseitin_encode(base, [(base.primary_outputs[0], True)])
+        # the twin is the base with one AND's fanins swapped, so it hashes
+        # away entirely: what is left is the base and the XOR's three ANDs
+        assert len(encoded) == 1
+        assert encoded[0].num_vars < plain.num_vars
+        assert encoded[0].num_vars <= alone.num_vars + 3
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_model_drives_the_given_miter(self, mode):
+        """The first len(PIs) model values, which ``csat`` prints as the
+        first literals of its ``v`` line, are an input row on which the
+        miter as given, not the hashed one, outputs 1."""
+        sat = [c for c in self.cases() if c.expected == "SAT"]
+        for case in sat:
+            miter = case.miter
+            outcome, _ = solve_miter(miter, mode)
+            assert outcome.status.value == "SAT"
+            pis = miter.primary_inputs
+            row = {pi: outcome.model[v + 1] for v, pi in enumerate(pis)}
+            assert eval_circuit(miter, row)[miter.primary_outputs[0]]
 
 
 class TestRunSuite:

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from cascad.circuit import (AigerParseError, Circuit, CircuitError, CycleError,
                             Gate, GateKind, MutationError, ShapeError, build_miter,
                             emit_aiger, levelize, mutate_circuit, parse_aiger,
-                            rebuild)
+                            rebuild, strash)
 from cascad.sim import exact_truth_table
 
 from conftest import all_input_rows, eval_circuit, random_circuit
@@ -283,6 +283,90 @@ class TestRebuild:
         node_map = rebuild(c, dst, {},
                            lambda i, fanins: dst.add_not(fanins[0]))
         assert dst.gates[node_map[g]].kind is GateKind.NOT
+
+
+def _ands(circuit):
+    return sum(g.kind is GateKind.AND for g in circuit.gates)
+
+
+class TestStrash:
+    def outputs_of_every_kind(self, seed, not_prob):
+        """A random circuit whose outputs are an AND, a NOT, a PI, a middle
+        gate and the constant."""
+        c = random_circuit(seed, num_pis=5, num_gates=60, not_prob=not_prob)
+        last = len(c) - 1
+        c.set_outputs([last, c.add_not(last), c.primary_inputs[2],
+                       len(c) // 2, c.add_const0()])
+        return c
+
+    @pytest.mark.parametrize("not_prob", [0.0, 0.4, 0.9])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_output_keeps_its_truth_table(self, seed, not_prob):
+        c = self.outputs_of_every_kind(seed, not_prob)
+        h = strash(c)
+        tc, th = exact_truth_table(c), exact_truth_table(h)
+        for pc, ph in zip(c.primary_outputs, h.primary_outputs, strict=True):
+            assert tc.trace(pc).tobytes() == th.trace(ph).tobytes()
+
+    def test_random_circuits_lose_their_duplicates(self):
+        # 5 PIs and 60 ANDs draw repeated fanin pairs
+        merged = [_ands(c) - _ands(strash(c)) for c in
+                  (random_circuit(s, num_pis=5, num_gates=60) for s in range(8))]
+        assert all(m >= 0 for m in merged) and sum(merged) > 0
+
+    def test_commuted_and_becomes_one_gate(self):
+        c = Circuit()
+        a, b = c.add_pi(), c.add_pi()
+        c.set_outputs([c.add_and(a, b), c.add_and(b, a)])
+        h = strash(c)
+        assert _ands(h) == 1
+        assert h.primary_outputs[0] == h.primary_outputs[1]
+
+    def test_double_negation_and_duplicate_not_merge(self):
+        c = Circuit()
+        a, b = c.add_pi(), c.add_pi()
+        # bypass add_not's sharing and collapsing
+        na1 = c._append(Gate(GateKind.NOT, (a,)))
+        na2 = c._append(Gate(GateKind.NOT, (a,)))
+        nna = c._append(Gate(GateKind.NOT, (na1,)))
+        c.set_outputs([c.add_and(na1, b), c.add_and(b, na2),
+                       c.add_and(nna, b), c.add_and(a, b)])
+        h = strash(c)
+        assert _ands(h) == 2
+        assert len(set(h.primary_outputs)) == 2
+        assert sum(g.kind is GateKind.NOT for g in h.gates) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_second_strash_merges_nothing(self, seed):
+        h = strash(self.outputs_of_every_kind(seed, 0.4))
+        again = strash(h)
+        assert again.gates == h.gates
+        assert again.primary_inputs == h.primary_inputs
+        assert again.primary_outputs == h.primary_outputs
+
+    def test_pis_and_outputs_kept(self):
+        c = Circuit()
+        a = c.add_pi()
+        g = c.add_and(a, a)
+        b = c.add_pi()  # a PI after a gate
+        c.set_outputs([c.add_and(b, g), b, c.add_and(g, b)])
+        h = strash(c)
+        assert h.primary_inputs == [0, 1]
+        assert [h.gates[p].kind for p in h.primary_inputs] == [GateKind.PI] * 2
+        assert len(h.primary_outputs) == 3
+        assert h.primary_outputs[1] == h.primary_inputs[1]
+        assert h.primary_outputs[0] == h.primary_outputs[2]
+        tc, th = exact_truth_table(c), exact_truth_table(h)
+        for pc, ph in zip(c.primary_outputs, h.primary_outputs):
+            assert tc.trace(pc).tobytes() == th.trace(ph).tobytes()
+
+    def test_input_not_mutated(self):
+        c = self.outputs_of_every_kind(3, 0.4)
+        before = (list(c.gates), list(c.primary_inputs),
+                  list(c.primary_outputs), dict(c._not_cache), c._const0)
+        strash(c)
+        assert (c.gates, c.primary_inputs, c.primary_outputs,
+                c._not_cache, c._const0) == before
 
 
 class TestMutate:

@@ -6,12 +6,12 @@ import warnings
 import pytest
 
 from cascad.bench import MODES, BenchConfig, gen_suite, run_case
-from cascad.circuit import Circuit, build_miter, emit_aiger
+from cascad.circuit import Circuit, build_miter, emit_aiger, parse_aiger
 from cascad.cli import main
 from cascad.cnf import CnfFormula
 from cascad.drat import check_proof, parse_drat
 
-from conftest import emit_dimacs, random_circuit
+from conftest import emit_dimacs, eval_circuit, random_circuit
 
 
 @pytest.fixture
@@ -39,6 +39,42 @@ class TestParse:
         stats = json.loads(out)
         assert stats["pis"] == 2 and stats["pos"] == 1
         assert stats["depth"] == 1
+
+
+class TestMalformedInput:
+    """A malformed AIGER or DIMACS file is one line on stderr and exit 2."""
+
+    @pytest.mark.parametrize("argv", [["parse"], ["parse", "--stats"],
+                                      ["sim"],
+                                      *(["csat", "--mode", m] for m in MODES)])
+    def test_bad_aiger(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.aag"
+        path.write_text("aag 1 1 0 1 0\n2\n4\n")
+        rc = main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"cascad {argv[0]}: {path}: literal 4 exceeds maxvar 1"]
+
+    def test_bad_base_in_bench_gen(self, tmp_path, capsys):
+        path = tmp_path / "bad.aag"
+        path.write_text("aag 1 1 0 1 0\n2\n4\n")
+        suite = tmp_path / "suite"
+        rc = main(["bench", "gen", str(path), "--suite", str(suite)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not suite.exists()
+        assert captured.err.splitlines() == [
+            f"cascad bench: {path}: literal 4 exceeds maxvar 1"]
+
+    def test_bad_dimacs(self, tmp_path, capsys):
+        path = tmp_path / "bad.cnf"
+        path.write_text("p cnf 1 1\n5 0\n")
+        rc = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"cascad solve: {path}: line 2: literal 5 exceeds declared 1 "
+            "variables"]
 
 
 class TestSim:
@@ -217,6 +253,23 @@ class TestCsat:
         assert lines[0] == "s " + record["status"] == "s SAT"
         assert [stats[k] for k in keys] == [record["stats"][k] for k in keys]
 
+    def test_v_line_starts_with_an_input_row(self, tmp_path, capsys):
+        """The first len(PIs) literals of the ``v`` line drive the file's
+        AIG, not only the hashed miter ``csat`` solves, to output 1."""
+        bases = [random_circuit(s, num_pis=8, num_gates=120) for s in (3, 4)]
+        for case in gen_suite(bases, 2, 0, seed=5):
+            path = tmp_path / "m.aag"
+            path.write_bytes(emit_aiger(case.miter))
+            rc, out = run_cli(capsys, "csat", str(path), "--mode", "baseline")
+            assert rc == 10
+            lits = [int(x) for x in out.splitlines()[1].split()[1:-1]]
+            circuit = parse_aiger(path.read_bytes())
+            pis = circuit.primary_inputs
+            assert [abs(l) for l in lits[:len(pis)]] == \
+                list(range(1, len(pis) + 1))
+            row = {pi: lit > 0 for pi, lit in zip(pis, lits)}
+            assert eval_circuit(circuit, row)[circuit.primary_outputs[0]]
+
     @pytest.mark.parametrize("mode", MODES)
     def test_exit_codes_sat_and_unsat(self, tmp_path, capsys, mode):
         c = random_circuit(2, num_pis=5, num_gates=30)
@@ -324,6 +377,28 @@ class TestBench:
         assert exc.value.code == 2
         assert "unknown mode" in capsys.readouterr().err
         assert not records_path.exists()
+
+    @pytest.mark.parametrize("counts", [("-1", "-2"), ("-1", "1"),
+                                        ("1", "-1")])
+    def test_gen_rejects_negative_counts(self, tmp_path, capsys, counts):
+        suite = tmp_path / "suite"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "gen", *self.base_files(tmp_path),
+                  "--suite", str(suite), "--n-sat", counts[0],
+                  "--n-unsat", counts[1]])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("cascad bench gen: error: argument --n-")
+        assert "must be >= 0, not -" in last
+        assert not suite.exists()
+
+    def test_gen_accepts_zero_counts(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        rc, out = run_cli(capsys, "bench", "gen", *self.base_files(tmp_path),
+                          "--suite", str(suite), "--n-sat", "0",
+                          "--n-unsat", "1")
+        assert rc == 0 and json.loads(out)["cases"] == 1
 
     @pytest.mark.parametrize("command, flag, value", [
         ("run", "--jobs", "0"), ("run", "--jobs", "-2"),

@@ -657,6 +657,22 @@ class TestPhaseControl:
         assert out.model == {1: False, 2: True}
         assert out.stats.decisions == 1
 
+    def test_hook_sees_the_decisions_before_its_own(self):
+        rng = random.Random(12)
+        n = 30
+        s = Solver(cnf(n, random_3cnf(rng, n, ratio=4.0)))
+        seen = []
+
+        def hook(v):
+            decisions = s.decisions
+            seen.append(len(decisions) == s.decision_level
+                        and all(s.values[lit] == 1 for lit in decisions)
+                        and s.values[v] == 0)
+            return None
+        s.phase_hook = hook
+        s.solve()
+        assert seen and all(seen)
+
     def test_phase_default_false(self):
         out = solve(cnf(2, [[1, 2], [1, -2], [-1, -2]]),
                     SolverConfig(phase_default="false"))
