@@ -238,7 +238,6 @@ def load_suite(directory: str) -> list[BenchCase]:
 
 
 def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
-                refresh: tuple[int, int] | None = None,
                 clause_filter: ClauseFilterPolicy | None = None,
                 adaptive: AdaptiveUnsatPolicy | None = None
                 ) -> tuple[SolveOutcome, dict]:
@@ -256,28 +255,23 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
     inference seconds (hashing, encoding and solver set-up in none of
     them), plus the filter report under ``clause_filter``, the adaptive
     ``stage`` and ``stage1_wall``, and in phase and adaptive mode
-    ``phase_fallbacks``, the phase policy's estimator failures.
-    ``refresh`` (K, C) is for phase mode."""
+    ``phase_fallbacks``, the phase policy's failed table builds."""
     check_mode(mode)
     miter = strash(miter)
     po = miter.primary_outputs[0]
     cnf, vmap = tseitin_encode(miter, [(po, True)])
-    estimator = policy = hook = on_restart = None
+    estimator = policy = hook = None
     inference_seconds = 0.0
     if mode != "baseline":
         t0 = time.monotonic()
         estimator = Estimator(miter)
         if mode != "clause-filter":
-            refresh = refresh if mode == "phase" and refresh else ()
-            policy = build_phase_policy(estimator, po, vmap, tau, *refresh)
+            policy = build_phase_policy(estimator, po, vmap, tau)
             hook = make_phase_hook(policy)
-            if policy.refresh_every_restarts:
-                on_restart = policy.on_restart
         inference_seconds = time.monotonic() - t0
 
     if mode != "adaptive":
-        solver = Solver(cnf, SolverConfig(), phase_hook=hook,
-                        on_restart=on_restart)
+        solver = Solver(cnf, SolverConfig(), phase_hook=hook)
         if policy is not None:
             policy.follow(solver)
     fields: dict = {}

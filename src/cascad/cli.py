@@ -17,7 +17,8 @@ from .solver import Solver, SolverConfig, Status
 
 
 class BadInput(Exception):
-    """A malformed input file; ``main`` prints it as one line, exit 2."""
+    """A malformed input file; ``main`` prints it, like an ``OSError``, as
+    one line, exit 2."""
 
 
 def _load(parse, path: str):
@@ -99,19 +100,9 @@ def _positive(kind, zero_ok=False):
     return parse
 
 
-def _refresh(text: str) -> tuple[int, int]:
-    """``csat --refresh K:C``; the phase policy checks the ranges."""
-    k, _, c = text.partition(":")
-    try:
-        return int(k), int(c)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected K:C, two integers, not {text!r}") from None
-
-
 def cmd_csat(args):
     # every policy is built, and so every flag checked, whatever the mode
-    PhaseSelectionPolicy(args.tau, {}, *(args.refresh or ()))
+    PhaseSelectionPolicy(args.tau, {})
     clause_filter = ClauseFilterPolicy(conflict_budget=args.budget,
                                        threshold=args.threshold,
                                        mode=args.score_mode)
@@ -122,7 +113,7 @@ def cmd_csat(args):
               file=sys.stderr)
         return 2
     outcome, fields = bench_mod.solve_miter(
-        miter, args.mode, args.tau, args.refresh, clause_filter, adaptive)
+        miter, args.mode, args.tau, clause_filter, adaptive)
     code = _print_outcome(outcome)
     # the mode's own fields: the filter report, or the adaptive stage and
     # the phase policy's fallbacks
@@ -144,8 +135,15 @@ def _modes(text: str) -> list[str]:
 
 def _read_records(path: str) -> list[dict]:
     """The JSON lines that ``bench run`` appended to ``path``."""
+    records = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as e:
+                    raise BadInput(f"{path}: line {number}: {e}") from None
+    return records
 
 
 def cmd_bench(args):
@@ -204,9 +202,6 @@ def main(argv=None):
     p.add_argument("file")
     p.add_argument("--mode", choices=bench_mod.MODES, required=True)
     p.add_argument("--tau", type=float, default=0.005)
-    p.add_argument("--refresh", type=_refresh,
-                   help="phase mode: refresh every K restarts on at most C "
-                   "conditions, given as K:C")
     p.add_argument("--threshold", type=float, default=0.9)
     p.add_argument("--budget", type=int, default=50000)
     p.add_argument("--score-mode", choices=["correlated", "independent"],
@@ -244,7 +239,8 @@ def main(argv=None):
     except (PolicyError, SimError) as e:
         # a flag value outside the range of its policy or simulation plan
         sub.choices[args.cmd].error(str(e))
-    except BadInput as e:
+    except (BadInput, OSError) as e:
+        # a malformed input file, or a path that cannot be opened
         print(f"cascad {args.cmd}: {e}", file=sys.stderr)
         return 2
     return rc or 0

@@ -8,7 +8,6 @@ condition is polar.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -135,15 +134,11 @@ class Estimator:
         acc = reduce(np.bitwise_or, (t.trace(*sig) for sig in signals))
         return t.popcount(acc) / t.num_patterns
 
-    def phase_table(self, po: int,
-                    extra_conditions: Sequence[tuple[int, bool]] = ()
-                    ) -> dict[int, float | None]:
-        """P(gate=1 | po=1 and every extra condition) for every gate;
-        None = the condition never holds, so there is no information."""
-        conditions = ((po, True),) + tuple(c for c in extra_conditions
-                                           if c[0] != po)
+    def phase_table(self, po: int) -> dict[int, float | None]:
+        """P(gate=1 | po=1) for every gate; None = po is never 1, so there
+        is no information."""
         gates = range(len(self.circuit))
-        cond_row, n_cond = self._condition(conditions)
+        cond_row, n_cond = self._condition(((po, True),))
         if n_cond == 0:
             return dict.fromkeys(gates)
         # float64 division of exact integer counts, as float(j) / n_cond

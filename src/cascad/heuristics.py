@@ -31,16 +31,11 @@ class PhaseSelectionPolicy:
     variable v's entry.  Once it ``follow``s a solver, an entry strictly
     between 0 and 1 is first conditioned on the solver's current
     decisions too (the table entry stands where no trace meets them).
-    Every ``refresh_every_restarts`` (K) restarts, ``on_restart(decisions)``
-    asks the estimator again, on PO=1 plus the last ``max_conditions`` (C)
-    mapped decisions; K = 0 keeps the table static.  ``fallbacks`` counts
-    the estimator failures, at build and at refresh, that left entries
+    ``fallbacks`` counts the failed table builds, which left every entry
     without information."""
     tau: float
     phase_table: dict[int, float | None]  # variable -> P or None (no information)
-    refresh_every_restarts: int = 0
-    max_conditions: int = 8
-    estimator: Estimator | None = None  # with po and vmap: what a refresh asks
+    estimator: Estimator | None = None  # with po and vmap: what follow reads
     po: int = 0
     vmap: VarGateMap = field(default_factory=VarGateMap)
     fallbacks: int = field(default=0, init=False)
@@ -48,14 +43,6 @@ class PhaseSelectionPolicy:
     def __post_init__(self):
         if not (0.0 < self.tau < 0.5):
             raise PolicyError(f"tau {self.tau} outside (0, 0.5)")
-        if self.refresh_every_restarts < 0:
-            raise PolicyError(f"refresh every K = {self.refresh_every_restarts}"
-                              " restarts: K must be >= 0")
-        if self.max_conditions < 1:
-            raise PolicyError(f"refresh on C = {self.max_conditions} "
-                              "conditions: C must be >= 1")
-        self.static_table = self.phase_table
-        self._restarts = 0
         self._solver: Solver | None = None
 
     def __call__(self, variable: int) -> bool | None:
@@ -88,47 +75,19 @@ class PhaseSelectionPolicy:
         conditioned = self.estimator.cond_prob(query).p
         return p if conditioned is None else conditioned
 
-    def estimate(self, conditions=()) -> dict[int, float | None]:
-        """P(gate(v)=1 | PO=1 and the conditions) for every mapped variable
-        v; every entry is None when the estimator fails."""
-        try:
-            gate_table = self.estimator.phase_table(self.po, conditions)
-        except Exception:
-            self.fallbacks += 1
-            gate_table = {}
-        return {var: gate_table.get(gate)
-                for var, gate in self.vmap.var_to_gate.items()}
-
-    def on_restart(self, decisions: list[int]):
-        """Every K-th restart, condition the table on the most recent mapped
-        decisions; undefined entries keep their static values, and a restart
-        with no decisions restores the static table."""
-        if self.refresh_every_restarts <= 0:
-            return
-        self._restarts += 1
-        if self._restarts % self.refresh_every_restarts:
-            return
-        if not decisions:
-            self.phase_table = self.static_table
-            return
-        conditions = []
-        for lit in decisions[-self.max_conditions:]:
-            sig = lit_to_signal(self.vmap, lit)
-            if sig is not None:
-                conditions.append(sig)
-        static = self.static_table
-        self.phase_table = {var: static.get(var) if p is None else p
-                            for var, p in self.estimate(conditions).items()}
-
 
 def build_phase_policy(estimator: Estimator, po: int, vmap: VarGateMap,
-                       tau: float, refresh_every_restarts: int = 0,
-                       max_conditions: int = 8) -> PhaseSelectionPolicy:
+                       tau: float) -> PhaseSelectionPolicy:
     """The phase policy for ``po``, its table P(gate(v)=1 | PO=1) for every
-    mapped variable v."""
-    policy = PhaseSelectionPolicy(tau, {}, refresh_every_restarts,
-                                  max_conditions, estimator, po, vmap)
-    policy.phase_table = policy.static_table = policy.estimate()
+    mapped variable v; every entry is None when the estimator fails."""
+    policy = PhaseSelectionPolicy(tau, {}, estimator, po, vmap)
+    try:
+        gate_table = estimator.phase_table(po)
+    except Exception:
+        policy.fallbacks += 1
+        gate_table = {}
+    policy.phase_table = {var: gate_table.get(gate)
+                          for var, gate in vmap.var_to_gate.items()}
     return policy
 
 

@@ -100,10 +100,9 @@ def luby(i: int) -> int:
 class Solver:
     @paused_gc()
     def __init__(self, cnf: CnfFormula, config: SolverConfig | None = None,
-                 phase_hook=None, on_restart=None, drat_sink=None):
+                 phase_hook=None, drat_sink=None):
         self.config = config or SolverConfig()
         self.phase_hook = phase_hook
-        self.on_restart = on_restart
         self.drat = drat_sink
         self.nvars = cnf.num_vars
         check_literals(cnf.clauses, self.nvars)
@@ -527,8 +526,6 @@ class Solver:
                     break
                 continue
             if self._conflicts_since_restart >= restart_limit:
-                if self.on_restart is not None:
-                    self.on_restart(self.decisions)
                 self._backtrack(0)
                 self.stats.restarts += 1
                 self._restart_count += 1

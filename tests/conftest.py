@@ -57,9 +57,9 @@ def all_input_rows(circuit: Circuit):
 
 
 def solve(cnf: CnfFormula, config: SolverConfig | None = None,
-          phase_hook=None, on_restart=None, drat_sink=None) -> SolveOutcome:
+          phase_hook=None, drat_sink=None) -> SolveOutcome:
     """One unbudgeted solve on a fresh Solver."""
-    return Solver(cnf, config, phase_hook=phase_hook, on_restart=on_restart,
+    return Solver(cnf, config, phase_hook=phase_hook,
                   drat_sink=drat_sink).solve()
 
 

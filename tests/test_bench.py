@@ -226,7 +226,7 @@ class TestRunCase:
     @pytest.mark.parametrize("mode", ["phase", "adaptive"])
     def test_failing_estimator_counted_as_phase_fallback(self, monkeypatch,
                                                          mode):
-        def boom(self, po, extra_conditions=()):
+        def boom(self, po):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(Estimator, "phase_table", boom)
@@ -235,26 +235,22 @@ class TestRunCase:
             assert outcome.status.value == case.expected
             assert fields["phase_fallbacks"] == 1
 
-    def test_refresh_zero_never_refreshes(self, monkeypatch):
-        case = self.small_cases()[0]
-        static, _ = solve_miter(case.miter, "phase")
+    def test_phase_mode_builds_one_table(self, monkeypatch):
         calls = []
         phase_table = Estimator.phase_table
 
-        def counted(self, po, extra_conditions=()):
-            calls.append(tuple(extra_conditions))
-            return phase_table(self, po, extra_conditions)
+        def counted(self, po):
+            calls.append(po)
+            return phase_table(self, po)
 
         monkeypatch.setattr(Estimator, "phase_table", counted)
-        outcome, _ = solve_miter(case.miter, "phase", refresh=(0, 8))
-        assert calls == [()]  # the build, and no refresh
-        keys = ("conflicts", "decisions", "propagations", "restarts")
-        assert [getattr(outcome.stats, k) for k in keys] == \
-            [getattr(static.stats, k) for k in keys]
+        solve_miter(self.small_cases()[0].miter, "phase")
+        assert len(calls) == 1  # the build; a followed phase asks cond_prob
 
-    def test_traced_refresh_counts_phases(self, perfbench_modules):
-        """With a refresh the hook still goes through ``make_phase_hook``,
-        so the tracer counts its forced and abstained phases."""
+    @pytest.mark.parametrize("mode", ["phase", "adaptive"])
+    def test_traced_solve_counts_phases(self, perfbench_modules, mode):
+        """The hook goes through ``make_phase_hook``, so the tracer counts
+        its forced and abstained phases."""
         run, tracing = perfbench_modules
         bases = [random_circuit(s, num_pis=8, num_gates=120) for s in (3, 4)]
         case = next(c for c in gen_suite(bases, 1, 1, seed=5)
@@ -262,7 +258,7 @@ class TestRunCase:
         tracer = tracing.Tracer()
         try:
             run.install_tracing(tracer)
-            outcome, _ = solve_miter(case.miter, "phase", refresh=(1, 8))
+            outcome, _ = solve_miter(case.miter, mode)
         finally:
             tracer.remove()
         assert outcome.status.value == "SAT"

@@ -77,6 +77,48 @@ class TestMalformedInput:
             "variables"]
 
 
+    @pytest.mark.parametrize("argv", [
+        ["parse", "{missing}"], ["parse", "{dir}"],
+        ["sim", "{missing}"], ["sim", "{dir}"],
+        ["solve", "{missing}"], ["solve", "{dir}"],
+        ["solve", "{cnf}", "--drat", "{missing}/proof.drat"],
+        ["csat", "{missing}", "--mode", "phase"],
+        ["csat", "{dir}", "--mode", "baseline"],
+        ["bench", "gen", "{missing}", "--suite", "{dir}/suite"],
+        ["bench", "gen", "{dir}", "--suite", "{dir}/suite"],
+        ["bench", "run", "--suite", "{missing}", "--out", "{dir}/runs.jsonl"],
+        ["bench", "score", "--records", "{missing}"],
+        ["bench", "score", "--records", "{dir}"],
+        ["bench", "report", "--records", "{missing}", "--out", "{dir}/r"],
+    ], ids=" ".join)
+    def test_unopenable_path(self, tmp_path, capsys, argv):
+        """A path that cannot be opened is one line naming it, exit 2."""
+        cnf = tmp_path / "ok.cnf"
+        cnf.write_text("p cnf 1 1\n1 0\n")
+        paths = {"missing": str(tmp_path / "nonexistent.aag"),
+                 "dir": str(tmp_path), "cnf": str(cnf)}
+        culprit = paths["missing" if "{missing}" in " ".join(argv) else "dir"]
+        rc = main([arg.format(**paths) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"cascad {argv[0]}: [Errno ")
+        assert f"'{culprit}" in line
+
+    @pytest.mark.parametrize("command", ["score", "report"])
+    def test_records_line_not_json(self, tmp_path, capsys, command):
+        records = tmp_path / "runs.jsonl"
+        records.write_text(json.dumps({"case": "a"}) + "\n\nnot json\n")
+        out = ["--out", str(tmp_path / "report")] if command == "report" else []
+        rc = main(["bench", command, "--records", str(records), *out])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"cascad bench: {records}: line 3: Expecting value: line 1 "
+            "column 1 (char 0)"]
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestSim:
     def test_probabilities(self, toy_aag, capsys):
         rc, out = run_cli(capsys, "sim", toy_aag, "--patterns", "20000",
@@ -178,11 +220,6 @@ class TestCsat:
                           "--mode", "phase", "--tau", "0.005")
         assert rc == EXIT_CODES[out.splitlines()[0]]
 
-    def test_phase_mode_with_refresh(self, tmp_path, capsys):
-        rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
-                          "--mode", "phase", "--refresh", "2:4")
-        assert rc == EXIT_CODES[out.splitlines()[0]]
-
     def test_clause_filter_mode(self, tmp_path, capsys):
         rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
                           "--mode", "clause-filter", "--budget", "10",
@@ -220,11 +257,6 @@ class TestCsat:
         ("--threshold", "2", "threshold 2.0 outside"),
         ("--budget", "0", "budget must be >= 1"),
         ("--probe", "0", "probe budget must be positive"),
-        ("--refresh", "a:b", "expected K:C"),
-        ("--refresh", "1:2:3", "expected K:C"),
-        ("--refresh", "3", "expected K:C"),
-        ("--refresh", "2:0", "C must be >= 1"),
-        ("--refresh", "-1:8", "K must be >= 0"),
     ])
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, flag, value,
                                      message):
@@ -237,6 +269,15 @@ class TestCsat:
             last = captured.err.splitlines()[-1]
             assert last.startswith("cascad csat: error:") and message in last
             assert "Traceback" not in captured.err
+
+    def test_refresh_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["csat", self.circuit_file(tmp_path), "--mode", "phase",
+                  "--refresh", "4:8"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == \
+            "cascad: error: unrecognized arguments: --refresh 4:8"
 
     @pytest.mark.parametrize("mode", MODES)
     def test_same_search_as_bench_run_case(self, tmp_path, capsys, mode):

@@ -33,14 +33,6 @@ class TestPhaseRule:
             with pytest.raises(PolicyError, match="tau"):
                 PhaseSelectionPolicy(bad, {})
 
-    @pytest.mark.parametrize("every, conditions, match",
-                             [(-1, 8, "K must be >= 0"),
-                              (2, 0, "C must be >= 1"),
-                              (0, -3, "C must be >= 1")])
-    def test_refresh_validated(self, every, conditions, match):
-        with pytest.raises(PolicyError, match=match):
-            PhaseSelectionPolicy(0.1, {}, every, conditions)
-
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 1.0), st.sampled_from([0.003, 0.005, 0.01, 0.1, 0.4]))
     def test_three_way_rule(self, p, tau):
@@ -69,7 +61,7 @@ class TestPhaseRule:
 
 
 class Broken:
-    def phase_table(self, po, extra_conditions=()):
+    def phase_table(self, po):
         raise RuntimeError("boom")
 
 
@@ -108,85 +100,6 @@ class TestBuildPhasePolicy:
             policy = build_phase_policy(est, po, vmap, tau=0.005)
             out = solve(cnf, phase_hook=make_phase_hook(policy))
             assert out.status is Status.SAT
-
-
-class TestRefresh:
-    def policy(self, circuit, every=1, conditions=8):
-        cnf, vmap, po = encoded_instance(circuit)
-        policy = build_phase_policy(exact_estimator(circuit), po, vmap,
-                                    tau=0.1, refresh_every_restarts=every,
-                                    max_conditions=conditions)
-        return policy, vmap
-
-    def test_conditioned_refresh(self, toy_and):
-        c, a, b, g = toy_and
-        policy, vmap = self.policy(c)
-        assert policy(vmap.gate_to_var[b]) is True  # P(b | g) = 1 already
-        policy.on_restart([vmap.gate_to_var[a]])
-        assert policy.phase_table[vmap.gate_to_var[b]] == 1.0
-        assert policy.fallbacks == 0
-
-    def test_undefined_falls_back_to_static(self):
-        c = Circuit()
-        x, y = c.add_pi(), c.add_pi()
-        g = c.add_and(x, y)
-        c.set_outputs([g])
-        policy, vmap = self.policy(c)
-        static = dict(policy.phase_table)
-        # condition x=0 contradicts g=1: conditioned table is all-None
-        policy.on_restart([-vmap.gate_to_var[x]])
-        assert policy.phase_table == static
-
-    def test_refresh_conditions_on_decisions(self):
-        c = Circuit()
-        x, y = c.add_pi(), c.add_pi()
-        c.set_outputs([c.add_not(c.add_and(c.add_not(x), c.add_not(y)))])
-        policy, vmap = self.policy(c)
-        vx, vy = vmap.gate_to_var[x], vmap.gate_to_var[y]
-        assert policy.phase_table[vy] == pytest.approx(2 / 3)
-        assert policy(vy) is None
-        policy.on_restart([-vx])  # x=0 and x OR y force y=1
-        assert policy.phase_table[vy] == 1.0 and policy(vy) is True
-
-    def test_max_conditions_cap(self, toy_and):
-        c, a, b, g = toy_and
-        policy, vmap = self.policy(c, conditions=1)
-        # only the last decision may be used; an old contradiction is dropped
-        policy.on_restart([-vmap.gate_to_var[a], vmap.gate_to_var[a]])
-        assert policy.phase_table[vmap.gate_to_var[b]] == 1.0
-
-    def test_refreshing_hook_cadence(self, toy_and):
-        c, a, b, g = toy_and
-        policy, vmap = self.policy(c, every=2)
-        static = policy.phase_table
-        lit = vmap.gate_to_var[a]
-        policy.on_restart([lit])
-        assert policy.phase_table is static  # first restart: no refresh yet
-        policy.on_restart([lit])
-        assert policy.phase_table is not static
-        policy.on_restart([])
-        policy.on_restart([])  # empty decisions reset to the static table
-        assert policy.phase_table is static
-
-    def test_static_policy_never_refreshes(self, toy_and):
-        c, a, b, g = toy_and
-        policy, vmap = self.policy(c, every=0)
-        static = policy.phase_table
-        for _ in range(5):
-            policy.on_restart([vmap.gate_to_var[a]])
-        assert policy.phase_table is static
-
-    def test_refresh_failure_counted_and_static_kept(self, toy_and):
-        c, a, b, g = toy_and
-        cnf, vmap, po = encoded_instance(c)
-        policy = build_phase_policy(exact_estimator(c), po, vmap, tau=0.1,
-                                    refresh_every_restarts=1)
-        static = dict(policy.phase_table)
-        policy.estimator = Broken()
-        policy.on_restart([vmap.gate_to_var[a]])
-        policy.on_restart([vmap.gate_to_var[a]])
-        assert policy.fallbacks == 2
-        assert policy.phase_table == static
 
 
 class FakeSolver:

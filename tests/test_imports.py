@@ -1,18 +1,25 @@
 """Every name a cascad module imports must be used in that module, and the
-package's exports, config fields, estimator backends and process-spawning
-imports are pinned: a new option, export, backend or child-process path is
-a visible edit here."""
+package's exports, config and policy fields, the parameters of
+``solve_miter`` and ``Solver``, the options of ``cascad csat``, estimator
+backends and process-spawning imports are pinned: a new option, export,
+backend or child-process path is a visible edit here."""
 
 import ast
 import dataclasses
+import inspect
 import pathlib
+import re
 import types
 
 import pytest
 
 import cascad
+from cascad.bench import solve_miter
+from cascad.cli import main
 from cascad.estimator import Backend, EstimatorConfig
-from cascad.solver import SolverConfig
+from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
+                               PhaseSelectionPolicy)
+from cascad.solver import Solver, SolverConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cascad"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -46,12 +53,34 @@ def test_detects_unused_import():
     assert unused_imports(source) == ["line 2: dumps"]
 
 
-def test_config_fields_pinned():
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+def field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def parameter_names(func) -> list[str]:
+    return list(inspect.signature(func).parameters)
+
+
+def test_config_fields_pinned(capsys):
+    assert field_names(SolverConfig) == [
         "restart_unit", "reduce_interval", "keep_lbd", "phase_default",
         "var_decay"]
-    assert [f.name for f in dataclasses.fields(EstimatorConfig)] == [
-        "backend", "num_patterns", "seed"]
+    assert field_names(EstimatorConfig) == ["backend", "num_patterns", "seed"]
+    assert field_names(PhaseSelectionPolicy) == [
+        "tau", "phase_table", "estimator", "po", "vmap", "fallbacks"]
+    assert field_names(ClauseFilterPolicy) == [
+        "conflict_budget", "threshold", "mode"]
+    assert field_names(AdaptiveUnsatPolicy) == ["probe_budget_seconds"]
+    assert parameter_names(solve_miter) == [
+        "miter", "mode", "tau", "clause_filter", "adaptive"]
+    assert parameter_names(Solver.__init__) == [
+        "self", "cnf", "config", "phase_hook", "drat_sink"]
+    with pytest.raises(SystemExit):
+        main(["csat", "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"--[\w-]+", usage) == [
+        "--mode", "--tau", "--threshold", "--budget", "--score-mode",
+        "--probe"]
 
 
 def test_backends_pinned():

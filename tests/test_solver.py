@@ -692,17 +692,6 @@ class TestPhaseControl:
 
 
 class TestRestarts:
-    def test_on_restart_receives_decisions(self):
-        rng = random.Random(99)
-        n = 30
-        clauses = random_3cnf(rng, n, ratio=4.3)
-        calls = []
-        solve(cnf(n, clauses), SolverConfig(restart_unit=1),
-              on_restart=lambda decisions: calls.append(list(decisions)))
-        if calls:
-            for decisions in calls:
-                assert all(isinstance(l, int) and l != 0 for l in decisions)
-
     def test_restart_counter_in_stats(self):
         rng = random.Random(77)
         n = 35
