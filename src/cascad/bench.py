@@ -20,9 +20,9 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
-from .circuit import (Circuit, Gate, GateKind, MutationError, build_miter,
-                      emit_aiger, mutate_circuit, parse_aiger, rebuild,
-                      strash)
+from .circuit import (Circuit, CircuitError, Gate, GateKind, MutationError,
+                      build_miter, emit_aiger, mutate_circuit, parse_aiger,
+                      rebuild, strash)
 from .cnf import tseitin_encode
 from .estimator import EXACT_PI_CAP, Estimator
 from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
@@ -75,33 +75,6 @@ class Par2Score:
 # -- function-preserving transforms -------------------------------------------
 
 
-def _raw_not(c: Circuit, a: int) -> int:
-    # bypasses the shared-NOT cache: deliberately builds NOT(NOT(x)) chains
-    return c._append(Gate(GateKind.NOT, (a,)))
-
-
-def double_negate(circuit: Circuit, seed: int) -> Circuit:
-    """Insert NOT(NOT(x)) on one AND fanin."""
-    rng = random.Random(seed)
-    ands = [i for i, g in enumerate(circuit.gates) if g.kind is GateKind.AND]
-    if not ands:
-        return circuit.copy()
-    target = rng.choice(ands)
-    slot = rng.randrange(2)
-    out = Circuit()
-
-    def edit(i, fanins):
-        if i != target:
-            return None
-        a, b = fanins
-        repl = _raw_not(out, _raw_not(out, a if slot == 0 else b))
-        return out.add_and(*((repl, b) if slot == 0 else (a, repl)))
-
-    node_map = rebuild(circuit, out, {}, edit)
-    out.set_outputs([node_map[p] for p in circuit.primary_outputs])
-    return out
-
-
 def commute_fanins(circuit: Circuit, seed: int) -> Circuit:
     """Swap the fanin order of one AND gate."""
     rng = random.Random(seed)
@@ -144,7 +117,8 @@ def reassociate(circuit: Circuit, seed: int) -> Circuit:
 
 
 TRANSFORMS = {
-    "double_negate": double_negate,
+    # a verbatim twin; first, so that gen_suite draws as it always did
+    "identity": lambda c, _seed: c.copy(),
     "reassociate": reassociate,
     "commute": commute_fanins,
 }
@@ -223,12 +197,31 @@ def save_suite(cases: list[BenchCase], directory: str):
 
 
 def load_suite(directory: str) -> list[BenchCase]:
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
+    """The cases ``save_suite`` wrote; a malformed manifest or case file
+    raises SuiteError naming its path."""
+    path = os.path.join(directory, "manifest.json")
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise SuiteError(f"{path}: {e}") from None
+    if not isinstance(manifest, list):
+        raise SuiteError(f"{path}: not a list of cases")
     cases = []
-    for entry in manifest:
-        with open(os.path.join(directory, entry["aiger"]), "rb") as fh:
-            miter = parse_aiger(fh.read())
+    for number, entry in enumerate(manifest):
+        # an unknown expected status would silently turn off the alarm
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(k), str) for k in ("id", "aiger"))
+                and entry.get("expected") in ("SAT", "UNSAT", "unknown")):
+            raise SuiteError(f"{path}: case {number} needs a string id and "
+                             "aiger and expected SAT, UNSAT or unknown")
+        case_path = os.path.join(directory, entry["aiger"])
+        with open(case_path, "rb") as fh:
+            data = fh.read()
+        try:
+            miter = parse_aiger(data)
+        except CircuitError as e:
+            raise SuiteError(f"{case_path}: {e}") from None
         cases.append(BenchCase(entry["id"], miter, entry["expected"],
                                entry.get("provenance", {})))
     return cases
@@ -270,10 +263,9 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
             hook = make_phase_hook(policy)
         inference_seconds = time.monotonic() - t0
 
-    if mode != "adaptive":
-        solver = Solver(cnf, SolverConfig(), phase_hook=hook)
-        if policy is not None:
-            policy.follow(solver)
+    solver = Solver(cnf, SolverConfig(), phase_hook=hook)
+    if policy is not None:
+        policy.follow(solver)
     fields: dict = {}
     t0 = time.monotonic()
     if mode == "clause-filter":
@@ -283,10 +275,7 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
         fields["clause_filter"] = {k: v for k, v in vars(rep).items()
                                    if k not in ("scores", "outcome")}
     elif mode == "adaptive":
-        # no proof is read yet, so none is logged
-        result = adaptive_solve(cnf, adaptive or AdaptiveUnsatPolicy(),
-                                phase_hook=hook, want_proof=False,
-                                follow=policy.follow)
+        result = adaptive_solve(solver, cnf, adaptive or AdaptiveUnsatPolicy())
         outcome = result.outcome
         fields.update(stage=result.stage, stage1_wall=result.stage1_wall)
     else:

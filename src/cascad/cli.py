@@ -134,15 +134,24 @@ def _modes(text: str) -> list[str]:
 
 
 def _read_records(path: str) -> list[dict]:
-    """The JSON lines that ``bench run`` appended to ``path``."""
+    """The JSON lines that ``bench run`` appended to ``path``; each must be
+    an object with the fields that scoring reads."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as e:
-                    raise BadInput(f"{path}: line {number}: {e}") from None
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise BadInput(f"{path}: line {number}: {e}") from None
+            if not (isinstance(record, dict)
+                    and all(isinstance(record.get(k), str)
+                            for k in ("case", "config", "status"))
+                    and isinstance(record.get("wall_seconds"), (int, float))):
+                raise BadInput(f"{path}: line {number}: not a record with "
+                               "case, config, status and wall_seconds")
+            records.append(record)
     return records
 
 
@@ -239,8 +248,8 @@ def main(argv=None):
     except (PolicyError, SimError) as e:
         # a flag value outside the range of its policy or simulation plan
         sub.choices[args.cmd].error(str(e))
-    except (BadInput, OSError) as e:
-        # a malformed input file, or a path that cannot be opened
+    except (BadInput, bench_mod.SuiteError, OSError) as e:
+        # a malformed input file or suite, or a path that cannot be opened
         print(f"cascad {args.cmd}: {e}", file=sys.stderr)
         return 2
     return rc or 0

@@ -47,18 +47,6 @@ class EstimatorConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class CondResult:
-    p: float | None  # None when the condition never holds
-    condition_prob: float
-
-
-@dataclass(frozen=True)
-class ProbQuery:
-    target: tuple[int, bool]
-    conditions: tuple[tuple[int, bool], ...] = ()
-
-
 class Estimator:
     """Probability oracle over a fixed circuit and one shared trace set;
     every query is a popcount over its rows."""
@@ -94,20 +82,21 @@ class Estimator:
         p = t.count(gate) / t.num_patterns
         return p if polarity else 1.0 - p
 
-    def cond_prob(self, query: ProbQuery) -> CondResult:
-        if not query.conditions:
+    def cond_prob(self, target: tuple[int, bool],
+                  conditions) -> float | None:
+        """P(target | every condition), each a (gate, polarity) signal;
+        None when no pattern meets the conditions."""
+        if not conditions:
             raise EstimatorError("cond_prob requires at least one condition")
-        tgate, tpol = query.target
-        t = self.traces
-        cond_row, n_cond = self._condition(query.conditions)
-        p_cond = n_cond / t.num_patterns
-        for cgate, cpol in query.conditions:
+        tgate, tpol = target
+        for cgate, cpol in conditions:
             if cgate == tgate:
-                return CondResult(1.0 if cpol == tpol else 0.0, p_cond)
+                return 1.0 if cpol == tpol else 0.0
+        cond_row, n_cond = self._condition(conditions)
         if n_cond == 0:
-            return CondResult(None, p_cond)
-        n_joint = t.popcount(cond_row & t.trace(tgate, tpol))
-        return CondResult(n_joint / n_cond, p_cond)
+            return None
+        t = self.traces
+        return t.popcount(cond_row & t.trace(tgate, tpol)) / n_cond
 
     def clause_prob(self, literals: list[int], vmap: VarGateMap,
                     mode: str = "correlated") -> float | None:

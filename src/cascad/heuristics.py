@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import compress
 
 from .cnf import VarGateMap, lit_to_signal
 from .drat import DratProof
-from .estimator import Estimator, ProbQuery
-from .solver import (UNSAT_TUNED, LearntSnapshot, Solver, SolverConfig,
-                     SolveOutcome, Status)
+from .estimator import Estimator
+from .solver import (UNSAT_TUNED, LearntSnapshot, Solver, SolveOutcome,
+                     Status)
 
 
 class PolicyError(Exception):
@@ -70,9 +69,8 @@ class PhaseSelectionPolicy:
             sig = lit_to_signal(self.vmap, lit)
             if sig is not None:
                 conditions.append(sig)
-        query = ProbQuery((self.vmap.var_to_gate[variable], True),
-                          tuple(conditions))
-        conditioned = self.estimator.cond_prob(query).p
+        conditioned = self.estimator.cond_prob(
+            (self.vmap.var_to_gate[variable], True), conditions)
         return p if conditioned is None else conditioned
 
 
@@ -183,7 +181,7 @@ def run_clause_filter(solver: Solver, policy: ClauseFilterPolicy,
     report = _build_report(snapshots, scores, keep, failures,
                            solver.stats.conflicts, mid_solve)
     if mid_solve:
-        solver.replace_learnts(list(compress(snapshots, keep)))
+        solver.keep_learnts(keep)
         outcome = solver.solve()
     report.outcome = outcome
     return report
@@ -206,25 +204,19 @@ class AdaptiveOutcome:
     outcome: SolveOutcome
     stage: int  # 1 = probe answered, 2 = UNSAT-tuned config answered
     stage1_wall: float
-    proof: DratProof | None  # of the stage that answered
+    proof: DratProof | None  # the sink of the stage that answered
 
 
-def adaptive_solve(cnf, policy: AdaptiveUnsatPolicy,
-                   phase_hook=None, want_proof: bool = True,
-                   follow=None) -> AdaptiveOutcome:
-    """Probe with the default config and the phase hook under a wall
-    budget; on timeout, solve afresh under UNSAT_TUNED (no phase hook).
-    ``follow(probe)``, e.g. ``PhaseSelectionPolicy.follow``, lets the hook
-    read the probe's decisions."""
-    proof = DratProof() if want_proof else None
-    probe = Solver(cnf, SolverConfig(), phase_hook=phase_hook, drat_sink=proof)
-    if follow is not None:
-        follow(probe)
+def adaptive_solve(probe: Solver, cnf,
+                   policy: AdaptiveUnsatPolicy) -> AdaptiveOutcome:
+    """Run ``probe``, a default-config solver over ``cnf``, under a wall
+    budget; on timeout, solve ``cnf`` afresh under UNSAT_TUNED (no phase
+    hook).  Stage 2 logs a proof exactly when the probe has a sink."""
     t0 = time.monotonic()
     outcome = probe.solve(time_budget=policy.probe_budget_seconds)
     stage1_wall = time.monotonic() - t0
     if outcome.status is not Status.UNKNOWN:
-        return AdaptiveOutcome(outcome, 1, stage1_wall, proof)
-    proof = DratProof() if want_proof else None
+        return AdaptiveOutcome(outcome, 1, stage1_wall, probe.drat)
+    proof = None if probe.drat is None else DratProof()
     outcome = Solver(cnf, UNSAT_TUNED, drat_sink=proof).solve()
     return AdaptiveOutcome(outcome, 2, stage1_wall, proof)

@@ -472,13 +472,14 @@ class Solver:
             raise RuntimeError("export_learnts requires decision level 0")
         return [LearntSnapshot(tuple(c.lits), c.lbd) for c in self.learnts]
 
-    def replace_learnts(self, kept: list[LearntSnapshot]):
-        """Drop every learnt clause whose literals are not in `kept`."""
+    def keep_learnts(self, keep: list[bool]):
+        """Drop learnt clause i of ``export_learnts()`` unless keep[i]."""
         if self.decision_level != 0:
-            raise RuntimeError("replace_learnts requires decision level 0")
-        keep_keys = {frozenset(s.lits) for s in kept}
-        drop = [c for c in self.learnts if frozenset(c.lits) not in keep_keys]
-        self._remove_learnts(drop)
+            raise RuntimeError("keep_learnts requires decision level 0")
+        if len(keep) != len(self.learnts):
+            raise ValueError(f"{len(keep)} keep flags for "
+                             f"{len(self.learnts)} learnt clauses")
+        self._remove_learnts([c for c, k in zip(self.learnts, keep) if not k])
 
     # -- main loop ---------------------------------------------------------
 

@@ -7,7 +7,7 @@ import pytest
 
 from cascad.circuit import Circuit
 from cascad.cnf import CnfFormula
-from cascad.estimator import Estimator, ProbQuery
+from cascad.estimator import Estimator
 from cascad.sim import SimulationPlan, sample_patterns, simulate
 from cascad.solver import Solver, SolveOutcome, SolverConfig
 
@@ -118,16 +118,16 @@ def run_workload_suite(circuit: Circuit, num_sims: int = 200,
     return pi_profile, node_probs
 
 
-def quotient_cond_prob(est: Estimator, query: ProbQuery, noise: float = 0.0,
+def quotient_cond_prob(est: Estimator, target, conditions, noise: float = 0.0,
                        noise_seed: int = 0) -> float | None:
     """P(target | conditions) as a quotient of separately estimated joint and
     condition probabilities over est's trace set, each optionally moved by
     +-noise.  The division-amplification pathology the estimator avoids by
     counting trace ratios; criterion 2 and test_estimator.py measure it."""
     t = est.traces
-    cond_row = reduce(np.bitwise_and, (t.trace(*c) for c in query.conditions))
+    cond_row = reduce(np.bitwise_and, (t.trace(*c) for c in conditions))
     p_cond = t.popcount(cond_row) / t.num_patterns
-    p_joint = t.popcount(cond_row & t.trace(*query.target)) / t.num_patterns
+    p_joint = t.popcount(cond_row & t.trace(*target)) / t.num_patterns
     if noise:
         rng = np.random.default_rng(noise_seed)
         p_joint += noise * (1 if rng.random() < 0.5 else -1)

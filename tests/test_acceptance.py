@@ -16,7 +16,7 @@ from cascad.bench import gen_suite, par2, solve_miter
 from cascad.circuit import Circuit
 from cascad.cnf import CnfFormula, tseitin_encode
 from cascad.drat import DratProof, check_proof
-from cascad.estimator import (Backend, Estimator, EstimatorConfig, ProbQuery,
+from cascad.estimator import (Backend, Estimator, EstimatorConfig,
                               default_backend)
 from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                                PhaseSelectionPolicy, adaptive_solve,
@@ -59,11 +59,11 @@ def test_criterion_1_probability_oracle_fidelity(capsys):
             tgt, cond = rng.randrange(len(c)), rng.choice(conds)
             if tgt == cond:
                 continue
-            q = ProbQuery((tgt, True), ((cond, True),))
-            re_, rs = exact.cond_prob(q), sim.cond_prob(q)
-            if re_.p is None or rs.p is None:
+            q = (tgt, True), ((cond, True),)
+            re_, rs = exact.cond_prob(*q), sim.cond_prob(*q)
+            if re_ is None or rs is None:
                 continue
-            max_cond = max(max_cond, abs(re_.p - rs.p))
+            max_cond = max(max_cond, abs(re_ - rs))
             done += 1
             n_cond_queries += 1
     elapsed = time.monotonic() - t0
@@ -86,12 +86,12 @@ def test_criterion_2_division_amplification(capsys):
     c.set_outputs([acc])
     est = Estimator(c, EstimatorConfig(backend=Backend.EXACT))
     p_cond = est.node_prob(acc)
-    query = ProbQuery((pis[0], True), ((acc, True),))
-    exact_p = est.cond_prob(query).p  # = 1.0 by construction
-    trace_errs = [abs(est.cond_prob(query).p - 1.0) for _ in range(100)]
+    query = (pis[0], True), ((acc, True),)
+    exact_p = est.cond_prob(*query)  # = 1.0 by construction
+    trace_errs = [abs(est.cond_prob(*query) - 1.0) for _ in range(100)]
     quot_errs = []
     for seed in range(100):
-        q = quotient_cond_prob(est, query, noise=0.003, noise_seed=seed)
+        q = quotient_cond_prob(est, *query, noise=0.003, noise_seed=seed)
         if q is not None:
             quot_errs.append(abs(q - exact_p))
     trace_mae = sum(trace_errs) / len(trace_errs)
@@ -271,7 +271,8 @@ def test_criterion_8_adaptive_switch(capsys):
     for case in gen_suite(bases, n_sat=3, n_unsat=0, seed=9):
         po = case.miter.primary_outputs[0]
         cnf, _ = tseitin_encode(case.miter, [(po, True)])
-        result = adaptive_solve(cnf, AdaptiveUnsatPolicy())
+        result = adaptive_solve(Solver(cnf, drat_sink=DratProof()), cnf,
+                                AdaptiveUnsatPolicy())
         sat_ok &= (result.stage == 1
                    and result.outcome.status is Status.SAT
                    and result.stage1_wall < 5.0)
@@ -280,7 +281,8 @@ def test_criterion_8_adaptive_switch(capsys):
     # conflicts, far more than a 5 s probe gets through (PHP(8,7) needs
     # 7.6k, which a fast host can finish inside the probe)
     hard = pigeonhole(9, 8)
-    result = adaptive_solve(hard, AdaptiveUnsatPolicy())
+    result = adaptive_solve(Solver(hard, drat_sink=DratProof()), hard,
+                            AdaptiveUnsatPolicy())
     unsat_ok = (result.stage == 2
                 and result.stage1_wall >= 5.0
                 and result.outcome.status is Status.UNSAT

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cascad.bench import (MODES, BenchCase, BenchConfig, CorrectnessAlarm,
-                          SuiteError, TRANSFORMS, commute_fanins, double_negate,
-                          gen_suite, load_suite, par2, par2_by_config,
+                          SuiteError, TRANSFORMS, commute_fanins, gen_suite,
+                          load_suite, par2, par2_by_config,
                           reassociate, report, run_case, run_suite, save_suite,
                           solve_miter)
-from cascad.circuit import Circuit, GateKind, build_miter, mutate_circuit
+from cascad.circuit import Circuit, build_miter, mutate_circuit
 from cascad.cnf import tseitin_encode
 from cascad.estimator import Estimator
 from cascad.heuristics import ClauseFilterPolicy, PhaseSelectionPolicy
@@ -42,12 +42,6 @@ class TestTransforms:
         c = random_circuit(seed, num_pis=5, num_gates=30)
         twin = TRANSFORMS[name](c, seed + 100)
         assert functionally_equal(c, twin)
-
-    def test_double_negate_adds_not_pair(self, toy_and):
-        c, a, b, g = toy_and
-        twin = double_negate(c, seed=0)
-        nots = [x for x in twin.gates if x.kind is GateKind.NOT]
-        assert len(nots) == 2
 
     def test_commute_swaps_fanins(self, toy_and):
         c, a, b, g = toy_and
@@ -133,17 +127,17 @@ def graph_json(c: Circuit) -> str:
 
 
 class TestCopyPin:
-    # SHA-256 over the gate lists the copying transforms produced before
-    # their four copy loops became circuit.rebuild; any change to gate order,
-    # NOT sharing or PI numbering shows here
-    DIGEST = "c89b77270b232128b03b10de5ff566174f7010be5114f60c9eb811f128025bdc"
+    # SHA-256 over the gate lists the copying transforms and the suite's
+    # miters produce; any change to gate order, NOT sharing or PI numbering
+    # shows here
+    DIGEST = "311e4bb4a89c2a78f5e1295eed3d21296a60c98cce1aaa8eda4f8a36893332ff"
 
     def test_copies_unchanged(self):
         h = hashlib.sha256()
         for seed in range(40):
             c = random_circuit(seed, num_pis=5, num_gates=30)
             c.set_outputs(c.primary_outputs + [len(c) - 4])
-            twins = [double_negate(c, seed), reassociate(c, seed),
+            twins = [TRANSFORMS["identity"](c, seed), reassociate(c, seed),
                      mutate_circuit(c, seed)]
             cases = gen_suite([c], n_sat=2, n_unsat=2, seed=seed)
             for out in twins + [build_miter(c, t) for t in twins] + \
@@ -310,6 +304,29 @@ class TestSolveMiter:
                     clause_filter=ClauseFilterPolicy(conflict_budget=10))
         assert len(followed) == (mode in ("phase", "adaptive"))
         assert all(isinstance(s, Solver) for s in followed)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_solving_seconds_exclude_solver_set_up(self, monkeypatch, mode):
+        """Each mode builds one solver, before the solving clock starts."""
+        import cascad.bench as bench_mod
+        import cascad.heuristics as heuristics_mod
+        built = []
+
+        class SlowSetUp(Solver):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.3)
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "Solver", SlowSetUp)
+        monkeypatch.setattr(heuristics_mod, "Solver", SlowSetUp)
+        case = self.cases()[0]
+        outcome, fields = solve_miter(
+            case.miter, mode,
+            clause_filter=ClauseFilterPolicy(conflict_budget=10))
+        assert outcome.status.value == case.expected
+        assert len(built) == 1
+        assert fields["solving_seconds"] < 0.3
 
     def test_hashed_cnf_is_smaller(self, monkeypatch):
         import cascad.bench as bench_mod

@@ -108,7 +108,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command", ["score", "report"])
     def test_records_line_not_json(self, tmp_path, capsys, command):
         records = tmp_path / "runs.jsonl"
-        records.write_text(json.dumps({"case": "a"}) + "\n\nnot json\n")
+        good = {"case": "a", "config": "baseline", "status": "SAT",
+                "wall_seconds": 1.0}
+        records.write_text(json.dumps(good) + "\n\nnot json\n")
         out = ["--out", str(tmp_path / "report")] if command == "report" else []
         rc = main(["bench", command, "--records", str(records), *out])
         captured = capsys.readouterr()
@@ -117,6 +119,73 @@ class TestMalformedInput:
             f"cascad bench: {records}: line 3: Expecting value: line 1 "
             "column 1 (char 0)"]
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("line", [
+        "[1]", "3", json.dumps({"case": "a", "config": "baseline",
+                                "status": "SAT"}),
+        json.dumps({"config": "baseline", "status": "SAT",
+                    "wall_seconds": 1.0}),
+        json.dumps({"case": "a", "config": ["x"], "status": "SAT",
+                    "wall_seconds": 1.0}),
+        json.dumps({"case": "a", "config": "baseline", "status": "SAT",
+                    "wall_seconds": "1"})],
+        ids=["list", "number", "no-wall-seconds", "no-case", "list-config",
+             "string-wall-seconds"])
+    @pytest.mark.parametrize("command", ["score", "report"])
+    def test_records_line_not_a_record(self, tmp_path, capsys, command, line):
+        records = tmp_path / "runs.jsonl"
+        good = {"case": "a", "config": "baseline", "status": "SAT",
+                "wall_seconds": 1.0}
+        records.write_text(json.dumps(good) + "\n" + line + "\n")
+        out = ["--out", str(tmp_path / "report")] if command == "report" else []
+        rc = main(["bench", command, "--records", str(records), *out])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"cascad bench: {records}: line 2: not a record with case, "
+            "config, status and wall_seconds"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("manifest, culprit, message", [
+        ("word", "manifest.json", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"id": "x"}', "manifest.json", "not a list of cases"),
+        ('[{"id": "x"}]', "manifest.json", "case 0 needs a string id and "
+         "aiger and expected SAT, UNSAT or unknown"),
+        ('[{"id": "x", "aiger": "x.aag", "expected": "SAT"}, 5]',
+         "manifest.json", "case 1 needs a string id and aiger and expected "
+         "SAT, UNSAT or unknown"),
+        ('[{"id": "x", "aiger": "x.aag", "expected": "sat"}]',
+         "manifest.json", "case 0 needs a string id and aiger and expected "
+         "SAT, UNSAT or unknown"),
+        ('[{"id": "x", "aiger": "bad.aag", "expected": "SAT"}]', "bad.aag",
+         "literal 4 exceeds maxvar 1"),
+    ], ids=["not-json", "not-a-list", "no-aiger", "case-not-object",
+            "lowercase-expected", "bad-aiger"])
+    def test_malformed_suite(self, tmp_path, capsys, manifest, culprit,
+                             message):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "manifest.json").write_text(manifest)
+        (suite / "x.aag").write_text("aag 1 1 0 1 0\n2\n2\n")
+        (suite / "bad.aag").write_text("aag 1 1 0 1 0\n2\n4\n")
+        runs = tmp_path / "runs.jsonl"
+        rc = main(["bench", "run", "--suite", str(suite), "--out", str(runs)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not runs.exists()
+        assert captured.err.splitlines() == [
+            f"cascad bench: {suite / culprit}: {message}"]
+
+    def test_gen_without_effective_mutation(self, tmp_path, capsys):
+        # a base whose output is its input: no mutation changes its function
+        base = tmp_path / "pi.aag"
+        base.write_text("aag 1 1 0 1 0\n2\n2\n")
+        suite = tmp_path / "suite"
+        rc = main(["bench", "gen", str(base), "--suite", str(suite),
+                   "--n-sat", "1", "--n-unsat", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not suite.exists()
+        assert captured.err.splitlines() == [
+            "cascad bench: no effective mutation found for SAT case 0"]
 
 
 class TestSim:

@@ -5,8 +5,8 @@ import pytest
 
 from cascad.circuit import Circuit
 from cascad.cnf import signal_to_lit, tseitin_encode
-from cascad.estimator import (Backend, CondResult, Estimator, EstimatorConfig,
-                              EstimatorError, ProbQuery)
+from cascad.estimator import (Backend, Estimator, EstimatorConfig,
+                              EstimatorError)
 
 from conftest import (all_input_rows, eval_circuit, quotient_cond_prob,
                       random_circuit)
@@ -51,26 +51,23 @@ class TestCondProb:
     def test_toy_exact(self, toy_and):
         c, a, b, g = toy_and
         est = exact_estimator(c)
-        r = est.cond_prob(ProbQuery((g, True), ((a, True),)))
-        assert r == CondResult(0.5, 0.5)
+        assert est.cond_prob((g, True), ((a, True),)) == 0.5
 
     def test_multiple_conditions(self, toy_and):
         c, a, b, g = toy_and
         est = exact_estimator(c)
-        r = est.cond_prob(ProbQuery((g, True), ((a, True), (b, True))))
-        assert r.p == 1.0 and r.condition_prob == 0.25
+        assert est.cond_prob((g, True), ((a, True), (b, True))) == 1.0
 
     def test_negative_polarity(self, toy_and):
         c, a, b, g = toy_and
         est = exact_estimator(c)
-        r = est.cond_prob(ProbQuery((g, True), ((a, False),)))
-        assert r.p == 0.0
+        assert est.cond_prob((g, True), ((a, False),)) == 0.0
 
     def test_target_among_conditions(self, toy_and):
         c, a, b, g = toy_and
         est = exact_estimator(c)
-        assert est.cond_prob(ProbQuery((a, True), ((a, True),))).p == 1.0
-        assert est.cond_prob(ProbQuery((a, False), ((a, True),))).p == 0.0
+        assert est.cond_prob((a, True), ((a, True),)) == 1.0
+        assert est.cond_prob((a, False), ((a, True),)) == 0.0
 
     def test_undefined_condition(self):
         c = Circuit()
@@ -78,20 +75,18 @@ class TestCondProb:
         z = c.add_const0()
         c.set_outputs([a])
         est = exact_estimator(c)
-        r = est.cond_prob(ProbQuery((a, True), ((z, True),)))
-        assert r.p is None and r.condition_prob == 0.0
+        assert est.cond_prob((a, True), ((z, True),)) is None
 
     def test_no_conditions_rejected(self, toy_and):
         c, a, *_ = toy_and
         with pytest.raises(EstimatorError, match="condition"):
-            exact_estimator(c).cond_prob(ProbQuery((a, True)))
+            exact_estimator(c).cond_prob((a, True), ())
 
     def test_memo_ignores_condition_order(self, toy_and):
         c, a, b, g = toy_and
         est = exact_estimator(c)
-        r1 = est.cond_prob(ProbQuery((g, True), ((a, True), (b, True))))
-        r2 = est.cond_prob(ProbQuery((g, True), ((b, True), (a, True))))
-        assert r1 == r2
+        assert est.cond_prob((g, True), ((a, True), (b, True))) == \
+            est.cond_prob((g, True), ((b, True), (a, True)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_enumeration(self, seed):
@@ -104,15 +99,15 @@ class TestCondProb:
             if ref[cond]:
                 n_cond += 1
                 n_joint += ref[tgt]
-        r = est.cond_prob(ProbQuery((tgt, True), ((cond, True),)))
-        assert r.p == pytest.approx(n_joint / n_cond)
+        assert est.cond_prob((tgt, True), ((cond, True),)) == \
+            pytest.approx(n_joint / n_cond)
 
 
 class TestQuotientMode:
     def test_agrees_without_noise(self, toy_and):
         c, a, b, g = toy_and
         est = exact_estimator(c)
-        q = quotient_cond_prob(est, ProbQuery((g, True), ((a, True),)))
+        q = quotient_cond_prob(est, (g, True), ((a, True),))
         assert q == pytest.approx(0.5)
 
     def test_noise_amplified_on_polar_condition(self):
@@ -125,12 +120,12 @@ class TestQuotientMode:
             acc = c.add_and(acc, p)  # polar condition, P = 1/128
         c.set_outputs([acc])
         est = exact_estimator(c)
-        q = ProbQuery((pis[0], True), ((acc, True),))
-        exact_p = est.cond_prob(q).p
+        q = (pis[0], True), ((acc, True),)
+        exact_p = est.cond_prob(*q)
         assert exact_p == 1.0
-        errs = [abs(quotient_cond_prob(est, q, noise=0.003, noise_seed=s) - exact_p)
+        errs = [abs(quotient_cond_prob(est, *q, noise=0.003, noise_seed=s) - exact_p)
                 for s in range(20)
-                if quotient_cond_prob(est, q, noise=0.003, noise_seed=s) is not None]
+                if quotient_cond_prob(est, *q, noise=0.003, noise_seed=s) is not None]
         assert max(errs) > 0.25
 
     def test_degenerate_denominator_none(self):
@@ -139,7 +134,7 @@ class TestQuotientMode:
         z = c.add_const0()
         c.set_outputs([a])
         est = exact_estimator(c)
-        assert quotient_cond_prob(est, ProbQuery((a, True), ((z, True),))) is None
+        assert quotient_cond_prob(est, (a, True), ((z, True),)) is None
 
 
 class TestClauseProb:
@@ -202,15 +197,15 @@ class TestPolarAndPhaseTable:
 
 PIN_DIGESTS = {
     Backend.EXACT:
-        "59670b118c632c40f066c51a3ef04cc8eaf302752b65e50c8f5d6d8f9adcae56",
+        "fdc8b01a91a1c786d76c9dce51baa00210afc29115c5ef93ec36e637a5d4bab9",
     Backend.SIMULATION:
-        "e5fed624ac42c3207ed94ab3904038ca18b200f20244ecb001ab3b7720873b60",
+        "277dbefda58a59282f04f0ed976a929a8bae4ff9fae7fc834a4939245ebb98ee",
 }
 
 
 def pin_lines(backend: Backend, seed: int) -> list[str]:
     """Every figure the estimator reports on one seeded circuit, one repr
-    per query: node_prob, cond_prob (p and condition_prob), phase_table,
+    per query: node_prob, cond_prob, phase_table,
     and clause_prob in both modes."""
     rng = random.Random(seed)
     c = random_circuit(seed, num_pis=6, num_gates=40)
@@ -228,8 +223,8 @@ def pin_lines(backend: Backend, seed: int) -> list[str]:
         conditions = [signal() for _ in range(rng.randint(1, 3))]
         if k % 5 == 0:
             conditions.append((target[0], rng.random() < 0.5))
-        r = est.cond_prob(ProbQuery(target, tuple(conditions)))
-        lines.append(repr((target, conditions, r.p, r.condition_prob)))
+        p = est.cond_prob(target, tuple(conditions))
+        lines.append(repr((target, conditions, p)))
     lines.append(repr(sorted(est.phase_table(po).items())))
     _, vmap = tseitin_encode(c)
     unmapped = len(vmap.var_to_gate) + 1  # one variable past the map's end

@@ -319,10 +319,12 @@ class TestAdaptive:
     def test_fast_sat_stays_in_stage1(self, toy_and):
         c, a, b, g = toy_and
         cnf, vmap, po = encoded_instance(c)
-        result = adaptive_solve(cnf, AdaptiveUnsatPolicy())
+        probe = Solver(cnf, drat_sink=DratProof())
+        result = adaptive_solve(probe, cnf, AdaptiveUnsatPolicy())
         assert result.stage == 1
         assert result.outcome.status is Status.SAT
         assert result.stage1_wall < 5.0
+        assert result.proof is probe.drat
 
     def hard_unsat(self):
         rng = random.Random(55)
@@ -336,7 +338,8 @@ class TestAdaptive:
     def test_switch_to_stage2(self):
         cnf = self.hard_unsat()
         policy = AdaptiveUnsatPolicy(probe_budget_seconds=0.001)
-        result = adaptive_solve(cnf, policy)
+        result = adaptive_solve(Solver(cnf, drat_sink=DratProof()), cnf,
+                                policy)
         assert result.stage == 2
         assert result.stage1_wall >= 0.001
         assert result.outcome.status is Status.UNSAT
@@ -344,15 +347,20 @@ class TestAdaptive:
         assert ok, why
 
     def test_no_proof_requested(self, toy_and):
+        # a probe without a sink: neither stage logs a proof
         c, *_ = toy_and
         cnf, _, _ = encoded_instance(c)
-        result = adaptive_solve(cnf, AdaptiveUnsatPolicy(), want_proof=False)
-        assert result.proof is None
+        result = adaptive_solve(Solver(cnf), cnf, AdaptiveUnsatPolicy())
+        assert result.stage == 1 and result.proof is None
+        hard = self.hard_unsat()
+        result = adaptive_solve(Solver(hard), hard, AdaptiveUnsatPolicy(
+            probe_budget_seconds=0.001))
+        assert result.stage == 2 and result.proof is None
 
     def test_stage2_uses_unsat_tuned(self):
         # stage 2 is a fresh UNSAT_TUNED solve: the same search from scratch
         cnf = self.hard_unsat()
-        result = adaptive_solve(cnf, AdaptiveUnsatPolicy(
+        result = adaptive_solve(Solver(cnf), cnf, AdaptiveUnsatPolicy(
             probe_budget_seconds=0.001))
         fresh = solve(cnf, UNSAT_TUNED)
         assert result.stage == 2

@@ -1,8 +1,9 @@
 """Every name a cascad module imports must be used in that module, and the
 package's exports, config and policy fields, the parameters of
-``solve_miter`` and ``Solver``, the options of ``cascad csat``, estimator
-backends and process-spawning imports are pinned: a new option, export,
-backend or child-process path is a visible edit here."""
+``solve_miter``, ``Solver``, ``adaptive_solve`` and ``Estimator.cond_prob``,
+the options of ``cascad csat``, estimator backends and process-spawning
+imports are pinned: a new option, export, backend or child-process path is
+a visible edit here."""
 
 import ast
 import dataclasses
@@ -16,9 +17,9 @@ import pytest
 import cascad
 from cascad.bench import solve_miter
 from cascad.cli import main
-from cascad.estimator import Backend, EstimatorConfig
+from cascad.estimator import Backend, Estimator, EstimatorConfig
 from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
-                               PhaseSelectionPolicy)
+                               PhaseSelectionPolicy, adaptive_solve)
 from cascad.solver import Solver, SolverConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cascad"
@@ -75,6 +76,9 @@ def test_config_fields_pinned(capsys):
         "miter", "mode", "tau", "clause_filter", "adaptive"]
     assert parameter_names(Solver.__init__) == [
         "self", "cnf", "config", "phase_hook", "drat_sink"]
+    assert parameter_names(adaptive_solve) == ["probe", "cnf", "policy"]
+    assert parameter_names(Estimator.cond_prob) == [
+        "self", "target", "conditions"]
     with pytest.raises(SystemExit):
         main(["csat", "--help"])
     usage = capsys.readouterr().out.split("\n\n")[0]
@@ -116,7 +120,7 @@ def test_package_exports_pinned():
         "Circuit", "Gate", "GateKind", "build_miter", "emit_aiger",
         "levelize", "mutate_circuit", "parse_aiger",
         "CnfFormula", "VarGateMap", "parse_dimacs", "tseitin_encode",
-        "Backend", "Estimator", "EstimatorConfig", "ProbQuery",
+        "Backend", "Estimator", "EstimatorConfig",
         "PatternTraces", "SimulationPlan", "exact_truth_table",
         "sample_patterns", "simulate",
         "Solver", "SolverConfig", "SolveOutcome", "Status"}

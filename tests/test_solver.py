@@ -723,12 +723,30 @@ class TestLearntDatabase:
         s, clauses = self.paused_solver()
         snaps = s.export_learnts()
         assert all(isinstance(x, LearntSnapshot) for x in snaps)
-        kept = snaps[: len(snaps) // 2]
-        s.replace_learnts(kept)
-        assert len(s.learnts) <= len(kept) + 1  # locked clauses may survive
+        half = len(snaps) // 2
+        s.keep_learnts([i < half for i in range(len(snaps))])
+        assert len(s.learnts) <= half + 1  # locked clauses may survive
         final = s.solve()
         expect = solve(cnf(s.nvars, clauses)).status
         assert final.status is expect
+
+    def test_keep_learnts_by_position(self):
+        s, _ = self.paused_solver()
+        before = list(s.learnts)
+        keep = [i % 3 == 0 for i in range(len(before))]
+        s.keep_learnts(keep)
+        # a clause that is the reason of a level-0 literal stays regardless
+        locked = {id(s.reasons[abs(lit)]) for lit in s.trail}
+        assert [c for c in s.learnts if id(c) not in locked] == \
+            [c for c, k in zip(before, keep) if k and id(c) not in locked]
+
+    def test_keep_learnts_checks_level_and_length(self):
+        s, _ = self.paused_solver()
+        with pytest.raises(ValueError, match="keep flags"):
+            s.keep_learnts([True])
+        s.decide()
+        with pytest.raises(RuntimeError, match="level 0"):
+            s.keep_learnts([True] * len(s.learnts))
 
     def test_reduce_db_keeps_low_lbd(self):
         s, _ = self.paused_solver()
@@ -854,7 +872,7 @@ class TestSearchPin:
         s.pause_at_level0()
         snaps = s.export_learnts()
         h.update(repr([(snap.lits, snap.lbd) for snap in snaps]).encode())
-        s.replace_learnts(snaps[::2])
+        s.keep_learnts([i % 2 == 0 for i in range(len(snaps))])
         self.record(h, s.solve(), proof)
 
     def clause_filter(self, h):
