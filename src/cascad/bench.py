@@ -380,9 +380,12 @@ def run_suite(cases: list[BenchCase], configs: list[BenchConfig],
 
 def par2(records: list[dict], cutoff: float) -> Par2Score:
     """Solved within the cutoff scores its wall time; anything else scores
-    twice the cutoff."""
+    twice the cutoff; a case recorded twice raises ``ValueError``."""
     per_case: dict[str, float] = {}
     for r in records:
+        if r["case"] in per_case:
+            raise ValueError(f"two records of case {r['case']!r} under "
+                             f"config {r['config']!r}")
         solved = r["status"] in ("SAT", "UNSAT") and r["wall_seconds"] <= cutoff
         per_case[r["case"]] = r["wall_seconds"] if solved else 2.0 * cutoff
     average = sum(per_case.values()) / len(per_case) if per_case else 0.0

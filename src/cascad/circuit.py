@@ -86,7 +86,6 @@ class Circuit:
         # shared NOT node per driven signal (hash-consing)
         self._not_cache: dict[int, int] = {}
         self._const0: int | None = None
-        self._levels: list[int] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -95,7 +94,6 @@ class Circuit:
             if not (0 <= f < len(self.gates)):
                 raise ShapeError(f"fanin {f} out of range")
         self.gates.append(gate)
-        self._levels = None
         return len(self.gates) - 1
 
     def add_pi(self) -> int:
@@ -114,7 +112,6 @@ class Circuit:
         if not (0 <= a < n and 0 <= b < n):
             raise ShapeError(f"fanin {b if 0 <= a < n else a} out of range")
         gates.append(_new(Gate, (_AND, (a, b))))
-        self._levels = None
         return n
 
     def add_not(self, a: int) -> int:
@@ -129,7 +126,6 @@ class Circuit:
         if g is None:
             g = len(gates)
             gates.append(_new(Gate, (_NOT, (a,))))
-            self._levels = None
             self._not_cache[a] = g
         return g
 
@@ -146,9 +142,7 @@ class Circuit:
 
     @property
     def levels(self) -> list[int]:
-        if self._levels is None:
-            self._levels = levelize(self)
-        return self._levels
+        return levelize(self)
 
     def depth(self) -> int:
         return max(self.levels, default=0)

@@ -56,8 +56,7 @@ def cmd_sim(args):
     circuit = _load(parse_aiger, args.file)
     plan = SimulationPlan(args.patterns, args.workload, args.seed)
     traces = simulate(circuit, sample_patterns(plan, len(circuit.primary_inputs)))
-    probs = {g: traces.count(g) / traces.num_patterns
-             for g in range(len(circuit))}
+    probs = dict(enumerate((traces.counts() / traces.num_patterns).tolist()))
     print(json.dumps({"num_patterns": traces.num_patterns,
                       "probabilities": probs}))
 
@@ -155,6 +154,15 @@ def _read_records(path: str) -> list[dict]:
     return records
 
 
+def _scored(score, args):
+    """``score`` of the records file; a file that is not UTF-8, or that
+    records one (case, config) twice, is bad input."""
+    try:
+        return score(_read_records(args.records), args.cutoff)
+    except ValueError as e:
+        raise BadInput(f"{args.records}: {e}") from None
+
+
 def cmd_bench(args):
     if args.bench_cmd == "gen":
         bases = [_load(parse_aiger, p) for p in args.bases]
@@ -169,13 +177,11 @@ def cmd_bench(args):
                                       jobs=args.jobs, out_path=args.out)
         print(json.dumps({"records": len(records)}))
     elif args.bench_cmd == "score":
-        records = _read_records(args.records)
-        scores = bench_mod.par2_by_config(records, args.cutoff)
+        scores = _scored(bench_mod.par2_by_config, args)
         print(json.dumps({label: s.average for label, s in scores.items()},
                          indent=1))
     else:  # report
-        records = _read_records(args.records)
-        csv_text, summary = bench_mod.report(records, args.cutoff)
+        csv_text, summary = _scored(bench_mod.report, args)
         with open(args.out + ".csv", "w") as fh:
             fh.write(csv_text)
         with open(args.out + ".json", "w") as fh:

@@ -3,7 +3,8 @@
 Conditional probabilities are computed as trace ratios on one shared set of
 patterns (count(A and C) / count(C)), never as a quotient of independently
 estimated probabilities -- the quotient form amplifies error badly when the
-condition is polar.
+condition is polar.  Queries speak (gate, polarity) signals, never CNF
+literals: ``cascad.heuristics`` translates those.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import reduce
 import numpy as np
 
 from .circuit import Circuit
-from .cnf import VarGateMap, lit_to_signal
 from .sim import (PatternTraces, SimulationPlan, exact_truth_table,
                   sample_patterns, simulate)
 
@@ -56,18 +56,27 @@ class Estimator:
         self.config = config or EstimatorConfig()
         self.backend = self.config.backend or default_backend(circuit)
         self._traces: PatternTraces | None = None
+        self._failure = None  # the error and traceback of a failed build
 
     @property
     def traces(self) -> PatternTraces:
+        """The trace set, built once: a failed build raises again per query."""
         if self._traces is None:
-            if self.backend is Backend.EXACT:
-                self._traces = exact_truth_table(self.circuit)
-            else:
-                plan = SimulationPlan(self.config.num_patterns,
-                                      seed=self.config.seed)
-                block = sample_patterns(plan, len(self.circuit.primary_inputs))
-                self._traces = simulate(self.circuit, block)
+            if self._failure:
+                raise self._failure[0].with_traceback(self._failure[1])
+            try:
+                self._traces = self._build_traces()
+            except Exception as e:
+                self._failure = e, e.__traceback__
+                raise
         return self._traces
+
+    def _build_traces(self) -> PatternTraces:
+        if self.backend is Backend.EXACT:
+            return exact_truth_table(self.circuit)
+        plan = SimulationPlan(self.config.num_patterns, seed=self.config.seed)
+        inputs = sample_patterns(plan, len(self.circuit.primary_inputs))
+        return simulate(self.circuit, inputs)
 
     def _condition(self, conditions) -> tuple[np.ndarray, int]:
         """The row of patterns where every condition holds, and its count."""
@@ -98,17 +107,17 @@ class Estimator:
         t = self.traces
         return t.popcount(cond_row & t.trace(tgate, tpol)) / n_cond
 
-    def clause_prob(self, literals: list[int], vmap: VarGateMap,
+    def clause_prob(self, signals: list[tuple[int, bool] | None],
                     mode: str = "correlated") -> float | None:
-        """Satisfaction probability of a clause (OR of its literals).
+        """Satisfaction probability of a clause (OR of its literals), each
+        a (gate, polarity) signal or None for a literal with no gate image.
 
-        correlated: fraction of shared-trace patterns satisfying any literal;
-        returns None when a literal has no gate image (no circuit evidence).
-        independent: 1 - prod(1 - P(l_i)); unmapped literals count as 0.5.
+        correlated: fraction of shared-trace patterns satisfying any signal;
+        returns None when a signal is None (no circuit evidence).
+        independent: 1 - prod(1 - P(s_i)); a None signal counts as 0.5.
         """
-        if not literals:
+        if not signals:
             raise EstimatorError("empty clause")
-        signals = [lit_to_signal(vmap, lit) for lit in literals]
         if mode == "independent":
             acc = 1.0
             for sig in signals:

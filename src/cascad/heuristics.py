@@ -140,8 +140,9 @@ def score_clauses(snapshots: list[LearntSnapshot], estimator: Estimator,
     keep: list[bool] = []
     failures = 0
     for snap in snapshots:
+        signals = [lit_to_signal(vmap, lit) for lit in snap.lits]
         try:
-            p = estimator.clause_prob(list(snap.lits), vmap, mode=policy.mode)
+            p = estimator.clause_prob(signals, mode=policy.mode)
         except Exception:
             p = None
             failures += 1

@@ -51,23 +51,11 @@ class SimulationPlan:
             if not (0.0 <= r <= 1.0):
                 raise SimError(f"workload {r} outside [0, 1]")
 
-    def rho_for(self, pi_index: int) -> float:
-        if isinstance(self.workload, (list, tuple)):
-            return self.workload[pi_index]
-        return self.workload
-
-
-@dataclass
-class PatternBlock:
-    """Packed input bits, one row per PI."""
-    words: np.ndarray  # shape (num_pis, ceil(n/64)), uint64
-    num_patterns: int
-
 
 class PatternTraces:
-    """Packed outcome bits, one row per gate.
+    """Packed bits, one row per gate, or one per PI for a set of inputs.
 
-    ``words`` has shape (num_gates, ceil(n/64)), uint64, so the simulator
+    ``words`` has shape (num_rows, ceil(n/64)), uint64, so the simulator
     and the counts work a machine word at a time; every bit past pattern
     n - 1 is zero.  ``valid`` is the row of the n valid pattern bits, so a
     row's complement is an XOR with it."""
@@ -122,17 +110,18 @@ def _packed_bytes(words: np.ndarray, num_patterns: int) -> np.ndarray:
     return words.view(np.uint8)[:, :(num_patterns + 7) // 8]
 
 
-def sample_patterns(plan: SimulationPlan, num_pis: int) -> PatternBlock:
-    """Independent Bernoulli(rho_i) bits from the counter-based generator."""
-    if isinstance(plan.workload, (list, tuple)) and len(plan.workload) != num_pis:
-        raise SimError(f"workload gives {len(plan.workload)} rates for "
-                       f"{num_pis} PIs")
+def sample_patterns(plan: SimulationPlan, num_pis: int) -> PatternTraces:
+    """Bernoulli(rho_i) bits, one row per PI, from the counter-based generator."""
+    rhos = plan.workload
+    if not isinstance(rhos, (list, tuple)):
+        rhos = [rhos] * num_pis
+    elif len(rhos) != num_pis:
+        raise SimError(f"workload gives {len(rhos)} rates for {num_pis} PIs")
     n = plan.num_patterns
     words = _word_rows(num_pis, n)
     packed = _packed_bytes(words, n)
     counter = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
-    for j in range(num_pis):
-        rho = plan.rho_for(j)
+    for j, rho in enumerate(rhos):
         if rho >= 1.0:
             bits = np.ones(n, dtype=np.uint8)
         elif rho <= 0.0:
@@ -144,18 +133,18 @@ def sample_patterns(plan: SimulationPlan, num_pis: int) -> PatternBlock:
             threshold = np.uint64(int(rho * 2**64))
             bits = draws < threshold
         packed[j] = np.packbits(bits, bitorder="little")
-    return PatternBlock(words, n)
+    return PatternTraces(words, n)
 
 
-def simulate(circuit: Circuit, inputs: PatternBlock) -> PatternTraces:
-    """Evaluate every gate in index order, 64 patterns per machine word.
+def simulate(circuit: Circuit, inputs: PatternTraces) -> PatternTraces:
+    """Evaluate every gate on ``inputs``, one row per PI, in index order,
+    64 patterns per machine word.
 
     Each gate is written in place into its row of the table; a NOT is an
     XOR with the table's valid-bits row, so surplus bits stay zero."""
     if inputs.words.shape[0] != len(circuit.primary_inputs):
-        raise ShapeError(
-            f"pattern block has {inputs.words.shape[0]} PI rows, circuit has "
-            f"{len(circuit.primary_inputs)}")
+        raise ShapeError(f"inputs have {inputs.words.shape[0]} PI rows, "
+                         f"circuit has {len(circuit.primary_inputs)}")
     traces = PatternTraces(_word_rows(len(circuit), inputs.num_patterns),
                            inputs.num_patterns)
     traces.words[circuit.primary_inputs] = inputs.words
@@ -172,7 +161,7 @@ def simulate(circuit: Circuit, inputs: PatternBlock) -> PatternTraces:
     return traces
 
 
-def exhaustive_patterns(num_pis: int) -> PatternBlock:
+def exhaustive_patterns(num_pis: int) -> PatternTraces:
     """All 2^m input rows in PI-index-major binary counting order."""
     if num_pis > TRUTH_TABLE_CAP:
         raise SimError(f"{num_pis} PIs exceeds the {TRUTH_TABLE_CAP}-PI truth-table cap")
@@ -187,9 +176,8 @@ def exhaustive_patterns(num_pis: int) -> PatternBlock:
         # and 3x the time)
         bit = (rows >> (num_pis - 1 - j)) & 1
         packed[j] = np.packbits(bit.astype(np.uint8), bitorder="little")
-    return PatternBlock(words, n)
+    return PatternTraces(words, n)
 
 
 def exact_truth_table(circuit: Circuit) -> PatternTraces:
-    block = exhaustive_patterns(len(circuit.primary_inputs))
-    return simulate(circuit, block)
+    return simulate(circuit, exhaustive_patterns(len(circuit.primary_inputs)))

@@ -133,7 +133,6 @@ class Solver:
         self._queued = [0.0] * n
         self._seen = [False] * n
         self._conflicts_since_restart = 0
-        self._restart_count = 0
         self._next_reduce = self.config.reduce_interval
         # Proof ids number clauses as a DRAT checker attaches them: original
         # clause i is id i, tautologies included, then each logged lemma
@@ -491,7 +490,7 @@ class Solver:
             raise ValueError("budgets must be positive")
         start = time.monotonic()
         start_conflicts = self.stats.conflicts
-        restart_limit = self.config.restart_unit * luby(self._restart_count)
+        restart_limit = self.config.restart_unit * luby(self.stats.restarts)
 
         def done_budget() -> bool:
             if conflict_budget is not None and \
@@ -529,9 +528,8 @@ class Solver:
             if self._conflicts_since_restart >= restart_limit:
                 self._backtrack(0)
                 self.stats.restarts += 1
-                self._restart_count += 1
                 self._conflicts_since_restart = 0
-                restart_limit = self.config.restart_unit * luby(self._restart_count)
+                restart_limit = self.config.restart_unit * luby(self.stats.restarts)
                 continue
             if done_budget():
                 outcome = Status.UNKNOWN

@@ -495,6 +495,13 @@ class TestPar2:
                       self.rec("b", "TIMEOUT", 8.0)], cutoff=8.0)
         assert score.average == (2.0 + 16.0) / 2
 
+    def test_repeated_case_rejected(self):
+        records = [self.rec("a", "SAT", 1.0), self.rec("a", "TIMEOUT", 10.0),
+                   self.rec("b", "SAT", 2.0)]
+        with pytest.raises(ValueError, match="two records of case 'a' under "
+                                             "config 'baseline'"):
+            par2(records, cutoff=10.0)
+
     def test_by_config(self):
         records = [self.rec("a", "SAT", 1.0, "x"),
                    self.rec("a", "TIMEOUT", 4.0, "y")]

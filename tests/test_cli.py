@@ -1,10 +1,13 @@
 import csv
 import gc
 import json
+import pathlib
+import shlex
 import warnings
 
 import pytest
 
+from cascad import cli
 from cascad.bench import MODES, BenchConfig, gen_suite, run_case
 from cascad.circuit import Circuit, build_miter, emit_aiger, parse_aiger
 from cascad.cli import main
@@ -145,6 +148,36 @@ class TestMalformedInput:
             f"cascad bench: {records}: line 2: not a record with case, "
             "config, status and wall_seconds"]
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["score", "report"])
+    def test_records_repeat_a_case(self, tmp_path, capsys, command):
+        """Two records of one (case, config) are one line naming the case
+        and config, not a score in which the last record wins."""
+        records = tmp_path / "runs.jsonl"
+        lines = [{"case": "a", "config": "baseline", "status": status,
+                  "wall_seconds": wall}
+                 for status, wall in (("SAT", 1.0), ("TIMEOUT", 10.0))]
+        records.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        out = ["--out", str(tmp_path / "report")] if command == "report" else []
+        rc = main(["bench", command, "--records", str(records),
+                   "--cutoff", "10", *out])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"cascad bench: {records}: two records of case 'a' under "
+            "config 'baseline'"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["score", "report"])
+    def test_records_not_utf8(self, tmp_path, capsys, command):
+        records = tmp_path / "runs.jsonl"
+        records.write_bytes(b"\xff\n")
+        out = ["--out", str(tmp_path / "report")] if command == "report" else []
+        rc = main(["bench", command, "--records", str(records), *out])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"cascad bench: {records}: 'utf-8' codec")
 
     @pytest.mark.parametrize("manifest, culprit, message", [
         ("word", "manifest.json", "Expecting value: line 1 column 1 (char 0)"),
@@ -536,3 +569,26 @@ class TestBench:
         assert "must be positive" in last
         assert (command == "run") != records.exists()
         assert not (tmp_path / "report.json").exists()
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_parse(monkeypatch):
+    """Every `cascad` line of README's Command line block is a command line
+    that ``main`` accepts; the commands themselves are stubbed."""
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    ran = []
+    for name in ("cmd_parse", "cmd_sim", "cmd_solve", "cmd_csat",
+                 "cmd_bench"):
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args.cmd))
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "cascad", line
+        try:
+            rc = main(argv[1:])
+        except SystemExit as e:  # an argparse usage error
+            rc = e.code
+        assert rc == 0, line
+    assert set(ran) == {"parse", "sim", "solve", "csat", "bench"}

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cascad.circuit import Circuit
-from cascad.cnf import signal_to_lit, tseitin_encode
+from cascad.cnf import lit_to_signal, signal_to_lit, tseitin_encode
 from cascad.estimator import (Backend, Estimator, EstimatorConfig,
                               EstimatorError)
 
@@ -140,44 +140,37 @@ class TestQuotientMode:
 class TestClauseProb:
     def test_correlated_or_semantics(self, toy_and):
         c, a, b, g = toy_and
-        cnf, vmap = tseitin_encode(c)
         est = exact_estimator(c)
-        lits = [vmap.gate_to_var[a], vmap.gate_to_var[b]]
-        assert est.clause_prob(lits, vmap) == 0.75
+        assert est.clause_prob([(a, True), (b, True)]) == 0.75
 
     def test_correlated_sees_correlation(self, toy_and):
         c, a, b, g = toy_and
-        _, vmap = tseitin_encode(c)
         est = exact_estimator(c)
         # g or not-a: g implies a, so this is just P(not a) + P(g) = 0.75
-        lits = [vmap.gate_to_var[g], -vmap.gate_to_var[a]]
-        assert est.clause_prob(lits, vmap) == 0.75
+        signals = [(g, True), (a, False)]
+        assert est.clause_prob(signals) == 0.75
         # independent approximation differs: 1 - (1-0.25)(1-0.5)
-        assert est.clause_prob(lits, vmap, mode="independent") == pytest.approx(0.625)
+        assert est.clause_prob(signals, mode="independent") == pytest.approx(0.625)
 
     def test_unmapped_correlated_none(self, toy_and):
         c, a, b, g = toy_and
-        _, vmap = tseitin_encode(c)
-        assert exact_estimator(c).clause_prob([vmap.gate_to_var[a], 99], vmap) is None
+        assert exact_estimator(c).clause_prob([(a, True), None]) is None
 
     def test_unmapped_independent_half(self, toy_and):
         c, a, b, g = toy_and
-        _, vmap = tseitin_encode(c)
         est = exact_estimator(c)
-        got = est.clause_prob([vmap.gate_to_var[g], 99], vmap, mode="independent")
+        got = est.clause_prob([(g, True), None], mode="independent")
         assert got == pytest.approx(1 - (1 - 0.25) * 0.5)
 
     def test_empty_clause_rejected(self, toy_and):
         c, *_ = toy_and
-        _, vmap = tseitin_encode(c)
         with pytest.raises(EstimatorError, match="empty"):
-            exact_estimator(c).clause_prob([], vmap)
+            exact_estimator(c).clause_prob([])
 
     def test_unknown_mode(self, toy_and):
-        c, *_ = toy_and
-        _, vmap = tseitin_encode(c)
+        c, a, *_ = toy_and
         with pytest.raises(EstimatorError, match="mode"):
-            exact_estimator(c).clause_prob([1], vmap, mode="weird")
+            exact_estimator(c).clause_prob([(a, True)], mode="weird")
 
 
 class TestPolarAndPhaseTable:
@@ -236,8 +229,11 @@ def pin_lines(backend: Backend, seed: int) -> list[str]:
                 for _ in range(rng.randint(1, 4))]
         lits = [unmapped if sig is None else signal_to_lit(vmap, *sig)
                 for sig in sigs]
-        lines.append(repr((sigs, est.clause_prob(lits, vmap),
-                           est.clause_prob(lits, vmap, mode="independent"))))
+        # the signals score_clauses passes: a NOT gate's literal names the
+        # gate that owns its variable
+        owned = [lit_to_signal(vmap, lit) for lit in lits]
+        lines.append(repr((sigs, est.clause_prob(owned),
+                           est.clause_prob(owned, mode="independent"))))
     return lines
 
 

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cascad.circuit import Circuit, build_miter, mutate_circuit
+from cascad import estimator as estimator_mod
+from cascad.circuit import Circuit, build_miter, mutate_circuit, parse_aiger
 from cascad.cnf import CnfFormula, tseitin_encode
 from cascad.drat import DratProof, check_proof
 from cascad.estimator import Backend, Estimator, EstimatorConfig
@@ -15,6 +16,7 @@ from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
 from cascad.solver import UNSAT_TUNED, LearntSnapshot, Solver, Status
 
 from conftest import enum_cnf_sat, random_3cnf, random_circuit, solve
+from test_solver import load_perfbench_gen
 
 
 def exact_estimator(circuit):
@@ -225,7 +227,7 @@ class TestScoreClauses:
         _, vmap = tseitin_encode(c)
 
         class Broken:
-            def clause_prob(self, lits, vmap, mode):
+            def clause_prob(self, signals, mode):
                 raise RuntimeError("boom")
 
         scores, keep, failures = score_clauses(
@@ -291,6 +293,26 @@ class TestRunClauseFilter:
                                                 threshold=0.8),
                 est, vmap)
             assert report.outcome.status is expect
+
+    def test_failed_trace_build_not_retried(self, monkeypatch):
+        """A truth table that cannot be built is attempted once, and every
+        learnt is then kept as an estimator failure."""
+        calls = []
+
+        def exhausted(circuit):
+            calls.append(circuit)
+            raise MemoryError
+
+        monkeypatch.setattr(estimator_mod, "exact_truth_table", exhausted)
+        _, data, _, _ = load_perfbench_gen().multiplier_miters(1, [4])[0]
+        miter = parse_aiger(data)
+        cnf, vmap, po = encoded_instance(miter)
+        report = run_clause_filter(
+            Solver(cnf), ClauseFilterPolicy(conflict_budget=100),
+            exact_estimator(miter), vmap)
+        assert report.fired_mid_solve and report.total > 1
+        assert len(calls) == 1
+        assert report.estimator_failures == report.total == report.kept
 
     def test_report_accounting(self):
         c = random_circuit(9, num_pis=6, num_gates=60)

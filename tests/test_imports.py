@@ -124,3 +124,35 @@ def test_package_exports_pinned():
         "PatternTraces", "SimulationPlan", "exact_truth_table",
         "sample_patterns", "simulate",
         "Solver", "SolverConfig", "SolveOutcome", "Status"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The cascad modules that ``source`` imports with a relative import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_package_layering_pinned():
+    """Each module's imports from inside the package: a new edge between
+    layers is a visible edit here.  The estimator imports no CNF code, so a
+    backend answers over gates alone."""
+    assert {p.stem: package_imports(p.read_text()) for p in MODULES} == {
+        "bench": {"circuit", "cnf", "estimator", "heuristics", "sim",
+                  "solver"},
+        "circuit": {"gcpause"},
+        "cli": {"bench", "circuit", "cnf", "drat", "heuristics", "sim",
+                "solver"},
+        "cnf": {"circuit", "gcpause"},
+        "drat": set(),
+        "estimator": {"circuit", "sim"},
+        "gcpause": set(),
+        "heuristics": {"cnf", "drat", "estimator", "solver"},
+        "sim": {"circuit"},
+        "solver": {"cnf", "gcpause"},
+    }

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cascad.circuit import Circuit, GateKind
-from cascad.sim import (COUNT_BLOCK_ROWS, PatternBlock, SimError,
+from cascad.sim import (COUNT_BLOCK_ROWS, PatternTraces, SimError,
                         SimulationPlan, exact_truth_table, exhaustive_patterns,
                         sample_patterns, simulate)
 
@@ -47,13 +47,13 @@ def per_byte_simulate(circuit, block):
 
 
 def pack_rows(pi_columns):
-    """PatternBlock from explicit per-PI bit lists."""
+    """Input rows, as PatternTraces, from explicit per-PI bit lists."""
     n = len(pi_columns[0])
     words = np.zeros((len(pi_columns), (n + 63) // 64), dtype=np.uint64)
     for row, col in zip(words, pi_columns):
         packed = np.packbits(np.array(col, dtype=np.uint8), bitorder="little")
         byte_rows(row, n)[:] = packed
-    return PatternBlock(words, n)
+    return PatternTraces(words, n)
 
 
 def minterm_circuit(columns, num_pis):
