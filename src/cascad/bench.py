@@ -20,7 +20,7 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
-from .circuit import (Circuit, CircuitError, Gate, GateKind, MutationError,
+from .circuit import (Circuit, CircuitError, GateKind, MutationError,
                       build_miter, emit_aiger, mutate_circuit, parse_aiger,
                       rebuild, strash)
 from .cnf import tseitin_encode
@@ -67,7 +67,6 @@ class BenchConfig:
 
 @dataclass
 class Par2Score:
-    cutoff: float
     per_case: dict[str, float]
     average: float
 
@@ -75,17 +74,24 @@ class Par2Score:
 # -- function-preserving transforms -------------------------------------------
 
 
+def _twin(circuit: Circuit, swap: int | None = None) -> Circuit:
+    """A rebuild of ``circuit`` into a fresh Circuit, in which AND gate
+    ``swap``, if given, takes its fanins in the other order."""
+    out = Circuit()
+
+    def edit(i, fanins):
+        return out.add_and(fanins[1], fanins[0]) if i == swap else None
+
+    node_map = rebuild(circuit, out, {}, edit)
+    out.set_outputs([node_map[p] for p in circuit.primary_outputs])
+    return out
+
+
 def commute_fanins(circuit: Circuit, seed: int) -> Circuit:
     """Swap the fanin order of one AND gate."""
     rng = random.Random(seed)
     ands = [i for i, g in enumerate(circuit.gates) if g.kind is GateKind.AND]
-    if not ands:
-        return circuit.copy()
-    target = rng.choice(ands)
-    out = circuit.copy()
-    g = out.gates[target]
-    out.gates[target] = Gate(GateKind.AND, (g.fanins[1], g.fanins[0]))
-    return out
+    return _twin(circuit, rng.choice(ands) if ands else None)
 
 
 def reassociate(circuit: Circuit, seed: int) -> Circuit:
@@ -117,8 +123,8 @@ def reassociate(circuit: Circuit, seed: int) -> Circuit:
 
 
 TRANSFORMS = {
-    # a verbatim twin; first, so that gen_suite draws as it always did
-    "identity": lambda c, _seed: c.copy(),
+    # an unchanged rebuild; first, so that gen_suite draws as it always did
+    "identity": lambda c, _seed: _twin(c),
     "reassociate": reassociate,
     "commute": commute_fanins,
 }
@@ -197,8 +203,8 @@ def save_suite(cases: list[BenchCase], directory: str):
 
 
 def load_suite(directory: str) -> list[BenchCase]:
-    """The cases ``save_suite`` wrote; a malformed manifest or case file
-    raises SuiteError naming its path."""
+    """The cases ``save_suite`` wrote; a malformed manifest or case file,
+    or a case id the manifest repeats, raises SuiteError naming its path."""
     path = os.path.join(directory, "manifest.json")
     with open(path) as fh:
         try:
@@ -208,6 +214,7 @@ def load_suite(directory: str) -> list[BenchCase]:
     if not isinstance(manifest, list):
         raise SuiteError(f"{path}: not a list of cases")
     cases = []
+    ids = set()
     for number, entry in enumerate(manifest):
         # an unknown expected status would silently turn off the alarm
         if not (isinstance(entry, dict)
@@ -215,6 +222,9 @@ def load_suite(directory: str) -> list[BenchCase]:
                 and entry.get("expected") in ("SAT", "UNSAT", "unknown")):
             raise SuiteError(f"{path}: case {number} needs a string id and "
                              "aiger and expected SAT, UNSAT or unknown")
+        if entry["id"] in ids:
+            raise SuiteError(f"{path}: case id {entry['id']!r} repeated")
+        ids.add(entry["id"])
         case_path = os.path.join(directory, entry["aiger"])
         with open(case_path, "rb") as fh:
             data = fh.read()
@@ -389,7 +399,7 @@ def par2(records: list[dict], cutoff: float) -> Par2Score:
         solved = r["status"] in ("SAT", "UNSAT") and r["wall_seconds"] <= cutoff
         per_case[r["case"]] = r["wall_seconds"] if solved else 2.0 * cutoff
     average = sum(per_case.values()) / len(per_case) if per_case else 0.0
-    return Par2Score(cutoff, per_case, average)
+    return Par2Score(per_case, average)
 
 
 def par2_by_config(records: list[dict], cutoff: float) -> dict[str, Par2Score]:

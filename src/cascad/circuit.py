@@ -140,13 +140,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    @property
-    def levels(self) -> list[int]:
-        return levelize(self)
-
-    def depth(self) -> int:
-        return max(self.levels, default=0)
-
     def stats(self) -> dict:
         counts: dict[str, int] = {}
         for g in self.gates:
@@ -155,18 +148,9 @@ class Circuit:
             "gates": len(self.gates),
             "pis": len(self.primary_inputs),
             "pos": len(self.primary_outputs),
-            "depth": self.depth(),
+            "depth": max(levelize(self), default=0),
             "kinds": counts,
         }
-
-    def copy(self) -> "Circuit":
-        c = Circuit()
-        c.gates = list(self.gates)
-        c.primary_inputs = list(self.primary_inputs)
-        c.primary_outputs = list(self.primary_outputs)
-        c._not_cache = dict(self._not_cache)
-        c._const0 = self._const0
-        return c
 
 
 def levelize(circuit: Circuit) -> list[int]:
@@ -501,23 +485,26 @@ def build_miter(left: Circuit, right: Circuit) -> Circuit:
         raise ShapeError(
             f"PO count mismatch: {len(left.primary_outputs)} vs "
             f"{len(right.primary_outputs)}")
+    if not left.primary_outputs:
+        raise ShapeError("no outputs to compare")
 
     miter = Circuit()
     shared = [miter.add_pi() for _ in left.primary_inputs]
     lmap = rebuild(left, miter, dict(zip(left.primary_inputs, shared)))
     rmap = rebuild(right, miter, dict(zip(right.primary_inputs, shared)))
 
+    def or_(x: int, y: int) -> int:  # De Morgan
+        return miter.add_not(miter.add_and(miter.add_not(x), miter.add_not(y)))
+
     def xor(x: int, y: int) -> int:
-        a = miter.add_and(x, miter.add_not(y))
-        b = miter.add_and(miter.add_not(x), y)
-        # OR(a, b) via De Morgan
-        return miter.add_not(miter.add_and(miter.add_not(a), miter.add_not(b)))
+        return or_(miter.add_and(x, miter.add_not(y)),
+                   miter.add_and(miter.add_not(x), y))
 
     diffs = [xor(lmap[lp], rmap[rp])
              for lp, rp in zip(left.primary_outputs, right.primary_outputs)]
     acc = diffs[0]
     for d in diffs[1:]:
-        acc = miter.add_not(miter.add_and(miter.add_not(acc), miter.add_not(d)))
+        acc = or_(acc, d)
     miter.set_outputs([acc])
     return miter
 
@@ -530,7 +517,7 @@ def mutate_circuit(circuit: Circuit, seed: int) -> Circuit:
     """Apply one seeded local change: flip a fanin inversion or swap a fanin
     with another same-level signal."""
     rng = random.Random(seed)
-    levels = circuit.levels
+    levels = levelize(circuit)
     # prefer gates observable at an output so the change is usually effective
     observable = [False] * len(circuit.gates)
     for po in circuit.primary_outputs:

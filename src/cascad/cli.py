@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bench as bench_mod
@@ -147,9 +148,15 @@ def _read_records(path: str) -> list[dict]:
             if not (isinstance(record, dict)
                     and all(isinstance(record.get(k), str)
                             for k in ("case", "config", "status"))
-                    and isinstance(record.get("wall_seconds"), (int, float))):
+                    and "wall_seconds" in record
+                    # seconds are finite and >= 0; a bool is not a number
+                    and all(type(record[k]) in (int, float)
+                            and 0 <= record[k] < math.inf for k in
+                            ("wall_seconds", "solving_seconds",
+                             "inference_seconds") if k in record)):
                 raise BadInput(f"{path}: line {number}: not a record with "
-                               "case, config, status and wall_seconds")
+                               "case, config, status and wall_seconds, "
+                               "each seconds field finite and >= 0")
             records.append(record)
     return records
 
@@ -166,6 +173,9 @@ def _scored(score, args):
 def cmd_bench(args):
     if args.bench_cmd == "gen":
         bases = [_load(parse_aiger, p) for p in args.bases]
+        for path, base in zip(args.bases, bases):
+            if not base.primary_outputs:
+                raise BadInput(f"{path} has no outputs to compare")
         cases = bench_mod.gen_suite(bases, args.n_sat, args.n_unsat, args.seed)
         bench_mod.save_suite(cases, args.suite)
         print(json.dumps({"cases": len(cases), "suite": args.suite}))

@@ -176,7 +176,6 @@ def run_clause_filter(solver: Solver, policy: ClauseFilterPolicy,
     clause probability, then resume solving to completion."""
     outcome = solver.solve(conflict_budget=policy.conflict_budget)
     mid_solve = outcome.status is Status.UNKNOWN
-    solver.pause_at_level0()
     snapshots = solver.export_learnts()
     scores, keep, failures = score_clauses(snapshots, estimator, vmap, policy)
     report = _build_report(snapshots, scores, keep, failures,

@@ -29,24 +29,22 @@ class Status(Enum):
     UNKNOWN = "UNKNOWN"
 
 
+REDUCE_INTERVAL = 2000  # conflicts between learnt-clause DB reductions
+VAR_DECAY = 0.95        # VSIDS activity decay per conflict
+
+
 @dataclass
 class SolverConfig:
     """How the search runs; how long it runs is ``Solver.solve``'s
     budgets."""
     restart_unit: int = 64          # Luby base, in conflicts
-    reduce_interval: int = 2000     # conflicts between DB reductions
     keep_lbd: int = 2               # reduce_db keeps learnt clauses with lbd <= this
-    phase_default: str = "saved"    # saved | false
-    var_decay: float = 0.95
-
-    def __post_init__(self):
-        if self.phase_default not in ("saved", "false"):
-            raise ValueError(f"bad phase_default {self.phase_default!r}")
+    phase_saving: bool = True       # else an unhooked decision assigns false
 
 
 # UNSAT-tuned variant: longer restarts, wider LBD keep, fixed false phases,
 # meant to be run without a phase hook.
-UNSAT_TUNED = SolverConfig(restart_unit=512, keep_lbd=3, phase_default="false")
+UNSAT_TUNED = SolverConfig(restart_unit=512, keep_lbd=3, phase_saving=False)
 
 
 @dataclass
@@ -133,7 +131,7 @@ class Solver:
         self._queued = [0.0] * n
         self._seen = [False] * n
         self._conflicts_since_restart = 0
-        self._next_reduce = self.config.reduce_interval
+        self._next_reduce = REDUCE_INTERVAL
         # Proof ids number clauses as a DRAT checker attaches them: original
         # clause i is id i, tautologies included, then each logged lemma
         # takes the next id.  The empty clause ends a proof, so it takes none.
@@ -312,9 +310,7 @@ class Solver:
             phase = self.phase_hook(v)
             if phase is not None:
                 return phase
-        if self.config.phase_default == "saved":
-            return bool(self.saved_phase[v])
-        return False
+        return self.config.phase_saving and bool(self.saved_phase[v])
 
     def decide(self) -> int | None:
         v = self._pick_branch_var()
@@ -467,17 +463,17 @@ class Solver:
         self.learnts = [c for c in self.learnts if id(c) not in dead_ids]
 
     def export_learnts(self) -> list[LearntSnapshot]:
-        if self.decision_level != 0:
-            raise RuntimeError("export_learnts requires decision level 0")
+        """The learnt clauses, after a backtrack to the root."""
+        self._backtrack(0)
         return [LearntSnapshot(tuple(c.lits), c.lbd) for c in self.learnts]
 
     def keep_learnts(self, keep: list[bool]):
-        """Drop learnt clause i of ``export_learnts()`` unless keep[i]."""
-        if self.decision_level != 0:
-            raise RuntimeError("keep_learnts requires decision level 0")
+        """Backtrack to the root and drop learnt clause i of
+        ``export_learnts()`` unless keep[i]."""
         if len(keep) != len(self.learnts):
             raise ValueError(f"{len(keep)} keep flags for "
                              f"{len(self.learnts)} learnt clauses")
+        self._backtrack(0)
         self._remove_learnts([c for c, k in zip(self.learnts, keep) if not k])
 
     # -- main loop ---------------------------------------------------------
@@ -517,9 +513,9 @@ class Solver:
                 learnt, bj_level, lbd, chain = self.analyze_conflict(conflict)
                 self._backtrack(bj_level)
                 self._learn(learnt, lbd, chain)
-                self.var_inc /= self.config.var_decay
+                self.var_inc /= VAR_DECAY
                 if self.stats.conflicts >= self._next_reduce:
-                    self._next_reduce += self.config.reduce_interval
+                    self._next_reduce += REDUCE_INTERVAL
                     self.reduce_db()
                 if done_budget():
                     outcome = Status.UNKNOWN
@@ -546,10 +542,6 @@ class Solver:
             model = {v: values[v] == 1 for v in range(1, self.nvars + 1)}
             self._verify_model(model)
         return SolveOutcome(outcome, model, self.stats)
-
-    def pause_at_level0(self):
-        """Backtrack to the root level so learnt clauses can be exported."""
-        self._backtrack(0)
 
     def _verify_model(self, model: dict[int, bool]):
         """Raise unless every original clause has a literal true in model."""

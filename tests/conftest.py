@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from functools import reduce
 
@@ -9,7 +10,7 @@ from cascad.circuit import Circuit
 from cascad.cnf import CnfFormula
 from cascad.estimator import Estimator
 from cascad.sim import SimulationPlan, sample_patterns, simulate
-from cascad.solver import Solver, SolveOutcome, SolverConfig
+from cascad.solver import Solver, SolveOutcome, SolverConfig, Status
 
 
 def random_circuit(seed: int, num_pis: int = 6, num_gates: int = 40,
@@ -61,6 +62,30 @@ def solve(cnf: CnfFormula, config: SolverConfig | None = None,
     """One unbudgeted solve on a fresh Solver."""
     return Solver(cnf, config, phase_hook=phase_hook,
                   drat_sink=drat_sink).solve()
+
+
+def solve_reducing(solver: Solver, every: int,
+                   conflict_budget: int | None = None) -> SolveOutcome:
+    """``solver.solve(conflict_budget)`` with a learnt-clause reduction
+    after every ``every``-th conflict in place of the solver's own, every
+    REDUCE_INTERVAL conflicts: the schedule a reduce interval of ``every``
+    runs, so that small formulas reach reduction and put deletions into
+    their proofs."""
+    solver._next_reduce = math.inf
+    left = conflict_budget
+    while True:
+        chunk = every - solver.stats.conflicts % every
+        outcome = solver.solve(conflict_budget=chunk if left is None
+                               else min(chunk, left))
+        if left is not None:
+            left -= min(chunk, left)
+        if outcome.status is not Status.UNKNOWN:
+            return outcome
+        if solver.stats.conflicts % every == 0:
+            solver.reduce_db()
+            solver.stats.learnt_current = len(solver.learnts)  # as solve sets it
+        if left == 0:
+            return outcome
 
 
 def emit_dimacs(cnf: CnfFormula) -> bytes:

@@ -20,7 +20,7 @@ class TestParseAiger:
         c = parse_aiger(b"aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n")
         assert len(c.primary_inputs) == 2
         assert c.gates[c.primary_outputs[0]].kind is GateKind.AND
-        assert c.levels[c.primary_outputs[0]] == 1
+        assert levelize(c)[c.primary_outputs[0]] == 1
 
     def test_inverted_edges_become_not_gates(self):
         # output = NOT(AND(a, NOT(b)))
@@ -251,6 +251,13 @@ class TestMiter:
         with pytest.raises(ShapeError, match="PI count"):
             build_miter(c, right)
 
+    def test_no_outputs_rejected(self):
+        left, right = Circuit(), Circuit()
+        for c in (left, right):
+            c.add_pi()
+        with pytest.raises(ShapeError, match="no outputs to compare"):
+            build_miter(left, right)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_miter_soundness(self, seed):
         left = random_circuit(seed, num_pis=4, num_gates=20)
@@ -374,7 +381,7 @@ class TestMutate:
         c, a, b, g = toy_and
         m = mutate_circuit(c, seed=1)
         # still parses and levelizes
-        assert m.levels is not None
+        assert levelize(m) is not None
         assert len(m.primary_inputs) == 2
 
     def test_determinism(self):
@@ -419,7 +426,7 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_topological_order_and_level_law(self, seed):
         c = random_circuit(seed, num_pis=5, num_gates=80)
-        levels = c.levels
+        levels = levelize(c)
         for i, g in enumerate(c.gates):
             for f in g.fanins:
                 assert f < i

@@ -131,9 +131,20 @@ class TestMalformedInput:
         json.dumps({"case": "a", "config": ["x"], "status": "SAT",
                     "wall_seconds": 1.0}),
         json.dumps({"case": "a", "config": "baseline", "status": "SAT",
-                    "wall_seconds": "1"})],
+                    "wall_seconds": "1"}),
+        *(json.dumps({"case": "b", "config": "baseline", "status": "SAT",
+                      "wall_seconds": 1.0, **bad})
+          for bad in ({"wall_seconds": -5}, {"wall_seconds": True},
+                      {"wall_seconds": float("nan")},
+                      {"wall_seconds": float("inf")},
+                      {"solving_seconds": -1.0},
+                      {"inference_seconds": "x"},
+                      {"inference_seconds": float("-inf")}))],
         ids=["list", "number", "no-wall-seconds", "no-case", "list-config",
-             "string-wall-seconds"])
+             "string-wall-seconds", "negative-wall-seconds",
+             "bool-wall-seconds", "nan-wall-seconds", "infinite-wall-seconds",
+             "negative-solving-seconds", "string-inference-seconds",
+             "infinite-inference-seconds"])
     @pytest.mark.parametrize("command", ["score", "report"])
     def test_records_line_not_a_record(self, tmp_path, capsys, command, line):
         records = tmp_path / "runs.jsonl"
@@ -146,7 +157,8 @@ class TestMalformedInput:
         assert rc == 2 and captured.out == ""
         assert captured.err.splitlines() == [
             f"cascad bench: {records}: line 2: not a record with case, "
-            "config, status and wall_seconds"]
+            "config, status and wall_seconds, each seconds field finite and "
+            ">= 0"]
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("command", ["score", "report"])
@@ -192,8 +204,11 @@ class TestMalformedInput:
          "SAT, UNSAT or unknown"),
         ('[{"id": "x", "aiger": "bad.aag", "expected": "SAT"}]', "bad.aag",
          "literal 4 exceeds maxvar 1"),
+        ('[{"id": "x", "aiger": "x.aag", "expected": "SAT"}, '
+         '{"id": "x", "aiger": "x.aag", "expected": "UNSAT"}]',
+         "manifest.json", "case id 'x' repeated"),
     ], ids=["not-json", "not-a-list", "no-aiger", "case-not-object",
-            "lowercase-expected", "bad-aiger"])
+            "lowercase-expected", "bad-aiger", "repeated-id"])
     def test_malformed_suite(self, tmp_path, capsys, manifest, culprit,
                              message):
         suite = tmp_path / "suite"
@@ -207,6 +222,16 @@ class TestMalformedInput:
         assert rc == 2 and captured.out == "" and not runs.exists()
         assert captured.err.splitlines() == [
             f"cascad bench: {suite / culprit}: {message}"]
+
+    def test_gen_base_without_outputs(self, tmp_path, capsys):
+        base = tmp_path / "no-po.aag"
+        base.write_text("aag 2 2 0 0 0\n2\n4\n")
+        suite = tmp_path / "suite"
+        rc = main(["bench", "gen", str(base), "--suite", str(suite)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not suite.exists()
+        assert captured.err.splitlines() == [
+            f"cascad bench: {base} has no outputs to compare"]
 
     def test_gen_without_effective_mutation(self, tmp_path, capsys):
         # a base whose output is its input: no mutation changes its function

@@ -174,7 +174,7 @@ class TestInverterEdgeCases:
         the tautology [t, -x, x]; its proof, hinted and as DRAT text, passes
         check_proof."""
         base = random_circuit(seed, num_pis=6, num_gates=60)
-        twin = base.copy()
+        twin = random_circuit(seed, num_pis=6, num_gates=60)
         x = twin.primary_inputs[seed % 6]
         t = twin.add_and(x, twin.add_not(x))
         o = twin.primary_outputs[0]

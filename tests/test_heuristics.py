@@ -239,7 +239,6 @@ class TestScoreClauses:
         cnf, vmap, po = encoded_instance(c)
         s = Solver(cnf)
         s.solve(conflict_budget=100)
-        s.pause_at_level0()
         snaps = s.export_learnts()
         est = exact_estimator(c)
         counts = []

@@ -1,5 +1,5 @@
 """Every name a cascad module imports must be used in that module, and the
-package's exports, config and policy fields, the parameters of
+package's exports, config, policy and score fields, the parameters of
 ``solve_miter``, ``Solver``, ``adaptive_solve`` and ``Estimator.cond_prob``,
 the options of ``cascad csat``, estimator backends and process-spawning
 imports are pinned: a new option, export, backend or child-process path is
@@ -15,7 +15,8 @@ import types
 import pytest
 
 import cascad
-from cascad.bench import solve_miter
+from cascad.bench import Par2Score, solve_miter
+from cascad.circuit import Circuit
 from cascad.cli import main
 from cascad.estimator import Backend, Estimator, EstimatorConfig
 from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
@@ -64,8 +65,8 @@ def parameter_names(func) -> list[str]:
 
 def test_config_fields_pinned(capsys):
     assert field_names(SolverConfig) == [
-        "restart_unit", "reduce_interval", "keep_lbd", "phase_default",
-        "var_decay"]
+        "restart_unit", "keep_lbd", "phase_saving"]
+    assert field_names(Par2Score) == ["per_case", "average"]
     assert field_names(EstimatorConfig) == ["backend", "num_patterns", "seed"]
     assert field_names(PhaseSelectionPolicy) == [
         "tau", "phase_table", "estimator", "po", "vmap", "fallbacks"]
@@ -85,6 +86,15 @@ def test_config_fields_pinned(capsys):
     assert re.findall(r"--[\w-]+", usage) == [
         "--mode", "--tau", "--threshold", "--budget", "--score-mode",
         "--probe"]
+
+
+def test_removed_aliases_stay_removed():
+    """``rebuild`` is the one gate-graph copy, ``levelize`` the one level
+    function, and ``export_learnts`` and ``keep_learnts`` backtrack to the
+    root themselves."""
+    assert [name for name in ("copy", "levels", "depth")
+            if hasattr(Circuit, name)] == []
+    assert not hasattr(Solver, "pause_at_level0")
 
 
 def test_backends_pinned():

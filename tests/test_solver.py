@@ -18,7 +18,7 @@ from cascad.estimator import Backend, Estimator, EstimatorConfig
 from cascad.heuristics import ClauseFilterPolicy, run_clause_filter
 
 from conftest import (enum_cnf_sat, pigeonhole, random_3cnf, random_circuit,
-                      solve)
+                      solve, solve_reducing)
 
 
 def cnf(num_vars, clauses):
@@ -357,8 +357,9 @@ class TestCheckerAgainstRescan:
             clauses = random_3cnf(rng, n, ratio=rng.uniform(4.5, 7.0))
             proof = DratProof()
             # a short reduce interval puts deletions into small proofs
-            config = SolverConfig(reduce_interval=rng.randint(2, 12), keep_lbd=1)
-            if solve(cnf(n, clauses), config, drat_sink=proof).status \
+            solver = Solver(cnf(n, clauses), SolverConfig(keep_lbd=1),
+                            drat_sink=proof)
+            if solve_reducing(solver, rng.randint(2, 12)).status \
                     is Status.UNSAT:
                 break
         assert check_proof(clauses, proof) == (True, "ok")
@@ -461,9 +462,9 @@ def unsat_3cnf_proof(seed: int):
         n = rng.randint(10, 16)
         clauses = random_3cnf(rng, n, ratio=rng.uniform(5.0, 7.0))
         proof = DratProof()
-        config = SolverConfig(reduce_interval=rng.randint(4, 20), keep_lbd=1)
-        if solve(cnf(n, clauses), config, drat_sink=proof).status \
-                is Status.UNSAT:
+        solver = Solver(cnf(n, clauses), SolverConfig(keep_lbd=1),
+                        drat_sink=proof)
+        if solve_reducing(solver, rng.randint(4, 20)).status is Status.UNSAT:
             return n, clauses, proof
 
 
@@ -652,7 +653,7 @@ class TestPhaseControl:
 
     def test_hook_abstains_to_default(self):
         # the first decision, on variable 1, takes the default phase false
-        out = solve(cnf(2, [[1, 2]]), SolverConfig(phase_default="false"),
+        out = solve(cnf(2, [[1, 2]]), SolverConfig(phase_saving=False),
                     phase_hook=lambda v: None)
         assert out.model == {1: False, 2: True}
         assert out.stats.decisions == 1
@@ -675,7 +676,7 @@ class TestPhaseControl:
 
     def test_phase_default_false(self):
         out = solve(cnf(2, [[1, 2], [1, -2], [-1, -2]]),
-                    SolverConfig(phase_default="false"))
+                    SolverConfig(phase_saving=False))
         assert out.status is Status.SAT
         assert out.model[2] is False
 
@@ -685,10 +686,6 @@ class TestPhaseControl:
         assert out.status is Status.SAT
         assert all(p is not None for v, p in enumerate(s.saved_phase) if v >= 1
                    and s.values[v] != 0)
-
-    def test_bad_phase_default_rejected(self):
-        with pytest.raises(ValueError, match="phase_default"):
-            SolverConfig(phase_default="maybe")
 
 
 class TestRestarts:
@@ -710,14 +707,17 @@ class TestLearntDatabase:
             s = Solver(cnf(n, clauses))
             out = s.solve(conflict_budget=120)
             if out.status is Status.UNKNOWN and len(s.learnts) >= 10:
-                s.pause_at_level0()
                 return s, clauses
 
-    def test_export_requires_level0(self):
+    def test_export_and_keep_backtrack_to_root(self):
         s, _ = self.paused_solver()
         s.decide()
-        with pytest.raises(RuntimeError, match="level 0"):
-            s.export_learnts()
+        assert s.decision_level > 0
+        snaps = s.export_learnts()
+        assert s.decision_level == 0
+        s.decide()
+        s.keep_learnts([True] * len(snaps))
+        assert s.decision_level == 0
 
     def test_export_replace_resume(self):
         s, clauses = self.paused_solver()
@@ -740,13 +740,10 @@ class TestLearntDatabase:
         assert [c for c in s.learnts if id(c) not in locked] == \
             [c for c, k in zip(before, keep) if k and id(c) not in locked]
 
-    def test_keep_learnts_checks_level_and_length(self):
+    def test_keep_learnts_checks_length(self):
         s, _ = self.paused_solver()
         with pytest.raises(ValueError, match="keep flags"):
             s.keep_learnts([True])
-        s.decide()
-        with pytest.raises(RuntimeError, match="level 0"):
-            s.keep_learnts([True] * len(s.learnts))
 
     def test_reduce_db_keeps_low_lbd(self):
         s, _ = self.paused_solver()
@@ -784,7 +781,7 @@ class TestTunedConfig:
     def test_unsat_tuned_values(self):
         assert UNSAT_TUNED.restart_unit == 512
         assert UNSAT_TUNED.keep_lbd == 3
-        assert UNSAT_TUNED.phase_default == "false"
+        assert UNSAT_TUNED.phase_saving is False
 
     def test_unsat_tuned_agrees_with_default(self):
         for seed in range(8):
@@ -793,7 +790,7 @@ class TestTunedConfig:
             clauses = random_3cnf(rng, n)
             a = solve(cnf(n, clauses)).status
             b = solve(cnf(n, clauses), SolverConfig(
-                restart_unit=512, keep_lbd=3, phase_default="false")).status
+                restart_unit=512, keep_lbd=3, phase_saving=False)).status
             assert a is b
 
 
@@ -808,7 +805,7 @@ class TestSearchPin:
         "random_3cnf":
             "f06eac66f0ed5950fa08f8c74942c0dda42b3b3ff8fd13ad84b4b7817a41628d",
         "pigeonhole":
-            "54c69b8537ce9791231e37741e8d7de2393a332a744ddb07eecc837665f477eb",
+            "b167a4751b54e70b17575f2dcf173dda1976d490b0f8a062472203dd50275c26",
         "phase_hook":
             "762ce869162c8f88ebbd1479841ef6182471acfc3da3af36f7f0338132f41e27",
         "budget_replace_import":
@@ -831,24 +828,27 @@ class TestSearchPin:
             rng = random.Random(seed)
             n = rng.randint(20, 45)
             clauses = random_3cnf(rng, n, ratio=rng.uniform(3.8, 5.0))
+            restart_unit = rng.choice([1, 4, 64])
             # a short reduce interval puts deletions into the proofs
-            config = SolverConfig(restart_unit=rng.choice([1, 4, 64]),
-                                  reduce_interval=rng.randint(5, 40),
+            every = rng.randint(5, 40)
+            config = SolverConfig(restart_unit=restart_unit,
                                   keep_lbd=rng.randint(1, 3))
             proof = DratProof()
-            self.record(h, solve(cnf(n, clauses), config, drat_sink=proof),
-                        proof)
+            solver = Solver(cnf(n, clauses), config, drat_sink=proof)
+            self.record(h, solve_reducing(solver, every), proof)
             deletions += sum(kind == "d" for kind, _ in proof.steps)
         assert deletions > 0
 
     def pigeonhole(self, h):
-        # var_decay=0.5 overflows the activities, so the heap is rebuilt
+        # a var_inc of 1e95 overflows the activities, so the heap is rebuilt
         for pigeons in (5, 6, 7):
-            for config in (SolverConfig(), UNSAT_TUNED,
-                           SolverConfig(var_decay=0.5)):
+            for config, var_inc in ((SolverConfig(), 1.0), (UNSAT_TUNED, 1.0),
+                                    (SolverConfig(), 1e95)):
                 proof = DratProof()
-                self.record(h, solve(pigeonhole(pigeons, pigeons - 1), config,
-                                     drat_sink=proof), proof)
+                s = Solver(pigeonhole(pigeons, pigeons - 1), config,
+                           drat_sink=proof)
+                s.var_inc = var_inc
+                self.record(h, s.solve(), proof)
 
     def phase_hook(self, h):
         def hook(v):
@@ -866,14 +866,12 @@ class TestSearchPin:
         n = 90
         clauses = random_3cnf(rng, n, ratio=4.26)
         proof = DratProof()
-        s = Solver(cnf(n, clauses), SolverConfig(reduce_interval=50),
-                   drat_sink=proof)
-        self.record(h, s.solve(conflict_budget=60), proof)
-        s.pause_at_level0()
+        s = Solver(cnf(n, clauses), drat_sink=proof)
+        self.record(h, solve_reducing(s, 50, conflict_budget=60), proof)
         snaps = s.export_learnts()
         h.update(repr([(snap.lits, snap.lbd) for snap in snaps]).encode())
         s.keep_learnts([i % 2 == 0 for i in range(len(snaps))])
-        self.record(h, s.solve(), proof)
+        self.record(h, solve_reducing(s, 50), proof)
 
     def clause_filter(self, h):
         base = random_circuit(4, num_pis=12, num_gates=300)
