@@ -132,9 +132,10 @@ TRANSFORMS = {
 
 def _output_rows(circuit: Circuit) -> list[np.ndarray]:
     """The outputs' exact truth-table rows, copied out so that the table,
-    a row for every gate, is freed on return."""
-    table = exact_truth_table(circuit)
-    return [table.trace(p).copy() for p in circuit.primary_outputs]
+    a row for every gate of the outputs' hashed cone, is freed on return."""
+    cone = strash(circuit)
+    table = exact_truth_table(cone)
+    return [table.trace(p).copy() for p in cone.primary_outputs]
 
 
 def gen_suite(bases: list[Circuit], n_sat: int, n_unsat: int,
@@ -143,9 +144,11 @@ def gen_suite(bases: list[Circuit], n_sat: int, n_unsat: int,
     cases: list[BenchCase] = []
     names = list(TRANSFORMS)
     # each base's output rows, simulated once, so a check builds one gate
-    # table at a time: two ~10 MB tables freed together leave the C heap's
-    # free top close to glibc's trim threshold, and whether that memory
-    # goes back to the system then varies from run to run
+    # table at a time.  A table covers only the outputs' hashed cone, about
+    # 1 MB on a 16-input, 800-AND base with four outputs, against 9 MB for
+    # every gate; two tables freed together can leave the C heap's free top
+    # close to glibc's trim threshold, and whether that memory goes back to
+    # the system then varies from run to run
     base_rows: dict[int, list[np.ndarray]] = {}
 
     def same_function(k: int, other: Circuit) -> bool:
@@ -246,8 +249,10 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
                 ) -> tuple[SolveOutcome, dict]:
     """The one place a mode becomes the steps of a solve, with the first
     output asserted true.  The miter is structurally hashed first (``strash``),
-    so a gate both halves share is encoded, simulated and searched once;
-    the encoding, the estimator and every mode work on the hashed miter.
+    which keeps only the outputs' cone: a gate both halves share is encoded,
+    simulated and searched once, and a gate no output reads not at all.  The
+    encoding, the estimator and every mode work on the hashed miter, which
+    for a single-output miter is the asserted output's cone.
     In phase and adaptive mode the phase policy follows the solver, so
     each phase is conditioned on the decisions before it too.
     Its PIs keep their order and so own CNF variables 1..len(PIs): a SAT

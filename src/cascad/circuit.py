@@ -442,19 +442,39 @@ def rebuild(src: Circuit, dst: Circuit, node_map: dict[int, int],
     return node_map
 
 
+def _cone(circuit: Circuit) -> bytearray:
+    """The outputs' cone: 1 for every gate some output reads, directly or
+    through other gates, outputs included, and 0 for every other gate."""
+    gates = circuit.gates
+    live = bytearray(len(gates))
+    stack = list(circuit.primary_outputs)
+    while stack:
+        g = stack.pop()
+        if not live[g]:
+            live[g] = 1
+            stack.extend(gates[g].fanins)
+    return live
+
+
 def strash(circuit: Circuit) -> Circuit:
-    """Structural hashing: a copy in which no two ANDs have the same pair
-    of fanins, in either order.
+    """Structural hashing of the outputs' cone: a copy of the gates some
+    output reads, in which no two ANDs have the same pair of fanins, in
+    either order.
 
     The copy is a rebuild whose edit looks each AND up by its mapped
     fanins, sorted, and returns the AND already built for that pair, so a
     gate duplicated in the source, such as one both halves of a miter
-    share, is built once.  NOTs are shared and double negations collapse
-    as in every rebuild.  The PIs come first, in their order, and every
-    output is mapped, in its order.
+    share, is built once.  A gate no output reads, directly or through
+    other gates, is left out: it is entered in the node map before the
+    rebuild, which so skips it.  NOTs are shared and double negations
+    collapse as in every rebuild.  Every PI is kept, read or not, and the
+    PIs come first, in their order; every output is mapped, in its order.
     """
     out = Circuit()
-    node_map = {pi: out.add_pi() for pi in circuit.primary_inputs}
+    # no gate of the cone and no output names a gate outside it, so such a
+    # gate's entry is never read
+    node_map = dict.fromkeys(i for i, x in enumerate(_cone(circuit)) if not x)
+    node_map.update((pi, out.add_pi()) for pi in circuit.primary_inputs)
     table: dict[tuple[int, int], int] = {}
 
     def edit(_i, fanins):
@@ -519,13 +539,7 @@ def mutate_circuit(circuit: Circuit, seed: int) -> Circuit:
     rng = random.Random(seed)
     levels = levelize(circuit)
     # prefer gates observable at an output so the change is usually effective
-    observable = [False] * len(circuit.gates)
-    for po in circuit.primary_outputs:
-        observable[po] = True
-    for i in range(len(circuit.gates) - 1, -1, -1):
-        if observable[i]:
-            for f in circuit.gates[i].fanins:
-                observable[f] = True
+    observable = _cone(circuit)
     ands = [i for i, g in enumerate(circuit.gates)
             if g.kind is GateKind.AND and observable[i]]
     if not ands:

@@ -6,7 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from cascad.circuit import Circuit
+from cascad.circuit import Circuit, rebuild
 from cascad.cnf import CnfFormula
 from cascad.estimator import Estimator
 from cascad.sim import SimulationPlan, sample_patterns, simulate
@@ -31,6 +31,28 @@ def random_circuit(seed: int, num_pis: int = 6, num_gates: int = 40,
     # output: the last gate (deepest by construction bias)
     c.set_outputs([len(c) - 1])
     return c
+
+
+def pad_with_dead_logic(circuit: Circuit, seed: int) -> Circuit:
+    """A copy of ``circuit`` with gates no output reads between its own:
+    before each AND up to two ANDs of earlier gates, some negated, now and
+    then the constant, and one more such AND after the last gate.
+    ``circuit`` should have no constant, which a padded one would move."""
+    rng = random.Random(seed)
+    out = Circuit()
+
+    def edit(_i, _fanins):
+        for _ in range(rng.randrange(3)):
+            g = out.add_and(rng.randrange(len(out)), rng.randrange(len(out)))
+            if rng.random() < 0.5:
+                out.add_not(g)
+        if rng.random() < 0.1:
+            out.add_const0()
+
+    node_map = rebuild(circuit, out, {}, edit)
+    out.add_and(rng.randrange(len(out)), rng.randrange(len(out)))
+    out.set_outputs([node_map[p] for p in circuit.primary_outputs])
+    return out
 
 
 def eval_circuit(circuit: Circuit, pi_values: dict[int, bool]) -> dict[int, bool]:

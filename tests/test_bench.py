@@ -12,14 +12,14 @@ from cascad.bench import (MODES, BenchCase, BenchConfig, CorrectnessAlarm,
                           load_suite, par2, par2_by_config,
                           reassociate, report, run_case, run_suite, save_suite,
                           solve_miter)
-from cascad.circuit import Circuit, build_miter, mutate_circuit
+from cascad.circuit import Circuit, build_miter, mutate_circuit, strash
 from cascad.cnf import tseitin_encode
 from cascad.estimator import Estimator
 from cascad.heuristics import ClauseFilterPolicy, PhaseSelectionPolicy
 from cascad.solver import Solver
 from cascad.sim import exact_truth_table
 
-from conftest import eval_circuit, random_circuit
+from conftest import eval_circuit, pad_with_dead_logic, random_circuit
 from test_perfbench import perfbench_modules  # noqa: F401 (fixture)
 
 
@@ -89,15 +89,22 @@ class TestGenSuite:
         import cascad.bench as bench
         bases = self.bases()
         simulated, tables, most = [], [], [0]
+        source = {}  # each hashed cone -> the circuit it was copied from
+
+        def recording_strash(circuit):
+            cone = strash(circuit)
+            source[cone] = circuit
+            return cone
 
         def counting_table(circuit):
             table = exact_truth_table(circuit)
-            simulated.append(circuit)
+            simulated.append(source[circuit])
             # the word array, which output rows that are views keep alive
             tables.append(weakref.ref(table.words))
             most[0] = max(most[0], sum(t() is not None for t in tables))
             return table
 
+        monkeypatch.setattr(bench, "strash", recording_strash)
         monkeypatch.setattr(bench, "exact_truth_table", counting_table)
         cases = gen_suite(bases, n_sat=4, n_unsat=4, seed=3)
         assert len(cases) == 8 and most[0] == 1
@@ -363,6 +370,39 @@ class TestSolveMiter:
             pis = miter.primary_inputs
             row = {pi: outcome.model[v + 1] for v, pi in enumerate(pis)}
             assert eval_circuit(miter, row)[miter.primary_outputs[0]]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_dead_logic_changes_no_answer_or_search(self, monkeypatch, mode):
+        """Gates the output does not read are cut before encoding, so a
+        padded miter is encoded, and searched, as the unpadded one is."""
+        import cascad.bench as bench_mod
+        encoded = []
+
+        def recording_encode(circuit, assumptions):
+            result = tseitin_encode(circuit, assumptions)
+            encoded.append(result[0])
+            return result
+
+        monkeypatch.setattr(bench_mod, "tseitin_encode", recording_encode)
+        policy = ClauseFilterPolicy(conflict_budget=10)
+        for k, case in enumerate(self.cases()):
+            padded = pad_with_dead_logic(case.miter, k)
+            plain, _ = solve_miter(case.miter, mode, clause_filter=policy)
+            outcome, _ = solve_miter(padded, mode, clause_filter=policy)
+            assert outcome.status == plain.status
+            assert outcome.status.value == case.expected
+            assert (outcome.stats.conflicts, outcome.stats.decisions) == \
+                (plain.stats.conflicts, plain.stats.decisions)
+            plain_cnf, padded_cnf = encoded[-2:]
+            assert (padded_cnf.num_vars, padded_cnf.clauses) == \
+                (plain_cnf.num_vars, plain_cnf.clauses)
+            unhashed, _ = tseitin_encode(
+                padded, [(padded.primary_outputs[0], True)])
+            assert padded_cnf.num_vars < unhashed.num_vars
+            if outcome.status.value == "SAT":
+                row = {pi: outcome.model[v + 1]
+                       for v, pi in enumerate(padded.primary_inputs)}
+                assert eval_circuit(padded, row)[padded.primary_outputs[0]]
 
 
 class TestRunSuite:

@@ -7,7 +7,8 @@ from cascad.circuit import (AigerParseError, Circuit, CircuitError, CycleError,
                             rebuild, strash)
 from cascad.sim import exact_truth_table
 
-from conftest import all_input_rows, eval_circuit, random_circuit
+from conftest import (all_input_rows, eval_circuit, pad_with_dead_logic,
+                      random_circuit)
 
 
 class TestParseAiger:
@@ -374,6 +375,39 @@ class TestStrash:
         strash(c)
         assert (c.gates, c.primary_inputs, c.primary_outputs,
                 c._not_cache, c._const0) == before
+
+    @pytest.mark.parametrize("not_prob", [0.0, 0.4, 0.9])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dead_logic_dropped(self, seed, not_prob):
+        c = random_circuit(seed, num_pis=5, num_gates=60, not_prob=not_prob)
+        c.set_outputs([len(c) - 1, len(c) // 2])
+        padded = pad_with_dead_logic(c, seed)
+        assert len(padded) > len(c)
+        h, hp = strash(c), strash(padded)
+        assert hp.gates == h.gates
+        assert hp.primary_inputs == h.primary_inputs
+        assert hp.primary_outputs == h.primary_outputs
+
+    def test_unread_pi_kept_in_its_place(self):
+        c = Circuit()
+        a, _b = c.add_pi(), c.add_pi()  # no output reads _b
+        c.add_and(a, c.add_not(a))
+        c.add_pi()  # nor this PI after a gate
+        e = c.add_pi()
+        c.set_outputs([c.add_and(e, c.add_not(a))])
+        h = strash(c)
+        assert h.primary_inputs == [0, 1, 2, 3]
+        assert [g.kind for g in h.gates] == \
+            [GateKind.PI] * 4 + [GateKind.NOT, GateKind.AND]
+        assert h.gates[h.primary_outputs[0]].fanins == (3, 4)
+
+    def test_no_outputs_leaves_only_the_pis(self):
+        c = random_circuit(2, num_pis=5, num_gates=30)
+        c.set_outputs([])
+        h = strash(c)
+        assert h.gates == [Gate(GateKind.PI)] * 5
+        assert h.primary_inputs == list(range(5))
+        assert h.primary_outputs == []
 
 
 class TestMutate:

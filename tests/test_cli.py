@@ -14,7 +14,7 @@ from cascad.cli import main
 from cascad.cnf import CnfFormula
 from cascad.drat import check_proof, parse_drat
 
-from conftest import emit_dimacs, eval_circuit, random_circuit
+from conftest import all_input_rows, emit_dimacs, eval_circuit, random_circuit
 
 
 @pytest.fixture
@@ -437,6 +437,26 @@ class TestCsat:
                 list(range(1, len(pis) + 1))
             row = {pi: lit > 0 for pi, lit in zip(pis, lits)}
             assert eval_circuit(circuit, row)[circuit.primary_outputs[0]]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_first_of_two_outputs_asserted(self, tmp_path, capsys, mode):
+        """On a two-output AIG the model drives the file's output 0, whose
+        cone ``csat`` solves; output 1 reads gates output 0 does not."""
+        for seed in range(4):
+            c = random_circuit(seed, num_pis=6, num_gates=60)
+            c.set_outputs([len(c) // 2, len(c) - 1])
+            path = tmp_path / "two.aag"
+            path.write_bytes(emit_aiger(c))
+            rc, out = run_cli(capsys, "csat", str(path), "--mode", mode)
+            circuit = parse_aiger(path.read_bytes())
+            pis, po = circuit.primary_inputs, circuit.primary_outputs[0]
+            reachable = any(eval_circuit(circuit, row)[po]
+                            for _, row in all_input_rows(circuit))
+            assert out.splitlines()[0] == ("s SAT" if reachable else "s UNSAT")
+            if reachable:
+                lits = [int(x) for x in out.splitlines()[1].split()[1:-1]]
+                row = {pi: lit > 0 for pi, lit in zip(pis, lits)}
+                assert eval_circuit(circuit, row)[po]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_exit_codes_sat_and_unsat(self, tmp_path, capsys, mode):

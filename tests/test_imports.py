@@ -1,9 +1,9 @@
 """Every name a cascad module imports must be used in that module, and the
 package's exports, config, policy and score fields, the parameters of
-``solve_miter``, ``Solver``, ``adaptive_solve`` and ``Estimator.cond_prob``,
-the options of ``cascad csat``, estimator backends and process-spawning
-imports are pinned: a new option, export, backend or child-process path is
-a visible edit here."""
+``solve_miter``, ``strash``, ``Solver``, ``adaptive_solve`` and
+``Estimator.cond_prob``, the options of ``cascad csat``, estimator backends
+and process-spawning imports are pinned: a new option, export, backend or
+child-process path is a visible edit here."""
 
 import ast
 import dataclasses
@@ -16,7 +16,7 @@ import pytest
 
 import cascad
 from cascad.bench import Par2Score, solve_miter
-from cascad.circuit import Circuit
+from cascad.circuit import Circuit, strash
 from cascad.cli import main
 from cascad.estimator import Backend, Estimator, EstimatorConfig
 from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
@@ -75,6 +75,7 @@ def test_config_fields_pinned(capsys):
     assert field_names(AdaptiveUnsatPolicy) == ["probe_budget_seconds"]
     assert parameter_names(solve_miter) == [
         "miter", "mode", "tau", "clause_filter", "adaptive"]
+    assert parameter_names(strash) == ["circuit"]
     assert parameter_names(Solver.__init__) == [
         "self", "cnf", "config", "phase_hook", "drat_sink"]
     assert parameter_names(adaptive_solve) == ["probe", "cnf", "policy"]
