@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import multiprocessing as mp
 import os
 import random
@@ -23,13 +24,13 @@ import numpy as np
 from .circuit import (Circuit, CircuitError, GateKind, MutationError,
                       build_miter, emit_aiger, mutate_circuit, parse_aiger,
                       rebuild, strash)
-from .cnf import tseitin_encode
+from .cnf import check_model, tseitin_encode
 from .estimator import EXACT_PI_CAP, Estimator
 from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                          adaptive_solve, build_phase_policy, make_phase_hook,
                          run_clause_filter)
 from .sim import exact_truth_table
-from .solver import Solver, SolveOutcome, SolverConfig
+from .solver import Solver, SolveOutcome, SolverConfig, SolverStats, Status
 
 MUTATION_RETRIES = 20
 MODES = ("baseline", "phase", "clause-filter", "adaptive")
@@ -253,22 +254,24 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
     simulated and searched once, and a gate no output reads not at all.  The
     encoding, the estimator and every mode work on the hashed miter, which
     for a single-output miter is the asserted output's cone.
-    In phase and adaptive mode the phase policy follows the solver, so
-    each phase is conditioned on the decisions before it too.
+    In phase and adaptive mode, a trace that sets the output answers SAT,
+    its gate values checked as a model, and no solver is built; without
+    one, the table is all None and the solver searches with the hook.
     Its PIs keep their order and so own CNF variables 1..len(PIs): a SAT
     model's first len(PIs) values are an input row on which the given
     miter's output is 1.
 
     Returns the outcome and the run's record fields: wall, solving and
     inference seconds (hashing, encoding and solver set-up in none of
-    them), plus the filter report under ``clause_filter``, the adaptive
-    ``stage`` and ``stage1_wall``, and in phase and adaptive mode
-    ``phase_fallbacks``, the phase policy's failed table builds."""
+    them; a trace answer is all inference), plus the filter report under
+    ``clause_filter``, the adaptive ``stage`` and ``stage1_wall``, and in
+    phase and adaptive mode ``phase_fallbacks``, the phase policy's failed
+    table builds, and ``sim_answer``, whether a trace answered."""
     check_mode(mode)
     miter = strash(miter)
     po = miter.primary_outputs[0]
     cnf, vmap = tseitin_encode(miter, [(po, True)])
-    estimator = policy = hook = None
+    estimator = policy = hook = model = None
     inference_seconds = 0.0
     if mode != "baseline":
         t0 = time.monotonic()
@@ -276,14 +279,22 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
         if mode != "clause-filter":
             policy = build_phase_policy(estimator, po, vmap, tau)
             hook = make_phase_hook(policy)
+            # an entry is set only when some trace sets the output
+            if any(p is not None for p in policy.phase_table.values()):
+                values = estimator.witness(po)
+                model = {v: values[g] for v, g in vmap.var_to_gate.items()}
+                check_model(cnf.clauses, model)
         inference_seconds = time.monotonic() - t0
 
-    solver = Solver(cnf, SolverConfig(), phase_hook=hook)
-    if policy is not None:
-        policy.follow(solver)
+    if model is None:
+        solver = Solver(cnf, SolverConfig(), phase_hook=hook)
     fields: dict = {}
     t0 = time.monotonic()
-    if mode == "clause-filter":
+    if model is not None:
+        outcome = SolveOutcome(Status.SAT, model, SolverStats())
+        if mode == "adaptive":
+            fields.update(stage=1, stage1_wall=0.0)
+    elif mode == "clause-filter":
         rep = run_clause_filter(solver, clause_filter or ClauseFilterPolicy(),
                                 estimator, vmap)
         outcome = rep.outcome
@@ -295,9 +306,10 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
         fields.update(stage=result.stage, stage1_wall=result.stage1_wall)
     else:
         outcome = solver.solve()
-    solving_seconds = time.monotonic() - t0
+    solving_seconds = 0.0 if model is not None else time.monotonic() - t0
     if policy is not None:
-        fields["phase_fallbacks"] = policy.fallbacks
+        fields.update(phase_fallbacks=policy.fallbacks,
+                      sim_answer=model is not None)
     return outcome, {"wall_seconds": solving_seconds + inference_seconds,
                      "solving_seconds": solving_seconds,
                      "inference_seconds": inference_seconds, **fields}
@@ -328,8 +340,8 @@ def run_suite(cases: list[BenchCase], configs: list[BenchConfig],
     cutoff; records are appended to out_path (JSON lines) as they finish."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, not {jobs}")
-    if not cutoff > 0:
-        raise ValueError(f"cutoff must be positive, not {cutoff}")
+    if not 0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be positive and finite, not {cutoff}")
     tasks = [(case, cfg) for case in cases for cfg in configs]
     records: list[dict] = []
     active: dict = {}  # result pipe -> (process, case, config, deadline)

@@ -86,15 +86,16 @@ def cmd_solve(args):
 
 
 def _positive(kind, zero_ok=False):
-    """An argparse type: a ``kind`` number greater than zero, or with
-    ``zero_ok`` zero or more."""
+    """An argparse type: a finite ``kind`` number greater than zero, or
+    with ``zero_ok`` zero or more."""
     def parse(text: str):
         value = kind(text)  # a ValueError is argparse's "invalid value"
         if zero_ok and value == 0:
             return value
-        if not value > 0:
+        if not 0 < value < math.inf:
             raise argparse.ArgumentTypeError(
-                f"must be {'>= 0' if zero_ok else 'positive'}, not {text}")
+                f"must be {'>= 0' if zero_ok else 'positive and finite'}, "
+                f"not {text}")
         return value
     parse.__name__ = kind.__name__
     return parse

@@ -33,6 +33,15 @@ def check_literals(clauses, num_vars: int):
         raise CnfError(f"literal {bad} out of range (num_vars={num_vars})")
 
 
+def check_model(clauses, model: dict[int, bool]):
+    """Raise unless every clause has a literal true in ``model``, a value
+    for each variable."""
+    true_lits = {v if val else -v for v, val in model.items()}
+    violated = next(filter(true_lits.isdisjoint, clauses), None)
+    if violated is not None:
+        raise RuntimeError(f"internal error: model violates clause {violated}")
+
+
 @dataclass
 class CnfFormula:
     num_vars: int

@@ -132,6 +132,11 @@ class Estimator:
         acc = reduce(np.bitwise_or, (t.trace(*sig) for sig in signals))
         return t.popcount(acc) / t.num_patterns
 
+    def witness(self, gate: int) -> list[bool] | None:
+        """Every gate's value in the first pattern where ``gate`` is 1, or
+        None when no pattern sets it."""
+        return self.traces.first_pattern(gate)
+
     def phase_table(self, po: int) -> dict[int, float | None]:
         """P(gate=1 | po=1) for every gate; None = po is never 1, so there
         is no information."""

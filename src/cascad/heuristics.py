@@ -4,8 +4,7 @@ filtering, and the adaptive UNSAT switch.
 Phase rule, for threshold tau in (0, 0.5) and P = P(signal=1 | PO=1):
 assign 0 when P < tau, assign 1 when P > 1 - tau, otherwise leave the
 solver's default phase in place.  Inequalities are strict; boundary values
-abstain.  A policy that follows a solver also conditions P on the
-solver's current decisions.
+abstain.
 """
 
 from __future__ import annotations
@@ -27,58 +26,33 @@ class PolicyError(Exception):
 @dataclass
 class PhaseSelectionPolicy:
     """The phase hook.  ``policy(v)`` applies the three-way rule to
-    variable v's entry.  Once it ``follow``s a solver, an entry strictly
-    between 0 and 1 is first conditioned on the solver's current
-    decisions too (the table entry stands where no trace meets them).
-    ``fallbacks`` counts the failed table builds, which left every entry
-    without information."""
+    variable v's entry.  ``fallbacks`` counts the failed table builds,
+    which left every entry without information."""
     tau: float
     phase_table: dict[int, float | None]  # variable -> P or None (no information)
-    estimator: Estimator | None = None  # with po and vmap: what follow reads
-    po: int = 0
-    vmap: VarGateMap = field(default_factory=VarGateMap)
     fallbacks: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not (0.0 < self.tau < 0.5):
             raise PolicyError(f"tau {self.tau} outside (0, 0.5)")
-        self._solver: Solver | None = None
 
     def __call__(self, variable: int) -> bool | None:
         """Three-way phase rule; None means abstain (use the solver default)."""
         p = self.phase_table.get(variable)
         if p is None:
             return None
-        if self._solver is not None and 0.0 < p < 1.0:
-            p = self._conditioned(variable, p)
         if p < self.tau:
             return False
         if p > 1.0 - self.tau:
             return True
         return None
 
-    def follow(self, solver: Solver):
-        """Condition every later phase on ``solver``'s decisions as well."""
-        self._solver = solver
-
-    def _conditioned(self, variable: int, p: float) -> float:
-        """P(gate(variable)=1 | PO=1 and the solver's decisions), or p when
-        no trace meets them."""
-        conditions = [(self.po, True)]
-        for lit in self._solver.decisions:
-            sig = lit_to_signal(self.vmap, lit)
-            if sig is not None:
-                conditions.append(sig)
-        conditioned = self.estimator.cond_prob(
-            (self.vmap.var_to_gate[variable], True), conditions)
-        return p if conditioned is None else conditioned
-
 
 def build_phase_policy(estimator: Estimator, po: int, vmap: VarGateMap,
                        tau: float) -> PhaseSelectionPolicy:
     """The phase policy for ``po``, its table P(gate(v)=1 | PO=1) for every
     mapped variable v; every entry is None when the estimator fails."""
-    policy = PhaseSelectionPolicy(tau, {}, estimator, po, vmap)
+    policy = PhaseSelectionPolicy(tau, {})
     try:
         gate_table = estimator.phase_table(po)
     except Exception:
@@ -108,7 +82,7 @@ class ClauseFilterPolicy:
     def __post_init__(self):
         if not (0.0 < self.threshold <= 1.0):
             raise PolicyError(f"threshold {self.threshold} outside (0, 1]")
-        if self.conflict_budget < 1:
+        if not self.conflict_budget >= 1:
             raise PolicyError("conflict budget must be >= 1")
         if self.mode not in ("correlated", "independent"):
             raise PolicyError(f"bad mode {self.mode!r}")
@@ -195,7 +169,7 @@ class AdaptiveUnsatPolicy:
     probe_budget_seconds: float = 5.0
 
     def __post_init__(self):
-        if self.probe_budget_seconds <= 0:
+        if not self.probe_budget_seconds > 0:
             raise PolicyError("probe budget must be positive")
 
 

@@ -79,6 +79,16 @@ class PatternTraces:
     def count(self, gate: int) -> int:
         return self.popcount(self.words[gate])
 
+    def first_pattern(self, gate: int) -> list[bool] | None:
+        """Every row's bit at the first pattern that row ``gate`` sets, or
+        None when it sets none."""
+        set_words = np.flatnonzero(self.words[gate])
+        if not len(set_words):
+            return None
+        column = self.words[:, set_words[0]]
+        bit = (int(column[gate]) & -int(column[gate])).bit_length() - 1
+        return (column >> np.uint64(bit) & np.uint64(1)).astype(bool).tolist()
+
     def counts(self, cond_row: np.ndarray | None = None) -> np.ndarray:
         """Per-gate popcounts, of the patterns in cond_row when given.
 

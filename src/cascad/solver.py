@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
 
-from .cnf import CnfFormula, check_literals
+from .cnf import CnfFormula, check_literals, check_model
 from .gcpause import paused_gc
 
 
@@ -184,13 +184,6 @@ class Solver:
     @property
     def decision_level(self) -> int:
         return len(self.trail_lim)
-
-    @property
-    def decisions(self) -> list[int]:
-        """The decided literals on the trail, oldest first; a phase hook
-        sees those made before the decision it is asked about."""
-        trail = self.trail
-        return [trail[i] for i in self.trail_lim]
 
     def _level0_conflict(self):
         self.unsat = True
@@ -482,7 +475,8 @@ class Solver:
               time_budget: float | None = None) -> SolveOutcome:
         """Run until SAT/UNSAT or a budget runs out (resumable).  None
         means unbounded; a given budget must be positive."""
-        if any(b is not None and b <= 0 for b in (conflict_budget, time_budget)):
+        if any(b is not None and not b > 0
+               for b in (conflict_budget, time_budget)):
             raise ValueError("budgets must be positive")
         start = time.monotonic()
         start_conflicts = self.stats.conflicts
@@ -540,13 +534,5 @@ class Solver:
         if outcome is Status.SAT:
             values = self.values
             model = {v: values[v] == 1 for v in range(1, self.nvars + 1)}
-            self._verify_model(model)
+            check_model(self.original_clauses, model)
         return SolveOutcome(outcome, model, self.stats)
-
-    def _verify_model(self, model: dict[int, bool]):
-        """Raise unless every original clause has a literal true in model."""
-        true_lits = {v if val else -v for v, val in model.items()}
-        violated = next(filter(true_lits.isdisjoint, self.original_clauses),
-                        None)
-        if violated is not None:
-            raise RuntimeError(f"internal error: model violates clause {violated}")

@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cascad import estimator as estimator_mod
 from cascad.bench import (MODES, BenchCase, BenchConfig, CorrectnessAlarm,
                           SuiteError, TRANSFORMS, commute_fanins, gen_suite,
                           load_suite, par2, par2_by_config,
@@ -14,9 +16,9 @@ from cascad.bench import (MODES, BenchCase, BenchConfig, CorrectnessAlarm,
                           solve_miter)
 from cascad.circuit import Circuit, build_miter, mutate_circuit, strash
 from cascad.cnf import tseitin_encode
-from cascad.estimator import Estimator
-from cascad.heuristics import ClauseFilterPolicy, PhaseSelectionPolicy
-from cascad.solver import Solver
+from cascad.estimator import Backend, Estimator, default_backend
+from cascad.heuristics import ClauseFilterPolicy
+from cascad.solver import Solver, SolverStats
 from cascad.sim import exact_truth_table
 
 from conftest import eval_circuit, pad_with_dead_logic, random_circuit
@@ -246,7 +248,7 @@ class TestRunCase:
 
         monkeypatch.setattr(Estimator, "phase_table", counted)
         solve_miter(self.small_cases()[0].miter, "phase")
-        assert len(calls) == 1  # the build; a followed phase asks cond_prob
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["phase", "adaptive"])
     def test_traced_solve_counts_phases(self, perfbench_modules, mode):
@@ -254,15 +256,18 @@ class TestRunCase:
         its forced and abstained phases."""
         run, tracing = perfbench_modules
         bases = [random_circuit(s, num_pis=8, num_gates=120) for s in (3, 4)]
-        case = next(c for c in gen_suite(bases, 1, 1, seed=5)
-                    if c.expected == "SAT")
+        # UNSAT, so no trace sets the output and the solver runs with the
+        # hook; this twin is reassociated, which hashing does not undo, so
+        # the search makes decisions
+        case = next(c for c in gen_suite(bases, 1, 1, seed=12)
+                    if c.expected == "UNSAT")
         tracer = tracing.Tracer()
         try:
             run.install_tracing(tracer)
             outcome, _ = solve_miter(case.miter, mode)
         finally:
             tracer.remove()
-        assert outcome.status.value == "SAT"
+        assert outcome.status.value == "UNSAT"
         assert tracer.counts["heuristics.phase_forced"] + \
             tracer.counts["heuristics.phase_abstain"] > 0
 
@@ -298,19 +303,84 @@ class TestSolveMiter:
             assert outcome.status.value == case.expected, case.id
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_phase_policy_follows_the_solver(self, monkeypatch, mode):
-        followed = []
-        follow = PhaseSelectionPolicy.follow
+    def test_trace_answer_builds_no_solver(self, monkeypatch, mode):
+        """In phase and adaptive mode a trace that sets the output answers
+        SAT and no solver is built; otherwise one solver searches.  Both
+        records have the same fields."""
+        import cascad.bench as bench_mod
+        built = []
 
-        def recording(policy, solver):
-            followed.append(solver)
-            follow(policy, solver)
+        class Recording(Solver):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(PhaseSelectionPolicy, "follow", recording)
-        solve_miter(self.cases()[0].miter, mode,
-                    clause_filter=ClauseFilterPolicy(conflict_budget=10))
-        assert len(followed) == (mode in ("phase", "adaptive"))
-        assert all(isinstance(s, Solver) for s in followed)
+        monkeypatch.setattr(bench_mod, "Solver", Recording)
+        traced = mode in ("phase", "adaptive")
+        records = []
+        for expected in ("SAT", "UNSAT"):
+            case = next(c for c in self.cases() if c.expected == expected)
+            built.clear()
+            outcome, fields = solve_miter(
+                case.miter, mode,
+                clause_filter=ClauseFilterPolicy(conflict_budget=10))
+            assert outcome.status.value == expected
+            answered = traced and expected == "SAT"
+            assert len(built) == (not answered)
+            assert fields.get("sim_answer") == (answered if traced else None)
+            if answered:
+                assert outcome.stats == SolverStats()
+                assert fields["solving_seconds"] == 0.0
+                assert fields["wall_seconds"] == fields["inference_seconds"]
+                if mode == "adaptive":
+                    assert (fields["stage"], fields["stage1_wall"]) == (1, 0.0)
+            records.append(fields)
+        assert set(records[0]) == set(records[1])
+
+    @staticmethod
+    def and_miter(num_pis, width):
+        """A miter over ``num_pis`` PIs whose output is 1 exactly when the
+        first ``width`` PIs are: an AND of them against the constant."""
+        left, right = Circuit(), Circuit()
+        pis = [left.add_pi() for _ in range(num_pis)]
+        for _ in range(num_pis):
+            right.add_pi()
+        left.set_outputs([functools.reduce(left.add_and, pis[:width])])
+        right.set_outputs([right.add_const0()])
+        return build_miter(left, right)
+
+    @pytest.mark.parametrize("mode", ["phase", "adaptive"])
+    @pytest.mark.parametrize("width, sim_answer", [(3, True), (20, False)])
+    def test_simulation_miter(self, mode, width, sim_answer):
+        """Beyond 16 PIs the trace set is a sample: one that sets the
+        output answers, and one that misses it leaves the solver to."""
+        miter = self.and_miter(20, width)
+        assert default_backend(miter) is Backend.SIMULATION
+        outcome, fields = solve_miter(miter, mode)
+        assert outcome.status.value == "SAT"
+        assert fields["sim_answer"] is sim_answer
+        row = {pi: outcome.model[v + 1]
+               for v, pi in enumerate(miter.primary_inputs)}
+        assert eval_circuit(miter, row)[miter.primary_outputs[0]]
+
+    @pytest.mark.parametrize("mode", ["phase", "adaptive"])
+    def test_failed_trace_build_answers_by_search(self, monkeypatch, mode):
+        """A trace build that raises leaves the table empty: the solver
+        answers, and no witness is asked for."""
+        asked = []
+
+        def boom(circuit):
+            raise MemoryError("no room for the table")
+
+        monkeypatch.setattr(estimator_mod, "exact_truth_table", boom)
+        monkeypatch.setattr(Estimator, "witness",
+                            lambda self, gate: asked.append(gate))
+        for case in self.cases():
+            outcome, fields = solve_miter(case.miter, mode)
+            assert outcome.status.value == case.expected
+            assert fields["phase_fallbacks"] == 1
+            assert fields["sim_answer"] is False
+        assert asked == []
 
     @pytest.mark.parametrize("mode", MODES)
     def test_solving_seconds_exclude_solver_set_up(self, monkeypatch, mode):
@@ -501,7 +571,8 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"jobs": 0}, "jobs"), ({"cutoff": 0.0}, "cutoff"),
-        ({"cutoff": -1.0}, "cutoff")])
+        ({"cutoff": -1.0}, "cutoff"), ({"cutoff": float("inf")}, "cutoff"),
+        ({"cutoff": float("nan")}, "cutoff")])
     def test_impossible_jobs_or_cutoff_rejected(self, tmp_path, kwargs,
                                                 message):
         out = tmp_path / "runs.jsonl"

@@ -322,6 +322,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag, value", [("--conflicts", "0"),
                                              ("--time", "0"),
+                                             ("--time", "inf"),
                                              ("--conflicts", "-5")])
     def test_zero_budget_fails(self, tmp_path, capsys, flag, value):
         path = self.write_cnf(tmp_path, [[1, 2], [-1, 2], [-2]], 2)
@@ -384,6 +385,7 @@ class TestCsat:
         ("--threshold", "2", "threshold 2.0 outside"),
         ("--budget", "0", "budget must be >= 1"),
         ("--probe", "0", "probe budget must be positive"),
+        ("--probe", "nan", "probe budget must be positive"),
     ])
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, flag, value,
                                      message):
@@ -591,7 +593,9 @@ class TestBench:
     @pytest.mark.parametrize("command, flag, value", [
         ("run", "--jobs", "0"), ("run", "--jobs", "-2"),
         ("run", "--cutoff", "0"), ("run", "--cutoff", "-1"),
-        ("score", "--cutoff", "0"), ("report", "--cutoff", "-1")])
+        ("run", "--cutoff", "inf"), ("run", "--cutoff", "nan"),
+        ("score", "--cutoff", "0"), ("score", "--cutoff", "inf"),
+        ("report", "--cutoff", "-1")])
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, command, flag,
                                      value):
         records = tmp_path / "runs.jsonl"

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 
@@ -186,6 +187,38 @@ class TestPolarAndPhaseTable:
         c.set_outputs([z])
         table = exact_estimator(c).phase_table(z)
         assert set(table.values()) == {None}
+
+
+class TestWitness:
+    @pytest.mark.parametrize("inputs, first", [
+        (range(2, 8), 63), ([1], 64), ([0, 7], 129)])
+    def test_first_pattern_the_gate_sets(self, inputs, first):
+        """On 8 PIs, PI j is bit 7 - j of the pattern index, so the AND of
+        ``inputs`` is first 1 at pattern ``first``: the last bit of word 0,
+        the first of word 1, and one in word 2."""
+        c = Circuit()
+        pis = [c.add_pi() for _ in range(8)]
+        g = functools.reduce(c.add_and, [pis[j] for j in inputs])
+        c.set_outputs([g])
+        values = exact_estimator(c).witness(g)
+        row = list(all_input_rows(c))[first][1]
+        assert values == list(eval_circuit(c, row).values())
+        assert values[g] is True
+
+    def test_agrees_with_the_interpreter(self):
+        c = random_circuit(7, num_pis=7, num_gates=80)
+        est = exact_estimator(c)
+        evals = [list(eval_circuit(c, row).values())
+                 for _, row in all_input_rows(c)]
+        for g in range(len(c)):
+            assert est.witness(g) == next((e for e in evals if e[g]), None)
+
+    def test_constant_gate_gives_none(self):
+        c = Circuit()
+        c.add_pi()
+        z = c.add_const0()
+        c.set_outputs([z])
+        assert exact_estimator(c).witness(z) is None
 
 
 PIN_DIGESTS = {

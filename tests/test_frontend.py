@@ -15,7 +15,7 @@ import pytest
 from cascad.bench import reassociate
 from cascad.circuit import (AigerParseError, Circuit, GateKind, build_miter,
                             emit_aiger, mutate_circuit, parse_aiger)
-from cascad.cnf import CnfError, CnfFormula, tseitin_encode
+from cascad.cnf import CnfError, CnfFormula, check_model, tseitin_encode
 from cascad.drat import DratProof
 from cascad.solver import Solver, Status
 
@@ -167,14 +167,14 @@ class TestFrontEndPin:
 
 class TestVerifyModel:
     def test_model_violating_one_clause_raises(self):
-        s = Solver(CnfFormula(2, [[1, 2], [-1, -2], [2, -2, 2]]))
-        out = s.solve()
+        clauses = [[1, 2], [-1, -2], [2, -2, 2]]
+        out = Solver(CnfFormula(2, clauses)).solve()
         assert out.status is Status.SAT
-        s._verify_model(out.model)
+        check_model(clauses, out.model)
         # each model breaks exactly one clause: [-1, -2], then [1, 2]
         for model in ({1: True, 2: True}, {1: False, 2: False}):
             with pytest.raises(RuntimeError, match="violates"):
-                s._verify_model(model)
+                check_model(clauses, model)
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])

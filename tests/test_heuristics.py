@@ -104,82 +104,18 @@ class TestBuildPhasePolicy:
             assert out.status is Status.SAT
 
 
-class FakeSolver:
-    """Stands in for a followed solver: the policy reads only
-    ``decisions``."""
-
-    def __init__(self):
-        self.decisions: list[int] = []
-
-
 class TestFollow:
-    def or_policy(self):
-        # PO = x OR y: P(y=1 | PO=1) = 2/3, and x=0 forces y=1
+    def test_unfollowed_policy_reads_the_table(self):
+        """An entry is the table's P(gate=1 | PO=1), as built."""
+        # PO = x OR y: P(y=1 | PO=1) = 2/3
         c = Circuit()
         x, y = c.add_pi(), c.add_pi()
         c.set_outputs([c.add_not(c.add_and(c.add_not(x), c.add_not(y)))])
         cnf, vmap, po = encoded_instance(c)
         policy = build_phase_policy(exact_estimator(c), po, vmap, tau=0.1)
-        return policy, vmap.gate_to_var[x], vmap.gate_to_var[y], cnf
-
-    def test_unfollowed_policy_reads_the_table(self):
-        policy, vx, vy, _ = self.or_policy()
+        vy = vmap.gate_to_var[y]
         assert policy.phase_table[vy] == pytest.approx(2 / 3)
         assert policy(vy) is None
-
-    def test_conditioned_on_the_solvers_decisions(self):
-        policy, vx, vy, _ = self.or_policy()
-        solver = FakeSolver()
-        policy.follow(solver)
-        assert policy(vy) is None  # no decisions: the table's 2/3
-        solver.decisions = [-vx]
-        assert policy(vy) is True
-        solver.decisions = [vx]  # backjumped, then decided the other way
-        assert policy(vy) is None  # P(y | x) = 1/2
-        solver.decisions = [-vx]
-        assert policy(vy) is True
-        solver.decisions = []
-        assert policy(vy) is None
-        assert policy.phase_table[vy] == pytest.approx(2 / 3)
-        assert policy.fallbacks == 0
-
-    def test_no_trace_meets_the_decisions(self):
-        # PO = x OR (y AND z): P(z=1 | PO=1) = 3/5
-        c = Circuit()
-        x, y, z = c.add_pi(), c.add_pi(), c.add_pi()
-        c.set_outputs([c.add_not(c.add_and(c.add_not(x),
-                                           c.add_not(c.add_and(y, z))))])
-        cnf, vmap, po = encoded_instance(c)
-        policy = build_phase_policy(exact_estimator(c), po, vmap, tau=0.45)
-        vx, vy, vz = (vmap.gate_to_var[g] for g in (x, y, z))
-        solver = FakeSolver()
-        policy.follow(solver)
-        assert policy(vz) is True
-        solver.decisions = [vx]
-        assert policy(vz) is None  # P(z | x) = 1/2
-        solver.decisions = [-vx, -vy]  # contradicts PO=1
-        assert policy(vz) is True  # the table's 3/5 stands
-
-    def test_decided_extremes_are_not_conditioned(self, toy_and):
-        c, a, b, g = toy_and
-        cnf, vmap, po = encoded_instance(c)
-        policy = build_phase_policy(exact_estimator(c), po, vmap, tau=0.1)
-        solver = FakeSolver()
-        policy.follow(solver)
-        solver.decisions = [-vmap.gate_to_var[a]]  # contradicts PO=1
-        assert policy(vmap.gate_to_var[b]) is True  # P(b | g) = 1
-
-    def test_followed_solve(self):
-        for seed in range(5):
-            c = random_circuit(seed, num_pis=6, num_gates=40)
-            cnf, vmap, po = encoded_instance(c)
-            est = exact_estimator(c)
-            if est.node_prob(po) == 0.0:
-                continue
-            policy = build_phase_policy(est, po, vmap, tau=0.005)
-            solver = Solver(cnf, phase_hook=policy)
-            policy.follow(solver)
-            assert solver.solve().status is Status.SAT
 
 
 class TestClauseFilterPolicy:
@@ -193,8 +129,9 @@ class TestClauseFilterPolicy:
             ClauseFilterPolicy(threshold=0.0)
         with pytest.raises(PolicyError, match="threshold"):
             ClauseFilterPolicy(threshold=1.2)
-        with pytest.raises(PolicyError, match="budget"):
-            ClauseFilterPolicy(conflict_budget=0)
+        for bad in (0, float("nan")):
+            with pytest.raises(PolicyError, match="budget"):
+                ClauseFilterPolicy(conflict_budget=bad)
         with pytest.raises(PolicyError, match="mode"):
             ClauseFilterPolicy(mode="weird")
 
@@ -334,8 +271,9 @@ class TestRunClauseFilter:
 
 class TestAdaptive:
     def test_policy_validation(self):
-        with pytest.raises(PolicyError, match="probe"):
-            AdaptiveUnsatPolicy(probe_budget_seconds=0)
+        for bad in (0, float("nan")):
+            with pytest.raises(PolicyError, match="probe"):
+                AdaptiveUnsatPolicy(probe_budget_seconds=bad)
 
     def test_fast_sat_stays_in_stage1(self, toy_and):
         c, a, b, g = toy_and

@@ -69,7 +69,7 @@ def test_config_fields_pinned(capsys):
     assert field_names(Par2Score) == ["per_case", "average"]
     assert field_names(EstimatorConfig) == ["backend", "num_patterns", "seed"]
     assert field_names(PhaseSelectionPolicy) == [
-        "tau", "phase_table", "estimator", "po", "vmap", "fallbacks"]
+        "tau", "phase_table", "fallbacks"]
     assert field_names(ClauseFilterPolicy) == [
         "conflict_budget", "threshold", "mode"]
     assert field_names(AdaptiveUnsatPolicy) == ["probe_budget_seconds"]
@@ -91,11 +91,14 @@ def test_config_fields_pinned(capsys):
 
 def test_removed_aliases_stay_removed():
     """``rebuild`` is the one gate-graph copy, ``levelize`` the one level
-    function, and ``export_learnts`` and ``keep_learnts`` backtrack to the
-    root themselves."""
+    function, ``export_learnts`` and ``keep_learnts`` backtrack to the root
+    themselves, ``cnf.check_model`` is the one model check, and the phase
+    policy reads its table alone, never a solver."""
     assert [name for name in ("copy", "levels", "depth")
             if hasattr(Circuit, name)] == []
-    assert not hasattr(Solver, "pause_at_level0")
+    assert [name for name in ("pause_at_level0", "decisions", "_verify_model")
+            if hasattr(Solver, name)] == []
+    assert not hasattr(PhaseSelectionPolicy, "follow")
 
 
 def test_backends_pinned():

@@ -52,15 +52,18 @@ def test_phase_run_case_calls_the_traced_names(perfbench_modules):
     from conftest import random_circuit
     run, tracing = perfbench_modules
     bases = [random_circuit(s, num_pis=8, num_gates=120) for s in (3, 4)]
-    case = next(c for c in bench.gen_suite(bases, 1, 1, seed=5)
-                if c.expected == "SAT")
+    # UNSAT, so no trace sets the output and the solver runs with the
+    # hook; this twin is reassociated, which hashing does not undo, so the
+    # search makes decisions
+    case = next(c for c in bench.gen_suite(bases, 1, 1, seed=12)
+                if c.expected == "UNSAT")
     tracer = tracing.Tracer()
     try:
         run.install_tracing(tracer)
         record = bench.run_case(case, bench.BenchConfig("phase", kind="phase"))
     finally:
         tracer.remove()
-    assert record["status"] == "SAT"
+    assert record["status"] == "UNSAT"
     names = {span[0] for span in tracer.spans}
     assert {"bench.run_case", "cnf.encode", "heuristics.policy"} <= names
     assert tracer.counts["heuristics.phase_forced"] + \
