@@ -244,7 +244,7 @@ def load_suite(directory: str) -> list[BenchCase]:
 # -- running ------------------------------------------------------------------
 
 
-def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
+def solve_miter(miter: Circuit, mode: str,
                 clause_filter: ClauseFilterPolicy | None = None,
                 adaptive: AdaptiveUnsatPolicy | None = None
                 ) -> tuple[SolveOutcome, dict]:
@@ -254,9 +254,10 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
     simulated and searched once, and a gate no output reads not at all.  The
     encoding, the estimator and every mode work on the hashed miter, which
     for a single-output miter is the asserted output's cone.
-    In phase and adaptive mode, a trace that sets the output answers SAT,
-    its gate values checked as a model, and no solver is built; without
-    one, the table is all None and the solver searches with the hook.
+    In phase and adaptive mode the trace set is first asked for a witness,
+    a pattern that sets the output: one answers SAT, its gate values checked
+    as a model, and no table, policy or solver is built.  Without one, the
+    phase table is all None and the solver searches with the hook.
     Its PIs keep their order and so own CNF variables 1..len(PIs): a SAT
     model's first len(PIs) values are an input row on which the given
     miter's output is 1.
@@ -277,13 +278,16 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
         t0 = time.monotonic()
         estimator = Estimator(miter)
         if mode != "clause-filter":
-            policy = build_phase_policy(estimator, po, vmap, tau)
-            hook = make_phase_hook(policy)
-            # an entry is set only when some trace sets the output
-            if any(p is not None for p in policy.phase_table.values()):
+            try:
                 values = estimator.witness(po)
+            except Exception:  # counted by the policy's build, which meets it
+                values = None
+            if values is not None:
                 model = {v: values[g] for v, g in vmap.var_to_gate.items()}
                 check_model(cnf.clauses, model)
+            else:
+                policy = build_phase_policy(estimator, po, vmap)
+                hook = make_phase_hook(policy)
         inference_seconds = time.monotonic() - t0
 
     if model is None:
@@ -307,8 +311,8 @@ def solve_miter(miter: Circuit, mode: str, tau: float = 0.005,
     else:
         outcome = solver.solve()
     solving_seconds = 0.0 if model is not None else time.monotonic() - t0
-    if policy is not None:
-        fields.update(phase_fallbacks=policy.fallbacks,
+    if mode in ("phase", "adaptive"):
+        fields.update(phase_fallbacks=policy.fallbacks if policy else 0,
                       sim_answer=model is not None)
     return outcome, {"wall_seconds": solving_seconds + inference_seconds,
                      "solving_seconds": solving_seconds,

@@ -187,16 +187,20 @@ def parse_aiger(data: bytes) -> Circuit:
     if nl < 0:
         raise AigerParseError("missing header line")
     header = data[:nl].split()
-    if len(header) < 6 or header[0] not in (b"aag", b"aig"):
+    # M I L O A, then AIGER 1.9's optional B C J F
+    if not 6 <= len(header) <= 10 or header[0] not in (b"aag", b"aig"):
         raise AigerParseError(f"malformed header: {data[:nl]!r}")
     try:
-        m, i, l, o, a = (int(x) for x in header[1:6])
+        m, i, l, o, a, *properties = (int(x) for x in header[1:])
     except ValueError as e:
         raise AigerParseError(f"malformed header counts: {data[:nl]!r}") from e
     if min(m, i, l, o, a) < 0:
         raise AigerParseError(f"negative header count: {data[:nl]!r}")
     if l > 0:
         raise AigerParseError(f"sequential AIGER rejected: {l} latches")
+    if any(properties):
+        raise AigerParseError("AIGER 1.9 bad-state, constraint, justice or "
+                              f"fairness properties rejected: {data[:nl]!r}")
 
     if header[0] == b"aag":
         inputs, outputs, ands = _parse_ascii_body(data[nl + 1:], i, o, a)
@@ -534,18 +538,17 @@ class MutationError(CircuitError):
 
 
 def mutate_circuit(circuit: Circuit, seed: int) -> Circuit:
-    """Apply one seeded local change: flip a fanin inversion or swap a fanin
-    with another same-level signal."""
+    """Apply one seeded local change to an AND some output reads: flip a
+    fanin inversion or swap a fanin with another same-level signal.  A
+    circuit with no such AND raises MutationError: a change to a gate no
+    output reads would leave every output's function as it was."""
     rng = random.Random(seed)
     levels = levelize(circuit)
-    # prefer gates observable at an output so the change is usually effective
     observable = _cone(circuit)
     ands = [i for i, g in enumerate(circuit.gates)
             if g.kind is GateKind.AND and observable[i]]
     if not ands:
-        ands = [i for i, g in enumerate(circuit.gates) if g.kind is GateKind.AND]
-    if not ands:
-        raise MutationError("no AND gate to mutate")
+        raise MutationError("no AND gate in the outputs' cone to mutate")
     target = rng.choice(ands)
     slot = rng.randrange(2)
     old_fanin = circuit.gates[target].fanins[slot]

@@ -11,8 +11,7 @@ from . import bench as bench_mod
 from .circuit import CircuitError, parse_aiger
 from .cnf import CnfError, parse_dimacs
 from .drat import DratFileSink
-from .heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
-                         PhaseSelectionPolicy, PolicyError)
+from .heuristics import AdaptiveUnsatPolicy, ClauseFilterPolicy, PolicyError
 from .sim import SimError, SimulationPlan, sample_patterns, simulate
 from .solver import Solver, SolverConfig, Status
 
@@ -103,7 +102,6 @@ def _positive(kind, zero_ok=False):
 
 def cmd_csat(args):
     # every policy is built, and so every flag checked, whatever the mode
-    PhaseSelectionPolicy(args.tau, {})
     clause_filter = ClauseFilterPolicy(conflict_budget=args.budget,
                                        threshold=args.threshold,
                                        mode=args.score_mode)
@@ -114,7 +112,7 @@ def cmd_csat(args):
               file=sys.stderr)
         return 2
     outcome, fields = bench_mod.solve_miter(
-        miter, args.mode, args.tau, clause_filter, adaptive)
+        miter, args.mode, clause_filter, adaptive)
     code = _print_outcome(outcome)
     # the mode's own fields: the filter report, or the adaptive stage and
     # the phase policy's fallbacks
@@ -227,7 +225,6 @@ def main(argv=None):
     p = sub.add_parser("csat", help="solve an AIG with probability-guided heuristics")
     p.add_argument("file")
     p.add_argument("--mode", choices=bench_mod.MODES, required=True)
-    p.add_argument("--tau", type=float, default=0.005)
     p.add_argument("--threshold", type=float, default=0.9)
     p.add_argument("--budget", type=int, default=50000)
     p.add_argument("--score-mode", choices=["correlated", "independent"],

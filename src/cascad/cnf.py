@@ -138,6 +138,8 @@ def parse_dimacs(data: bytes) -> CnfFormula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise CnfError(f"line {lineno}: second problem line {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfError(f"line {lineno}: malformed problem line {line!r}")

@@ -49,7 +49,7 @@ class PhaseSelectionPolicy:
 
 
 def build_phase_policy(estimator: Estimator, po: int, vmap: VarGateMap,
-                       tau: float) -> PhaseSelectionPolicy:
+                       tau: float = 0.005) -> PhaseSelectionPolicy:
     """The phase policy for ``po``, its table P(gate(v)=1 | PO=1) for every
     mapped variable v; every entry is None when the estimator fails."""
     policy = PhaseSelectionPolicy(tau, {})

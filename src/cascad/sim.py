@@ -16,7 +16,6 @@ import numpy as np
 from .circuit import Circuit, GateKind, ShapeError
 
 TRUTH_TABLE_CAP = 20  # 2^m rows is impractical beyond this
-COUNT_BLOCK_ROWS = 256  # gate rows per block in PatternTraces.counts
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -90,23 +89,9 @@ class PatternTraces:
         return (column >> np.uint64(bit) & np.uint64(1)).astype(bool).tolist()
 
     def counts(self, cond_row: np.ndarray | None = None) -> np.ndarray:
-        """Per-gate popcounts, of the patterns in cond_row when given.
-
-        Rows are counted COUNT_BLOCK_ROWS at a time, so the temporaries
-        stay small next to the table: whole-table ones would triple the
-        peak memory of a phase-table query."""
-        words = self.words
-        n = words.shape[0]
-        out = np.zeros(n, dtype=np.uint64)
-        if cond_row is not None:
-            masked = np.empty((min(n, COUNT_BLOCK_ROWS), words.shape[1]),
-                              dtype=np.uint64)
-        for lo in range(0, n, COUNT_BLOCK_ROWS):
-            block = words[lo:lo + COUNT_BLOCK_ROWS]
-            if cond_row is not None:
-                block = np.bitwise_and(block, cond_row, out=masked[:len(block)])
-            np.bitwise_count(block).sum(axis=1, out=out[lo:lo + COUNT_BLOCK_ROWS])
-        return out
+        """Per-gate popcounts, of the patterns in cond_row when given."""
+        words = self.words if cond_row is None else self.words & cond_row
+        return np.bitwise_count(words).sum(axis=1, dtype=np.uint64)
 
 
 def _word_rows(num_rows: int, num_patterns: int) -> np.ndarray:

@@ -202,7 +202,7 @@ def test_criterion_6_phase_guidance_effectiveness(capsys):
         assert default_backend(case.miter) is Backend.EXACT
         base, _ = solve_miter(case.miter, "baseline")
         assert base.status is Status.SAT
-        guided, _ = solve_miter(case.miter, "phase", tau=0.005)
+        guided, _ = solve_miter(case.miter, "phase")
         assert guided.status is Status.SAT
         base_decisions.append(base.stats.decisions)
         guided_decisions.append(guided.stats.decisions)

@@ -123,6 +123,16 @@ class TestGenSuite:
         with pytest.raises(SuiteError, match="mutation"):
             gen_suite([c], n_sat=1, n_unsat=0, seed=0)
 
+    def test_base_whose_output_reads_no_and_raises(self):
+        """Beyond 16 PIs a mutant is taken unchecked, so one of an AND no
+        output reads, which computes the base's outputs, must not be made."""
+        c = Circuit()
+        pis = [c.add_pi() for _ in range(20)]
+        c.add_and(pis[0], pis[1])
+        c.set_outputs([c.add_not(pis[2])])
+        with pytest.raises(SuiteError, match="mutation"):
+            gen_suite([c], n_sat=1, n_unsat=0, seed=0)
+
 
 def graph_json(c: Circuit) -> str:
     """The gate list, inputs and outputs as one JSON text: what the copy
@@ -229,14 +239,24 @@ class TestRunCase:
     @pytest.mark.parametrize("mode", ["phase", "adaptive"])
     def test_failing_estimator_counted_as_phase_fallback(self, monkeypatch,
                                                          mode):
+        """A phase table that raises is counted on the UNSAT case; the SAT
+        case is answered from its witness and never asks for a table."""
+        asked = []
+
         def boom(self, po):
+            asked.append(po)
             raise RuntimeError("boom")
 
         monkeypatch.setattr(Estimator, "phase_table", boom)
-        for case in self.small_cases():
+        cases = self.small_cases()
+        assert {c.expected for c in cases} == {"SAT", "UNSAT"}
+        for case in cases:
+            asked.clear()
             outcome, fields = solve_miter(case.miter, mode)
             assert outcome.status.value == case.expected
-            assert fields["phase_fallbacks"] == 1
+            searched = case.expected == "UNSAT"
+            assert len(asked) == fields["phase_fallbacks"] == searched
+            assert fields["sim_answer"] is not searched
 
     def test_phase_mode_builds_one_table(self, monkeypatch):
         calls = []
@@ -365,22 +385,58 @@ class TestSolveMiter:
 
     @pytest.mark.parametrize("mode", ["phase", "adaptive"])
     def test_failed_trace_build_answers_by_search(self, monkeypatch, mode):
-        """A trace build that raises leaves the table empty: the solver
-        answers, and no witness is asked for."""
-        asked = []
-
+        """A trace build that raises gives no witness and leaves the table
+        empty: the solver answers, and the failure is counted once."""
         def boom(circuit):
             raise MemoryError("no room for the table")
 
         monkeypatch.setattr(estimator_mod, "exact_truth_table", boom)
-        monkeypatch.setattr(Estimator, "witness",
-                            lambda self, gate: asked.append(gate))
         for case in self.cases():
             outcome, fields = solve_miter(case.miter, mode)
             assert outcome.status.value == case.expected
             assert fields["phase_fallbacks"] == 1
             assert fields["sim_answer"] is False
-        assert asked == []
+
+    @pytest.mark.parametrize("mode", ["phase", "adaptive"])
+    def test_witness_is_asked_first(self, monkeypatch, mode):
+        """A SAT case is answered from the witness before any phase table,
+        policy or solver is built; an UNSAT case builds each once, and its
+        solver gets the policy's hook."""
+        import cascad.bench as bench_mod
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        counted(Estimator, "phase_table")
+        counted(bench_mod, "build_phase_policy")
+        hooks = []
+        monkeypatch.setattr(bench_mod, "make_phase_hook",
+                            lambda policy: hooks.append(policy) or policy)
+
+        class Recording(Solver):
+            def __init__(self, cnf, config, phase_hook=None, **kwargs):
+                calls.append("Solver")
+                assert phase_hook is hooks[-1]
+                super().__init__(cnf, config, phase_hook=phase_hook, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "Solver", Recording)
+        for expected in ("SAT", "UNSAT"):
+            case = next(c for c in self.cases() if c.expected == expected)
+            calls.clear()
+            outcome, fields = solve_miter(case.miter, mode)
+            assert outcome.status.value == expected
+            assert fields["sim_answer"] is (expected == "SAT")
+            if expected == "SAT":
+                assert calls == [] and hooks == []
+            else:
+                assert calls == ["build_phase_policy", "phase_table", "Solver"]
+                assert len(hooks) == 1
 
     @pytest.mark.parametrize("mode", MODES)
     def test_solving_seconds_exclude_solver_set_up(self, monkeypatch, mode):

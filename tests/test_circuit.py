@@ -44,6 +44,28 @@ class TestParseAiger:
         with pytest.raises(AigerParseError, match="header"):
             parse_aiger(b"agg 1 1 0 1 0\n2\n2\n")
 
+    @pytest.mark.parametrize("fmt, body", [
+        ("aag", b"2\n4\n6\n6 2 4\n"), ("aig", b"6\n" + bytes([2, 2]))])
+    @pytest.mark.parametrize("extra, message", [
+        (" 1", "bad-state"),            # one bad-state property
+        (" 0 1", "constraint"),         # one invariant constraint
+        (" 0 0 0 2", "fairness"),
+        (" x", "header counts"),
+        (" 0 0 0 0 0", "malformed header"),  # a tenth count
+    ])
+    def test_aiger_19_properties_rejected(self, fmt, body, extra, message):
+        """An AIGER 1.9 header's B, C, J and F counts are read: a property
+        section is rejected, as latches are, not parsed as ANDs."""
+        with pytest.raises(AigerParseError, match=message):
+            parse_aiger(f"{fmt} 3 2 0 1 1{extra}\n".encode() + body)
+
+    @pytest.mark.parametrize("fmt, body", [
+        ("aag", b"2\n4\n6\n6 2 4\n"), ("aig", b"6\n" + bytes([2, 2]))])
+    def test_aiger_19_zero_properties_accepted(self, fmt, body):
+        header = f"{fmt} 3 2 0 1 1".encode()
+        plain = parse_aiger(header + b"\n" + body)
+        assert parse_aiger(header + b" 0 0 0 0\n" + body).gates == plain.gates
+
     def test_dangling_literal(self):
         with pytest.raises(AigerParseError, match="dangling"):
             parse_aiger(b"aag 2 1 0 1 0\n2\n4\n")
@@ -429,6 +451,16 @@ class TestMutate:
         c.set_outputs([c.add_pi()])
         with pytest.raises(MutationError):
             mutate_circuit(c, seed=0)
+
+    def test_no_and_an_output_reads(self):
+        # a change to the unread AND would leave the output as it was
+        c = Circuit()
+        a, b = c.add_pi(), c.add_pi()
+        c.add_and(a, b)
+        c.set_outputs([c.add_not(b)])
+        for seed in range(5):
+            with pytest.raises(MutationError, match="cone"):
+                mutate_circuit(c, seed=seed)
 
     def test_only_gates_an_output_observes_are_mutated(self):
         c = Circuit()

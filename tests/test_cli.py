@@ -345,8 +345,18 @@ class TestCsat:
 
     def test_phase_mode(self, tmp_path, capsys):
         rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
-                          "--mode", "phase", "--tau", "0.005")
+                          "--mode", "phase")
         assert rc == EXIT_CODES[out.splitlines()[0]]
+
+    def test_tau_is_no_flag(self, tmp_path, capsys):
+        """The phase rule's threshold is no option: with a witness no
+        search runs, and without one every table entry abstains."""
+        with pytest.raises(SystemExit) as exc:
+            main(["csat", self.circuit_file(tmp_path), "--mode", "phase",
+                  "--tau", "0.005"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --tau" in captured.err
 
     def test_clause_filter_mode(self, tmp_path, capsys):
         rc, out = run_cli(capsys, "csat", self.circuit_file(tmp_path),
@@ -380,8 +390,6 @@ class TestCsat:
             assert json.loads(out.splitlines()[-1])["phase_fallbacks"] == 0
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--tau", "0.7", "tau 0.7 outside"),
-        ("--tau", "0", "tau 0.0 outside"),
         ("--threshold", "2", "threshold 2.0 outside"),
         ("--budget", "0", "budget must be >= 1"),
         ("--probe", "0", "probe budget must be positive"),

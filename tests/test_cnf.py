@@ -242,6 +242,10 @@ class TestDimacs:
         with pytest.raises(CnfError, match="declares"):
             parse_dimacs(b"p cnf 2 2\n1 0\n")
 
+    def test_second_problem_line(self):
+        with pytest.raises(CnfError, match="line 3: second problem line"):
+            parse_dimacs(b"p cnf 1 1\n1 0\np cnf 5 2\n5 0\n")
+
     def test_missing_problem_line(self):
         with pytest.raises(CnfError, match="problem line"):
             parse_dimacs(b"c only a comment\n")

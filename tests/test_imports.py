@@ -74,7 +74,7 @@ def test_config_fields_pinned(capsys):
         "conflict_budget", "threshold", "mode"]
     assert field_names(AdaptiveUnsatPolicy) == ["probe_budget_seconds"]
     assert parameter_names(solve_miter) == [
-        "miter", "mode", "tau", "clause_filter", "adaptive"]
+        "miter", "mode", "clause_filter", "adaptive"]
     assert parameter_names(strash) == ["circuit"]
     assert parameter_names(Solver.__init__) == [
         "self", "cnf", "config", "phase_hook", "drat_sink"]
@@ -85,8 +85,7 @@ def test_config_fields_pinned(capsys):
         main(["csat", "--help"])
     usage = capsys.readouterr().out.split("\n\n")[0]
     assert re.findall(r"--[\w-]+", usage) == [
-        "--mode", "--tau", "--threshold", "--budget", "--score-mode",
-        "--probe"]
+        "--mode", "--threshold", "--budget", "--score-mode", "--probe"]
 
 
 def test_removed_aliases_stay_removed():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cascad.circuit import Circuit, GateKind
-from cascad.sim import (COUNT_BLOCK_ROWS, PatternTraces, SimError,
-                        SimulationPlan, exact_truth_table, exhaustive_patterns,
+from cascad.sim import (PatternTraces, SimError, SimulationPlan,
+                        exact_truth_table, exhaustive_patterns,
                         sample_patterns, simulate)
 
 from conftest import (all_input_rows, eval_circuit, random_circuit,
@@ -261,8 +261,8 @@ class TestPatternTraces:
             assert traces.counts()[g] == traces.count(g)
 
     def test_counts_across_row_blocks(self):
-        # more gates than one block of rows, and a partial last block
-        c = random_circuit(7, num_pis=8, num_gates=2 * COUNT_BLOCK_ROWS + 40)
+        # hundreds of gate rows, over a partial last word of patterns
+        c = random_circuit(7, num_pis=8, num_gates=552)
         traces = simulate(c, sample_patterns(SimulationPlan(77, 0.5, seed=3), 8))
         cond = traces.trace(len(c) - 1)
         want = np.bitwise_count(traces.words & cond).sum(axis=1)
