@@ -257,14 +257,16 @@ def solve_miter(miter: Circuit, mode: str,
     In phase and adaptive mode the trace set is first asked for a witness,
     a pattern that sets the output: one answers SAT, its gate values checked
     as a model, and no table, policy or solver is built.  Without one, the
-    phase table is all None and the solver searches with the hook.
+    phase table is empty and the solver searches with the hook.
     Its PIs keep their order and so own CNF variables 1..len(PIs): a SAT
     model's first len(PIs) values are an input row on which the given
     miter's output is 1.
 
     Returns the outcome and the run's record fields: wall, solving and
     inference seconds (hashing, encoding and solver set-up in none of
-    them; a trace answer is all inference), plus the filter report under
+    them; a trace answer is all inference, and in clause-filter mode
+    solving is the solver's own time, so the trace build and the scoring
+    between its two solves are inference), plus the filter report under
     ``clause_filter``, the adaptive ``stage`` and ``stage1_wall``, and in
     phase and adaptive mode ``phase_fallbacks``, the phase policy's failed
     table builds, and ``sim_answer``, whether a trace answered."""
@@ -311,6 +313,9 @@ def solve_miter(miter: Circuit, mode: str,
     else:
         outcome = solver.solve()
     solving_seconds = 0.0 if model is not None else time.monotonic() - t0
+    if mode == "clause-filter":
+        inference_seconds += solving_seconds - outcome.stats.wall_time
+        solving_seconds = outcome.stats.wall_time
     if mode in ("phase", "adaptive"):
         fields.update(phase_fallbacks=policy.fallbacks if policy else 0,
                       sim_answer=model is not None)

@@ -190,12 +190,10 @@ def parse_aiger(data: bytes) -> Circuit:
     # M I L O A, then AIGER 1.9's optional B C J F
     if not 6 <= len(header) <= 10 or header[0] not in (b"aag", b"aig"):
         raise AigerParseError(f"malformed header: {data[:nl]!r}")
-    try:
-        m, i, l, o, a, *properties = (int(x) for x in header[1:])
-    except ValueError as e:
-        raise AigerParseError(f"malformed header counts: {data[:nl]!r}") from e
-    if min(m, i, l, o, a) < 0:
-        raise AigerParseError(f"negative header count: {data[:nl]!r}")
+    # ASCII digits only: int() would also take a sign and underscores
+    if not all(map(bytes.isdigit, header[1:])):
+        raise AigerParseError(f"malformed header counts: {data[:nl]!r}")
+    m, i, l, o, a, *properties = map(int, header[1:])
     if l > 0:
         raise AigerParseError(f"sequential AIGER rejected: {l} latches")
     if any(properties):
@@ -327,6 +325,10 @@ def _materialize_and(circuit, var, ands, and_def, var_node, maxvar):
         var_node[v] = circuit.add_and(fan[0], fan[1])
 
 
+# the bytes of an ASCII AIGER literal line: int() strips this whitespace
+_DIGITS_AND_SPACE = b"0123456789 \t\n\r\x0b\x0c"
+
+
 def _parse_ascii_body(body: bytes, i, o, a):
     """Input and output literals, and the AND rows as one flat list
     [lhs, rhs0, rhs1, lhs, ...]."""
@@ -334,6 +336,13 @@ def _parse_ascii_body(body: bytes, i, o, a):
     lines = body.split(b"\n", need)
     if len(lines) < need:
         raise AigerParseError(f"expected {need} body lines, got {len(lines)}")
+    # one C-level pass over the literal lines for a byte int() would take
+    # but AIGER does not allow: a sign or an underscore
+    end = len(body) - (len(lines[need]) if len(lines) > need else 0)
+    if body[:end].translate(None, _DIGITS_AND_SPACE):
+        k = next(k for k in range(end) if body[k] not in _DIGITS_AND_SPACE)
+        lineno = body.count(b"\n", 0, k) + 2
+        raise AigerParseError(f"line {lineno}: {body[k:k + 1]!r} in a literal")
     rows = list(map(bytes.split, lines[i + o:need]))
     if rows and set(map(len, rows)) != {3}:
         k = next(k for k, parts in enumerate(rows) if len(parts) != 3)
@@ -357,10 +366,9 @@ def _parse_binary_body(body: bytes, i, o, a):
         nl = body.find(b"\n", pos)
         if nl < 0:
             raise AigerParseError(f"truncated output section at byte {pos}")
-        try:
-            outputs.append(int(body[pos:nl]))
-        except ValueError as e:
-            raise AigerParseError(f"non-numeric output literal {body[pos:nl]!r}") from e
+        if not body[pos:nl].strip().isdigit():
+            raise AigerParseError(f"non-numeric output literal {body[pos:nl]!r}")
+        outputs.append(int(body[pos:nl]))
         pos = nl + 1
 
     def read_delta() -> int:

@@ -7,6 +7,7 @@ fanin's literal.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -71,13 +72,11 @@ def signal_to_lit(vmap: VarGateMap, gate: int, polarity: bool = True) -> int:
     return lit if polarity else -lit
 
 
-def lit_to_signal(vmap: VarGateMap, lit: int) -> tuple[int, bool] | None:
+def lit_to_signal(vmap: VarGateMap, lit: int) -> tuple[int, bool]:
     """The owning gate of ``lit``'s variable and the value ``lit`` gives it;
-    a NOT gate is never returned, since it owns no variable."""
-    gate = vmap.var_to_gate.get(abs(lit))
-    if gate is None:
-        return None  # auxiliary variable with no circuit image
-    return gate, lit > 0
+    a NOT gate is never returned, since it owns no variable.  A KeyError
+    means ``vmap`` is not the map of the CNF ``lit`` comes from."""
+    return vmap.var_to_gate[abs(lit)], lit > 0
 
 
 @paused_gc()
@@ -123,6 +122,12 @@ def tseitin_encode(circuit: Circuit,
     return CnfFormula(len(owners), clauses), vmap
 
 
+# ASCII digits only: int() would also take '+', underscores and other
+# scripts' digits
+_COUNT = re.compile("[0-9]+")
+_LITERAL = re.compile("-?[0-9]+")
+
+
 def parse_dimacs(data: bytes) -> CnfFormula:
     if isinstance(data, bytes):
         try:
@@ -141,22 +146,17 @@ def parse_dimacs(data: bytes) -> CnfFormula:
             if num_vars is not None:
                 raise CnfError(f"line {lineno}: second problem line {line!r}")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if (len(parts) != 4 or parts[1] != "cnf"
+                    or not all(map(_COUNT.fullmatch, parts[2:]))):
                 raise CnfError(f"line {lineno}: malformed problem line {line!r}")
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError as e:
-                raise CnfError(f"line {lineno}: malformed problem line {line!r}") from e
-            if num_vars < 0 or num_clauses < 0:
-                raise CnfError(f"line {lineno}: negative count in {line!r}")
+            num_vars, num_clauses = int(parts[2]), int(parts[3])
             continue
         if num_vars is None:
             raise CnfError(f"line {lineno}: clause before problem line")
-        try:
-            lits = [int(tok) for tok in line.split()]
-        except ValueError as e:
-            raise CnfError(f"line {lineno}: non-integer literal in {line!r}") from e
-        for lit in lits:
+        toks = line.split()
+        if not all(map(_LITERAL.fullmatch, toks)):
+            raise CnfError(f"line {lineno}: non-integer literal in {line!r}")
+        for lit in map(int, toks):
             if lit == 0:
                 clauses.append(current)
                 current = []

@@ -48,6 +48,7 @@ the hints beside its steps; DRAT text has no place for them, so
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -97,6 +98,11 @@ class DratFileSink:
         self._fh.close()
 
 
+# ASCII digits only: int() would also take '+', underscores and other
+# scripts' digits
+_LITERAL = re.compile("-?[0-9]+")
+
+
 def parse_drat(text: str) -> DratProof:
     proof = DratProof()
     for line in text.splitlines():
@@ -109,10 +115,9 @@ def parse_drat(text: str) -> DratProof:
             toks = toks[1:]
         if not toks or toks[-1] != "0":
             raise DratError(f"malformed DRAT line {line!r}")
-        try:
-            lits = tuple(int(t) for t in toks[:-1])
-        except ValueError:
-            raise DratError(f"bad literal in DRAT line {line!r}") from None
+        if not all(map(_LITERAL.fullmatch, toks)):
+            raise DratError(f"bad literal in DRAT line {line!r}")
+        lits = tuple(map(int, toks[:-1]))
         if 0 in lits:
             raise DratError(f"literal 0 inside DRAT line {line!r}")
         proof.steps.append((kind, lits))

@@ -107,27 +107,23 @@ class Estimator:
         t = self.traces
         return t.popcount(cond_row & t.trace(tgate, tpol)) / n_cond
 
-    def clause_prob(self, signals: list[tuple[int, bool] | None],
-                    mode: str = "correlated") -> float | None:
+    def clause_prob(self, signals: list[tuple[int, bool]],
+                    mode: str = "correlated") -> float:
         """Satisfaction probability of a clause (OR of its literals), each
-        a (gate, polarity) signal or None for a literal with no gate image.
+        a (gate, polarity) signal.
 
-        correlated: fraction of shared-trace patterns satisfying any signal;
-        returns None when a signal is None (no circuit evidence).
-        independent: 1 - prod(1 - P(s_i)); a None signal counts as 0.5.
+        correlated: fraction of shared-trace patterns satisfying any signal.
+        independent: 1 - prod(1 - P(s_i)).
         """
         if not signals:
             raise EstimatorError("empty clause")
         if mode == "independent":
             acc = 1.0
             for sig in signals:
-                p = 0.5 if sig is None else self.node_prob(*sig)
-                acc *= 1.0 - p
+                acc *= 1.0 - self.node_prob(*sig)
             return 1.0 - acc
         if mode != "correlated":
             raise EstimatorError(f"unknown clause_prob mode {mode!r}")
-        if any(sig is None for sig in signals):
-            return None
         t = self.traces
         acc = reduce(np.bitwise_or, (t.trace(*sig) for sig in signals))
         return t.popcount(acc) / t.num_patterns
@@ -137,13 +133,12 @@ class Estimator:
         None when no pattern sets it."""
         return self.traces.first_pattern(gate)
 
-    def phase_table(self, po: int) -> dict[int, float | None]:
-        """P(gate=1 | po=1) for every gate; None = po is never 1, so there
+    def phase_table(self, po: int) -> dict[int, float]:
+        """P(gate=1 | po=1) for every gate; {} when po is never 1, so there
         is no information."""
-        gates = range(len(self.circuit))
         cond_row, n_cond = self._condition(((po, True),))
         if n_cond == 0:
-            return dict.fromkeys(gates)
+            return {}
         # float64 division of exact integer counts, as float(j) / n_cond
         joint = self.traces.counts(cond_row)
-        return dict(zip(gates, (joint / n_cond).tolist()))
+        return dict(enumerate((joint / n_cond).tolist()))

@@ -27,9 +27,9 @@ class PolicyError(Exception):
 class PhaseSelectionPolicy:
     """The phase hook.  ``policy(v)`` applies the three-way rule to
     variable v's entry.  ``fallbacks`` counts the failed table builds,
-    which left every entry without information."""
+    which left the table empty."""
     tau: float
-    phase_table: dict[int, float | None]  # variable -> P or None (no information)
+    phase_table: dict[int, float]  # variable -> P; absent: no information
     fallbacks: int = field(default=0, init=False)
 
     def __post_init__(self):
@@ -51,15 +51,17 @@ class PhaseSelectionPolicy:
 def build_phase_policy(estimator: Estimator, po: int, vmap: VarGateMap,
                        tau: float = 0.005) -> PhaseSelectionPolicy:
     """The phase policy for ``po``, its table P(gate(v)=1 | PO=1) for every
-    mapped variable v; every entry is None when the estimator fails."""
+    variable v whose gate the estimator's table lists; the table is empty
+    when the estimator fails or lists nothing."""
     policy = PhaseSelectionPolicy(tau, {})
     try:
         gate_table = estimator.phase_table(po)
     except Exception:
         policy.fallbacks += 1
         gate_table = {}
-    policy.phase_table = {var: gate_table.get(gate)
-                          for var, gate in vmap.var_to_gate.items()}
+    policy.phase_table = {var: gate_table[gate]
+                          for var, gate in vmap.var_to_gate.items()
+                          if gate in gate_table}
     return policy
 
 
@@ -95,7 +97,6 @@ class FilterReport:
     total: int
     kept: int
     dropped: int
-    kept_unscored: int  # kept for want of a score
     estimator_failures: int
     score_histogram: dict[str, int]  # ten 0.1-wide bins
     lbd_buckets: dict[str, dict[str, int]]  # "1" / "2" / "3+" -> counts
@@ -108,8 +109,8 @@ def score_clauses(snapshots: list[LearntSnapshot], estimator: Estimator,
     """Score every clause; returns (scores, keep, failures), where keep[i]
     is the one decision on snapshots[i].
 
-    A clause is kept when its score is below the threshold or when it has
-    no score: no circuit evidence, or an estimator failure (fail-safe)."""
+    A clause is kept when its score is below the threshold, or unscored
+    when the estimator fails on it (fail-safe)."""
     scores: list[float | None] = []
     keep: list[bool] = []
     failures = 0
@@ -140,7 +141,7 @@ def _build_report(snapshots, scores, keep, failures, fired_at,
     return FilterReport(
         fired_at_conflicts=fired_at, fired_mid_solve=mid_solve,
         total=len(snapshots), kept=sum(keep), dropped=keep.count(False),
-        kept_unscored=scores.count(None), estimator_failures=failures,
+        estimator_failures=failures,
         score_histogram=hist, lbd_buckets=buckets, scores=scores)
 
 

@@ -406,7 +406,9 @@ class Solver:
             del trail_lim[level:]
             if len(order) > 2 * self.nvars:
                 self._rebuild_order()
-        self.qhead = len(trail)
+        # only lowered: a root unit enqueued since the last propagation,
+        # as a learnt unit before a budget stop, stays to be propagated
+        self.qhead = min(self.qhead, len(trail))
 
     def _learn(self, learnt: list[int], lbd: int, chain: list[_Clause]):
         self.stats.learnt_total += 1

@@ -14,7 +14,8 @@ from cascad.bench import (MODES, BenchCase, BenchConfig, CorrectnessAlarm,
                           load_suite, par2, par2_by_config,
                           reassociate, report, run_case, run_suite, save_suite,
                           solve_miter)
-from cascad.circuit import Circuit, build_miter, mutate_circuit, strash
+from cascad.circuit import (Circuit, build_miter, mutate_circuit, parse_aiger,
+                            strash)
 from cascad.cnf import tseitin_encode
 from cascad.estimator import Backend, Estimator, default_backend
 from cascad.heuristics import ClauseFilterPolicy
@@ -23,6 +24,7 @@ from cascad.sim import exact_truth_table
 
 from conftest import eval_circuit, pad_with_dead_logic, random_circuit
 from test_perfbench import perfbench_modules  # noqa: F401 (fixture)
+from test_solver import load_perfbench_gen
 
 
 def functionally_equal(a, b):
@@ -460,6 +462,32 @@ class TestSolveMiter:
         assert outcome.status.value == case.expected
         assert len(built) == 1
         assert fields["solving_seconds"] < 0.3
+
+    def test_clause_filter_scoring_is_inference(self, monkeypatch):
+        """In clause-filter mode the trace build and the scoring between
+        the two solves are inference; solving is the solver's own time."""
+        import cascad.heuristics as heuristics_mod
+        spent = []
+        score_clauses = heuristics_mod.score_clauses
+
+        def timed(*args):
+            t0 = time.monotonic()
+            result = score_clauses(*args)
+            spent.append(time.monotonic() - t0)
+            return result
+
+        monkeypatch.setattr(heuristics_mod, "score_clauses", timed)
+        _, data, _, _ = load_perfbench_gen().multiplier_miters(1, [4])[0]
+        outcome, fields = solve_miter(
+            parse_aiger(data), "clause-filter",
+            clause_filter=ClauseFilterPolicy(conflict_budget=150))
+        assert outcome.status.value == "UNSAT"
+        assert fields["clause_filter"]["fired_mid_solve"]
+        assert fields["clause_filter"]["total"] > 0
+        assert fields["inference_seconds"] >= spent[0] > 0
+        assert fields["solving_seconds"] == outcome.stats.wall_time
+        assert fields["wall_seconds"] == \
+            fields["solving_seconds"] + fields["inference_seconds"]
 
     def test_hashed_cnf_is_smaller(self, monkeypatch):
         import cascad.bench as bench_mod

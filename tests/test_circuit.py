@@ -125,6 +125,27 @@ class TestParseAiger:
         with pytest.raises(CycleError):
             parse_aiger(data)
 
+    @pytest.mark.parametrize("data", [
+        b"aag +1_0 1_0 0 0 0\n"                    # header counts
+        + b"".join(b"%d\n" % (2 * k) for k in range(1, 11)),
+        b"aag +1 1 0 1 0\n2\n2\n",
+        b"aag 0_1 1 0 1 0\n2\n2\n",
+        "aag \u0661 1 0 1 0\n2\n2\n".encode(),  # an Arabic-Indic one
+        b"aag 1 1 0 1 0\n+2\n2\n",                # an input line
+        b"aag 1 1 0 1 0\n2\n0_2\n",               # an output line
+        b"aag 3 2 0 1 1\n2\n4\n6\n6 +2 4\n",      # an AND line
+        b"aag 3 2 0 1 1\n2\n4\n6\n6 0_2 4\n",
+        "aag 1 1 0 1 0\n2\n\u0662\n".encode(),
+        b"aig 1 1 0 1 0\n+2\n",                   # a binary output line
+        b"aig 3 2 0 1 1\n0_6\n" + bytes([2, 2]),
+        "aig 1 1 0 1 0\n\u0662\n".encode(),
+    ])
+    def test_sign_underscore_and_other_digits_rejected(self, data):
+        """AIGER numbers are ASCII digits alone; int() would also read a
+        sign and underscores."""
+        with pytest.raises(AigerParseError):
+            parse_aiger(data)
+
     def test_shared_not_is_deduplicated(self):
         # two ANDs both consuming NOT(a)
         c = parse_aiger(b"aag 4 2 0 2 2\n2\n4\n6\n8\n6 3 4\n8 3 4\n")

@@ -199,10 +199,34 @@ class TestSignalLitMap:
                 lit = signal_to_lit(vmap, gate, pol)
                 assert lit_to_signal(vmap, lit) == (gate, pol)
 
-    def test_unmapped_var_is_none(self, toy_and):
+    def test_unmapped_var_raises(self, toy_and):
+        """A literal past the CNF's variables means the map is not that
+        CNF's: a caller bug, not a literal without evidence."""
         c, *_ = toy_and
         _, vmap = tseitin_encode(c)
-        assert lit_to_signal(vmap, 99) is None
+        with pytest.raises(KeyError):
+            lit_to_signal(vmap, 99)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_variable_names_a_gate(self, seed):
+        """Every variable 1..num_vars of the encoding is some PI, AND or
+        CONST0 gate's, with NOT chains, the constant and AND(x, NOT x) in
+        the circuit, so every literal of its clauses maps to a signal."""
+        rng = random.Random(seed)
+        c = random_circuit(seed, num_pis=5, num_gates=25, not_prob=0.5)
+        x = rng.randrange(len(c))
+        chain = [x]
+        for _ in range(rng.randint(1, 4)):
+            chain.append(raw_not(c, chain[-1]))
+        tauto = c.add_and(x, chain[1])
+        c.set_outputs([c.add_and(chain[-1], c.add_not(c.add_const0())),
+                       tauto])
+        cnf, vmap = tseitin_encode(c, [(tauto, False)])
+        assert set(vmap.var_to_gate) == set(range(1, cnf.num_vars + 1))
+        for clause in cnf.clauses:
+            for lit in clause:
+                gate, pol = lit_to_signal(vmap, lit)
+                assert signal_to_lit(vmap, gate, pol) == lit
 
 
 class TestDimacs:
@@ -245,6 +269,17 @@ class TestDimacs:
     def test_second_problem_line(self):
         with pytest.raises(CnfError, match="line 3: second problem line"):
             parse_dimacs(b"p cnf 1 1\n1 0\np cnf 5 2\n5 0\n")
+
+    @pytest.mark.parametrize("text", [
+        "p cnf 1_0 1\n+1_0 0\n", "p cnf +2 1\n1 0\n", "p cnf 2 0_1\n1 0\n",
+        "p cnf \u0662 1\n1 0\n", "p cnf 2 1\n+1 0\n", "p cnf 10 1\n1_0 0\n",
+        "p cnf 2 1\n-0_1 0\n", "p cnf 2 1\n\u0661 0\n"])
+    def test_sign_underscore_and_other_digits_rejected(self, text):
+        """DIMACS numbers are ASCII digits, a literal with an optional
+        '-'; int() would also read '+', underscores and other scripts'
+        digits."""
+        with pytest.raises(CnfError):
+            parse_dimacs(text.encode())
 
     def test_missing_problem_line(self):
         with pytest.raises(CnfError, match="problem line"):

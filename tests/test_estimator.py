@@ -153,16 +153,6 @@ class TestClauseProb:
         # independent approximation differs: 1 - (1-0.25)(1-0.5)
         assert est.clause_prob(signals, mode="independent") == pytest.approx(0.625)
 
-    def test_unmapped_correlated_none(self, toy_and):
-        c, a, b, g = toy_and
-        assert exact_estimator(c).clause_prob([(a, True), None]) is None
-
-    def test_unmapped_independent_half(self, toy_and):
-        c, a, b, g = toy_and
-        est = exact_estimator(c)
-        got = est.clause_prob([(g, True), None], mode="independent")
-        assert got == pytest.approx(1 - (1 - 0.25) * 0.5)
-
     def test_empty_clause_rejected(self, toy_and):
         c, *_ = toy_and
         with pytest.raises(EstimatorError, match="empty"):
@@ -180,13 +170,12 @@ class TestPolarAndPhaseTable:
         table = exact_estimator(c).phase_table(g)
         assert table[a] == 1.0 and table[b] == 1.0 and table[g] == 1.0
 
-    def test_phase_table_unsat_output_all_none(self):
+    def test_phase_table_unsat_output_empty(self):
         c = Circuit()
         a = c.add_pi()
         z = c.add_const0()
         c.set_outputs([z])
-        table = exact_estimator(c).phase_table(z)
-        assert set(table.values()) == {None}
+        assert exact_estimator(c).phase_table(z) == {}
 
 
 class TestWitness:
@@ -223,9 +212,9 @@ class TestWitness:
 
 PIN_DIGESTS = {
     Backend.EXACT:
-        "fdc8b01a91a1c786d76c9dce51baa00210afc29115c5ef93ec36e637a5d4bab9",
+        "b79de1eabffa40adf39be349506c6481690331b56831ebbbabce7588812030bc",
     Backend.SIMULATION:
-        "277dbefda58a59282f04f0ed976a929a8bae4ff9fae7fc834a4939245ebb98ee",
+        "310c47272f7393e6dcaa58516cdfa1f0019d90e4fac10f89dff86095028f4e2c",
 }
 
 
@@ -253,18 +242,15 @@ def pin_lines(backend: Backend, seed: int) -> list[str]:
         lines.append(repr((target, conditions, p)))
     lines.append(repr(sorted(est.phase_table(po).items())))
     _, vmap = tseitin_encode(c)
-    unmapped = len(vmap.var_to_gate) + 1  # one variable past the map's end
     for _ in range(20):
-        # clauses drawn over (gate, polarity) signals, None for the unmapped
-        # literal, so a line names no variable number: it reads the same
-        # under any encoding that maps the signals to literals soundly
-        sigs = [signal() if rng.random() < 0.9 else None
-                for _ in range(rng.randint(1, 4))]
-        lits = [unmapped if sig is None else signal_to_lit(vmap, *sig)
-                for sig in sigs]
+        # clauses drawn over (gate, polarity) signals, so a line names no
+        # variable number: it reads the same under any encoding that maps
+        # the signals to literals soundly
+        sigs = [signal() for _ in range(rng.randint(1, 4))]
         # the signals score_clauses passes: a NOT gate's literal names the
         # gate that owns its variable
-        owned = [lit_to_signal(vmap, lit) for lit in lits]
+        owned = [lit_to_signal(vmap, signal_to_lit(vmap, *sig))
+                 for sig in sigs]
         lines.append(repr((sigs, est.clause_prob(owned),
                            est.clause_prob(owned, mode="independent"))))
     return lines

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cascad import estimator as estimator_mod
 from cascad.circuit import Circuit, build_miter, mutate_circuit, parse_aiger
-from cascad.cnf import CnfFormula, tseitin_encode
+from cascad.cnf import CnfFormula, VarGateMap, tseitin_encode
 from cascad.drat import DratProof, check_proof
 from cascad.estimator import Backend, Estimator, EstimatorConfig
 from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
@@ -58,12 +58,18 @@ class TestPhaseRule:
         assert policy(1) is False
 
     def test_none_entry_abstains(self):
-        policy = PhaseSelectionPolicy(0.1, {1: None})
+        """A variable the table does not list has no entry, which abstains."""
+        policy = PhaseSelectionPolicy(0.1, {})
         assert policy(1) is None
 
 
 class Broken:
+    """An estimator whose every query fails."""
+
     def phase_table(self, po):
+        raise RuntimeError("boom")
+
+    def clause_prob(self, signals, mode):
         raise RuntimeError("boom")
 
 
@@ -88,8 +94,7 @@ class TestBuildPhasePolicy:
         c, *_ = toy_and
         cnf, vmap, po = encoded_instance(c)
         policy = build_phase_policy(Broken(), po, vmap, tau=0.1)
-        assert len(policy.phase_table) == len(vmap.gate_to_var)
-        assert all(v is None for v in policy.phase_table.values())
+        assert policy.phase_table == {}
         assert policy.fallbacks == 1
 
     def test_guided_solve_finds_model(self):
@@ -151,22 +156,9 @@ class TestScoreClauses:
                 [clause], est, vmap, ClauseFilterPolicy(threshold=threshold))
             assert sum(keep) == expect_kept
 
-    def test_unmapped_kept_without_score(self, toy_and):
-        c, *_ = toy_and
-        _, vmap = tseitin_encode(c)
-        scores, keep, failures = score_clauses(
-            [self.snap(99, 98)], exact_estimator(c), vmap,
-            ClauseFilterPolicy(threshold=0.5))
-        assert scores == [None] and keep == [True] and failures == 0
-
     def test_estimator_failure_fail_safe(self, toy_and):
         c, *_ = toy_and
         _, vmap = tseitin_encode(c)
-
-        class Broken:
-            def clause_prob(self, signals, mode):
-                raise RuntimeError("boom")
-
         scores, keep, failures = score_clauses(
             [self.snap(1, 2)], Broken(), vmap, ClauseFilterPolicy())
         assert failures == 1 and keep == [True] and scores == [None]
@@ -208,15 +200,25 @@ class TestRunClauseFilter:
 
     def test_mid_solve_filter_preserves_status(self):
         cnf, expect = self.hard_cnf()
-        # no gate map at all: every clause is unmapped, fail-safe kept
-        from cascad.cnf import VarGateMap
-        c = random_circuit(0, num_pis=4, num_gates=10)
+        # an estimator that fails on every clause: all fail-safe kept
+        vmap = VarGateMap(var_to_gate={v: v for v in range(1, cnf.num_vars + 1)})
         report = run_clause_filter(
             Solver(cnf), ClauseFilterPolicy(conflict_budget=100),
-            exact_estimator(c), VarGateMap())
+            Broken(), vmap)
         assert report.fired_mid_solve
-        assert report.kept == report.total == report.kept_unscored
+        assert report.kept == report.total == report.estimator_failures
         assert report.outcome.status is expect
+
+    def test_map_not_covering_the_cnf_raises(self):
+        """Scoring with a map that is not the solver's CNF's is a caller
+        bug: it raises rather than keep every clause unscored."""
+        cnf, _ = self.hard_cnf()
+        c = random_circuit(0, num_pis=4, num_gates=10)
+        _, vmap = tseitin_encode(c)
+        assert cnf.num_vars > len(vmap.var_to_gate)
+        with pytest.raises(KeyError):
+            run_clause_filter(Solver(cnf), ClauseFilterPolicy(conflict_budget=100),
+                              exact_estimator(c), vmap)
 
     def test_circuit_instance_filter_sound(self):
         for seed in (2, 5, 8):
@@ -263,10 +265,10 @@ class TestRunClauseFilter:
         assert sum(report.score_histogram.values()) == scored
         assert sum(b["total"] for b in report.lbd_buckets.values()) == report.total
         assert sum(b["kept"] for b in report.lbd_buckets.values()) == report.kept
-        assert report.kept_unscored == report.scores.count(None)
+        assert report.estimator_failures == report.scores.count(None)
         low = sum(1 for p in report.scores if p is not None and p < 0.9)
         assert sum(b["low_prob"] for b in report.lbd_buckets.values()) == low
-        assert report.kept == report.kept_unscored + low
+        assert report.kept == report.estimator_failures + low
 
 
 class TestAdaptive:

@@ -1,9 +1,9 @@
 """Every name a cascad module imports must be used in that module, and the
-package's exports, config, policy and score fields, the parameters of
-``solve_miter``, ``strash``, ``Solver``, ``adaptive_solve`` and
-``Estimator.cond_prob``, the options of ``cascad csat``, estimator backends
-and process-spawning imports are pinned: a new option, export, backend or
-child-process path is a visible edit here."""
+package's exports, config, policy, score and filter-report fields, the
+parameters of ``solve_miter``, ``strash``, ``Solver``, ``adaptive_solve``
+and ``Estimator.cond_prob``, the options of ``cascad csat``, estimator
+backends and process-spawning imports are pinned: a new option, export,
+report field, backend or child-process path is a visible edit here."""
 
 import ast
 import dataclasses
@@ -20,7 +20,8 @@ from cascad.circuit import Circuit, strash
 from cascad.cli import main
 from cascad.estimator import Backend, Estimator, EstimatorConfig
 from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
-                               PhaseSelectionPolicy, adaptive_solve)
+                               FilterReport, PhaseSelectionPolicy,
+                               adaptive_solve)
 from cascad.solver import Solver, SolverConfig
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cascad"
@@ -72,6 +73,10 @@ def test_config_fields_pinned(capsys):
         "tau", "phase_table", "fallbacks"]
     assert field_names(ClauseFilterPolicy) == [
         "conflict_budget", "threshold", "mode"]
+    assert field_names(FilterReport) == [
+        "fired_at_conflicts", "fired_mid_solve", "total", "kept", "dropped",
+        "estimator_failures", "score_histogram", "lbd_buckets", "scores",
+        "outcome"]
     assert field_names(AdaptiveUnsatPolicy) == ["probe_budget_seconds"]
     assert parameter_names(solve_miter) == [
         "miter", "mode", "clause_filter", "adaptive"]

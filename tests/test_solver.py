@@ -151,6 +151,15 @@ class TestDrat:
         with pytest.raises(DratError):
             parse_drat(text)
 
+    @pytest.mark.parametrize("text", ["+1_0 0\n", "+1 0\n", "1_0 0\n",
+                                      "d -0_1 0\n", "\u0661 0\n",
+                                      "d 1 \u0662 0\n"])
+    def test_sign_underscore_and_other_digits_rejected(self, text):
+        """DRAT literals are ASCII digits with an optional '-'; int()
+        would also read '+', underscores and other scripts' digits."""
+        with pytest.raises(DratError, match="bad literal"):
+            parse_drat(text)
+
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
         st.text(),
@@ -445,6 +454,31 @@ def unsettled_lemmas(clauses, proof: DratProof) -> list[int]:
     return unsettled
 
 
+def unit_closure(clauses) -> set[int]:
+    """The literals unit propagation derives from ``clauses`` alone,
+    which must not conflict."""
+    true: set[int] = set()
+    occurs: dict[int, list[list[int]]] = {}
+    for clause in clauses:
+        for lit in clause:
+            occurs.setdefault(-lit, []).append(clause)
+    queue = [cl[0] for cl in clauses if len(cl) == 1]
+    while queue:
+        lit = queue.pop()
+        if lit in true:
+            continue
+        assert -lit not in true, "conflict at the root"
+        true.add(lit)
+        for clause in occurs.get(lit, ()):
+            if any(l in true for l in clause):
+                continue
+            open_ = [l for l in clause if -l not in true]
+            assert open_, "conflict at the root"
+            if len(open_) == 1:
+                queue.append(open_[0])
+    return true
+
+
 def load_perfbench_gen():
     """``perfbench/gen.py``, the benchmark's instance generator."""
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
@@ -634,6 +668,34 @@ class TestBudgetsAndResume:
         with pytest.raises(ValueError, match="positive"):
             s.solve(**budgets)
         assert s.stats.conflicts == 0
+
+    def test_unit_learnt_before_stop_is_propagated(self):
+        """A unit learnt just before a conflict-budget stop stays queued
+        through the root backtrack of export_learnts: one propagate() then
+        makes the root trail the unit-propagation closure of the original
+        clauses, the learnt ones and the learnt units, which the solver
+        keeps only on its trail and the proof records.  Of these stops on
+        the benchmark's first four 4-bit multipliers, two have such a
+        unit."""
+        grew = []
+        for name, data, _, _ in load_perfbench_gen().multiplier_miters(1, [4] * 4):
+            miter = parse_aiger(data)
+            formula, _ = tseitin_encode(miter, [(miter.primary_outputs[0], True)])
+            for budget in range(100, 395, 7):
+                proof = DratProof()
+                s = Solver(formula, drat_sink=proof)
+                if s.solve(conflict_budget=budget).status is not Status.UNKNOWN:
+                    continue
+                learnts = [list(snap.lits) for snap in s.export_learnts()]
+                units = [list(lits) for kind, lits in proof.steps
+                         if kind == "a" and len(lits) == 1]
+                before = len(s.trail)
+                assert s.propagate() is None
+                if len(s.trail) > before:
+                    grew.append((name, budget, before, len(s.trail)))
+                assert set(s.trail) == unit_closure(
+                    s.original_clauses + learnts + units)
+        assert grew == [("mult4-01", 296, 38, 40), ("mult4-03", 345, 140, 143)]
 
     def test_stats_accumulate(self):
         n, clauses = self.hard_instance()
