@@ -208,7 +208,8 @@ def save_suite(cases: list[BenchCase], directory: str):
 
 def load_suite(directory: str) -> list[BenchCase]:
     """The cases ``save_suite`` wrote; a malformed manifest or case file,
-    or a case id the manifest repeats, raises SuiteError naming its path."""
+    a case with no output to assert, or a case id the manifest repeats,
+    raises SuiteError naming its path."""
     path = os.path.join(directory, "manifest.json")
     with open(path) as fh:
         try:
@@ -236,6 +237,8 @@ def load_suite(directory: str) -> list[BenchCase]:
             miter = parse_aiger(data)
         except CircuitError as e:
             raise SuiteError(f"{case_path}: {e}") from None
+        if not miter.primary_outputs:
+            raise SuiteError(f"{case_path} has no outputs to assert")
         cases.append(BenchCase(entry["id"], miter, entry["expected"],
                                entry.get("provenance", {})))
     return cases
@@ -257,24 +260,29 @@ def solve_miter(miter: Circuit, mode: str,
     In phase and adaptive mode the trace set is first asked for a witness,
     a pattern that sets the output: one answers SAT, its gate values checked
     as a model, and no table, policy or solver is built.  Without one, the
-    phase table is empty and the solver searches with the hook.
+    phase table is empty and the solver searches with the hook.  When the
+    trace set or the table cannot be built, the solver searches without a
+    hook and the record counts one phase fallback.
     Its PIs keep their order and so own CNF variables 1..len(PIs): a SAT
     model's first len(PIs) values are an input row on which the given
     miter's output is 1.
 
     Returns the outcome and the run's record fields: wall, solving and
-    inference seconds (hashing, encoding and solver set-up in none of
-    them; a trace answer is all inference, and in clause-filter mode
-    solving is the solver's own time, so the trace build and the scoring
-    between its two solves are inference), plus the filter report under
-    ``clause_filter``, the adaptive ``stage`` and ``stage1_wall``, and in
-    phase and adaptive mode ``phase_fallbacks``, the phase policy's failed
-    table builds, and ``sim_answer``, whether a trace answered."""
+    inference seconds (hashing, encoding and the set-up of the one solver
+    built here in none of them, though adaptive stage 2 builds its fresh
+    UNSAT_TUNED solver inside solving; a trace answer is all inference, and
+    in clause-filter mode solving is the solver's own time, so the trace
+    build and the scoring between its two solves are inference), plus the
+    filter report under ``clause_filter``, the adaptive ``stage`` and
+    ``stage1_wall``, and in phase and adaptive mode ``phase_fallbacks``, 1
+    when the trace set or the phase table could not be built, and
+    ``sim_answer``, whether a trace answered."""
     check_mode(mode)
     miter = strash(miter)
     po = miter.primary_outputs[0]
     cnf, vmap = tseitin_encode(miter, [(po, True)])
-    estimator = policy = hook = model = None
+    estimator = hook = model = None
+    fallbacks = 0
     inference_seconds = 0.0
     if mode != "baseline":
         t0 = time.monotonic()
@@ -282,14 +290,14 @@ def solve_miter(miter: Circuit, mode: str,
         if mode != "clause-filter":
             try:
                 values = estimator.witness(po)
-            except Exception:  # counted by the policy's build, which meets it
-                values = None
+                if values is None:
+                    hook = make_phase_hook(
+                        build_phase_policy(estimator, po, vmap))
+            except Exception:  # no trace set or table: search unguided
+                values, fallbacks = None, 1
             if values is not None:
                 model = {v: values[g] for v, g in vmap.var_to_gate.items()}
                 check_model(cnf.clauses, model)
-            else:
-                policy = build_phase_policy(estimator, po, vmap)
-                hook = make_phase_hook(policy)
         inference_seconds = time.monotonic() - t0
 
     if model is None:
@@ -317,8 +325,7 @@ def solve_miter(miter: Circuit, mode: str,
         inference_seconds += solving_seconds - outcome.stats.wall_time
         solving_seconds = outcome.stats.wall_time
     if mode in ("phase", "adaptive"):
-        fields.update(phase_fallbacks=policy.fallbacks if policy else 0,
-                      sim_answer=model is not None)
+        fields.update(phase_fallbacks=fallbacks, sim_answer=model is not None)
     return outcome, {"wall_seconds": solving_seconds + inference_seconds,
                      "solving_seconds": solving_seconds,
                      "inference_seconds": inference_seconds, **fields}

@@ -115,7 +115,7 @@ def cmd_csat(args):
         miter, args.mode, clause_filter, adaptive)
     code = _print_outcome(outcome)
     # the mode's own fields: the filter report, or the adaptive stage and
-    # the phase policy's fallbacks
+    # the phase fallbacks
     extra = {k: v for k, v in fields.items() if not k.endswith("_seconds")}
     if extra:
         print(json.dumps(extra.get("clause_filter", extra)))

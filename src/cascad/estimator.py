@@ -56,19 +56,13 @@ class Estimator:
         self.config = config or EstimatorConfig()
         self.backend = self.config.backend or default_backend(circuit)
         self._traces: PatternTraces | None = None
-        self._failure = None  # the error and traceback of a failed build
 
     @property
     def traces(self) -> PatternTraces:
-        """The trace set, built once: a failed build raises again per query."""
+        """The trace set, built on first use; a failed build raises to the
+        query that asked, and no failure is kept."""
         if self._traces is None:
-            if self._failure:
-                raise self._failure[0].with_traceback(self._failure[1])
-            try:
-                self._traces = self._build_traces()
-            except Exception as e:
-                self._failure = e, e.__traceback__
-                raise
+            self._traces = self._build_traces()
         return self._traces
 
     def _build_traces(self) -> PatternTraces:

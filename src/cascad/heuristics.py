@@ -10,7 +10,7 @@ abstain.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cnf import VarGateMap, lit_to_signal
 from .drat import DratProof
@@ -26,11 +26,9 @@ class PolicyError(Exception):
 @dataclass
 class PhaseSelectionPolicy:
     """The phase hook.  ``policy(v)`` applies the three-way rule to
-    variable v's entry.  ``fallbacks`` counts the failed table builds,
-    which left the table empty."""
+    variable v's entry."""
     tau: float
     phase_table: dict[int, float]  # variable -> P; absent: no information
-    fallbacks: int = field(default=0, init=False)
 
     def __post_init__(self):
         if not (0.0 < self.tau < 0.5):
@@ -51,18 +49,12 @@ class PhaseSelectionPolicy:
 def build_phase_policy(estimator: Estimator, po: int, vmap: VarGateMap,
                        tau: float = 0.005) -> PhaseSelectionPolicy:
     """The phase policy for ``po``, its table P(gate(v)=1 | PO=1) for every
-    variable v whose gate the estimator's table lists; the table is empty
-    when the estimator fails or lists nothing."""
-    policy = PhaseSelectionPolicy(tau, {})
-    try:
-        gate_table = estimator.phase_table(po)
-    except Exception:
-        policy.fallbacks += 1
-        gate_table = {}
-    policy.phase_table = {var: gate_table[gate]
-                          for var, gate in vmap.var_to_gate.items()
-                          if gate in gate_table}
-    return policy
+    variable v whose gate the estimator's table lists; an estimator failure
+    raises to the caller."""
+    gate_table = estimator.phase_table(po)
+    return PhaseSelectionPolicy(tau, {var: gate_table[gate]
+                                      for var, gate in vmap.var_to_gate.items()
+                                      if gate in gate_table})
 
 
 def make_phase_hook(policy: PhaseSelectionPolicy):
@@ -109,20 +101,19 @@ def score_clauses(snapshots: list[LearntSnapshot], estimator: Estimator,
     """Score every clause; returns (scores, keep, failures), where keep[i]
     is the one decision on snapshots[i].
 
-    A clause is kept when its score is below the threshold, or unscored
-    when the estimator fails on it (fail-safe)."""
+    A clause is kept when its score is below the threshold.  The first
+    estimator failure ends scoring: that clause and every later one are
+    kept unscored (fail-safe) and counted as failures."""
     scores: list[float | None] = []
-    keep: list[bool] = []
-    failures = 0
     for snap in snapshots:
         signals = [lit_to_signal(vmap, lit) for lit in snap.lits]
         try:
-            p = estimator.clause_prob(signals, mode=policy.mode)
+            scores.append(estimator.clause_prob(signals, mode=policy.mode))
         except Exception:
-            p = None
-            failures += 1
-        scores.append(p)
-        keep.append(p is None or p < policy.threshold)
+            break
+    failures = len(snapshots) - len(scores)
+    scores += [None] * failures
+    keep = [p is None or p < policy.threshold for p in scores]
     return scores, keep, failures
 
 
@@ -148,10 +139,11 @@ def _build_report(snapshots, scores, keep, failures, fired_at,
 def run_clause_filter(solver: Solver, policy: ClauseFilterPolicy,
                       estimator: Estimator, vmap: VarGateMap) -> FilterReport:
     """Solve until the conflict checkpoint, filter the learnt database by
-    clause probability, then resume solving to completion."""
+    clause probability, then resume solving to completion.  A solve that
+    ends before the checkpoint scores nothing: its report counts zero."""
     outcome = solver.solve(conflict_budget=policy.conflict_budget)
     mid_solve = outcome.status is Status.UNKNOWN
-    snapshots = solver.export_learnts()
+    snapshots = solver.export_learnts() if mid_solve else []
     scores, keep, failures = score_clauses(snapshots, estimator, vmap, policy)
     report = _build_report(snapshots, scores, keep, failures,
                            solver.stats.conflicts, mid_solve)

@@ -400,6 +400,50 @@ class TestSolveMiter:
             assert fields["sim_answer"] is False
 
     @pytest.mark.parametrize("mode", ["phase", "adaptive"])
+    def test_failed_trace_build_is_tried_once(self, monkeypatch, mode):
+        """The failure is caught where the witness is asked: no table is
+        asked for after it, so the trace set is built once per solve."""
+        calls = []
+
+        def boom(circuit):
+            calls.append(circuit)
+            raise MemoryError("no room for the table")
+
+        monkeypatch.setattr(estimator_mod, "exact_truth_table", boom)
+        for case in self.cases():
+            calls.clear()
+            outcome, fields = solve_miter(case.miter, mode)
+            assert outcome.status.value == case.expected
+            assert len(calls) == fields["phase_fallbacks"] == 1
+
+    def test_unfired_clause_filter_scores_nothing(self, monkeypatch):
+        """A solve that ends before the filter's checkpoint builds no trace
+        set, scores no clause, and reports zero clauses."""
+        calls = []
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+
+        counted(estimator_mod, "exact_truth_table")
+        counted(Estimator, "clause_prob")
+        for case in self.cases():
+            outcome, fields = solve_miter(case.miter, "clause-filter")
+            assert outcome.status.value == case.expected
+            rep = fields["clause_filter"]
+            assert not rep["fired_mid_solve"]
+            assert [rep[k] for k in ("total", "kept", "dropped",
+                                     "estimator_failures")] == [0, 0, 0, 0]
+            assert set(rep["score_histogram"].values()) == {0}
+            assert all(set(b.values()) == {0}
+                       for b in rep["lbd_buckets"].values())
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["phase", "adaptive"])
     def test_witness_is_asked_first(self, monkeypatch, mode):
         """A SAT case is answered from the witness before any phase table,
         policy or solver is built; an UNSAT case builds each once, and its

@@ -223,6 +223,21 @@ class TestMalformedInput:
         assert captured.err.splitlines() == [
             f"cascad bench: {suite / culprit}: {message}"]
 
+    def test_run_case_without_outputs(self, tmp_path, capsys):
+        """A case file with no output fails the suite's load, so no run
+        starts and no ERROR record is written."""
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "manifest.json").write_text(
+            '[{"id": "x", "aiger": "x.aag", "expected": "unknown"}]')
+        (suite / "x.aag").write_text("aag 1 1 0 0 0\n2\n")
+        runs = tmp_path / "runs.jsonl"
+        rc = main(["bench", "run", "--suite", str(suite), "--out", str(runs)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not runs.exists()
+        assert captured.err.splitlines() == [
+            f"cascad bench: {suite / 'x.aag'} has no outputs to assert"]
+
     def test_gen_base_without_outputs(self, tmp_path, capsys):
         base = tmp_path / "no-po.aag"
         base.write_text("aag 2 2 0 0 0\n2\n4\n")

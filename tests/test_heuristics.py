@@ -13,6 +13,7 @@ from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                                adaptive_solve, build_phase_policy,
                                make_phase_hook, run_clause_filter,
                                score_clauses)
+from cascad.sim import TRUTH_TABLE_CAP
 from cascad.solver import UNSAT_TUNED, LearntSnapshot, Solver, Status
 
 from conftest import enum_cnf_sat, random_3cnf, random_circuit, solve
@@ -88,14 +89,14 @@ class TestBuildPhasePolicy:
         cnf, vmap, po = encoded_instance(c)
         policy = build_phase_policy(exact_estimator(c), po, vmap, tau=0.1)
         assert make_phase_hook(policy) is policy
-        assert policy.fallbacks == 0
 
-    def test_estimator_failure_gives_empty_table(self, toy_and):
+    def test_estimator_failure_raises(self, toy_and):
+        """The policy's build does not catch an estimator failure: its
+        caller, ``bench.solve_miter``, counts the fallback."""
         c, *_ = toy_and
         cnf, vmap, po = encoded_instance(c)
-        policy = build_phase_policy(Broken(), po, vmap, tau=0.1)
-        assert policy.phase_table == {}
-        assert policy.fallbacks == 1
+        with pytest.raises(RuntimeError, match="boom"):
+            build_phase_policy(Broken(), po, vmap, tau=0.1)
 
     def test_guided_solve_finds_model(self):
         for seed in range(5):
@@ -163,6 +164,27 @@ class TestScoreClauses:
             [self.snap(1, 2)], Broken(), vmap, ClauseFilterPolicy())
         assert failures == 1 and keep == [True] and scores == [None]
 
+    def test_first_failure_ends_scoring(self, toy_and):
+        """The estimator is not asked again after it fails: that clause and
+        every later one are kept unscored and counted as failures."""
+        c, a, b, g = toy_and
+        _, vmap = tseitin_encode(c)
+        asked = []
+
+        class FailsSecond:
+            def clause_prob(self, signals, mode):
+                asked.append(signals)
+                if len(asked) == 2:
+                    raise RuntimeError("boom")
+                return 0.25
+
+        snaps = [self.snap(1, 2), self.snap(1), self.snap(2), self.snap(-1)]
+        scores, keep, failures = score_clauses(
+            snaps, FailsSecond(), vmap, ClauseFilterPolicy())
+        assert len(asked) == 2
+        assert scores == [0.25, None, None, None]
+        assert keep == [True] * 4 and failures == 3
+
     def test_retention_monotone_in_threshold(self):
         c = random_circuit(3, num_pis=6, num_gates=40)
         cnf, vmap, po = encoded_instance(c)
@@ -197,6 +219,30 @@ class TestRunClauseFilter:
         assert not report.fired_mid_solve
         assert report.outcome.status is Status.SAT
         assert report.fired_at_conflicts < 50_000
+
+    def test_truth_table_over_cap_keeps_every_learnt(self, monkeypatch):
+        """An estimator forced to EXACT beyond the truth-table cap fails
+        its one trace build, and every learnt is kept unscored."""
+        calls = []
+        real = estimator_mod.exact_truth_table
+
+        def counted(circuit):
+            calls.append(circuit)
+            return real(circuit)
+
+        monkeypatch.setattr(estimator_mod, "exact_truth_table", counted)
+        _, data, _, _ = load_perfbench_gen().multiplier_miters(1, [4])[0]
+        miter = parse_aiger(data)
+        while len(miter.primary_inputs) <= TRUTH_TABLE_CAP:
+            miter.add_pi()
+        cnf, vmap, po = encoded_instance(miter)
+        report = run_clause_filter(
+            Solver(cnf), ClauseFilterPolicy(conflict_budget=100),
+            exact_estimator(miter), vmap)
+        assert report.fired_mid_solve and report.total > 1
+        assert len(calls) == 1
+        assert report.kept == report.total == report.estimator_failures
+        assert report.outcome.status is Status.UNSAT
 
     def test_mid_solve_filter_preserves_status(self):
         cnf, expect = self.hard_cnf()

@@ -2,8 +2,9 @@
 package's exports, config, policy, score and filter-report fields, the
 parameters of ``solve_miter``, ``strash``, ``Solver``, ``adaptive_solve``
 and ``Estimator.cond_prob``, the options of ``cascad csat``, estimator
-backends and process-spawning imports are pinned: a new option, export,
-report field, backend or child-process path is a visible edit here."""
+backends, process-spawning imports and catch-all handlers are pinned: a new
+option, export, report field, backend, child-process path or catch-all is a
+visible edit here."""
 
 import ast
 import dataclasses
@@ -69,8 +70,7 @@ def test_config_fields_pinned(capsys):
         "restart_unit", "keep_lbd", "phase_saving"]
     assert field_names(Par2Score) == ["per_case", "average"]
     assert field_names(EstimatorConfig) == ["backend", "num_patterns", "seed"]
-    assert field_names(PhaseSelectionPolicy) == [
-        "tau", "phase_table", "fallbacks"]
+    assert field_names(PhaseSelectionPolicy) == ["tau", "phase_table"]
     assert field_names(ClauseFilterPolicy) == [
         "conflict_budget", "threshold", "mode"]
     assert field_names(FilterReport) == [
@@ -103,6 +103,44 @@ def test_removed_aliases_stay_removed():
     assert [name for name in ("pause_at_level0", "decisions", "_verify_model")
             if hasattr(Solver, name)] == []
     assert not hasattr(PhaseSelectionPolicy, "follow")
+
+
+def catch_all_handlers(source: str) -> list[str]:
+    """The function around each ``except Exception`` (or bare ``except``)
+    in ``source``, in order."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ExceptHandler) and (
+                    child.type is None or (isinstance(child.type, ast.Name)
+                                           and child.type.id == "Exception")):
+                found.append(function)
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detects_catch_all_handler():
+    source = ("def f():\n    try: pass\n    except Exception: pass\n"
+              "def g():\n    try: pass\n    except ValueError: pass\n"
+              "    def h():\n        try: pass\n        except: pass\n")
+    assert catch_all_handlers(source) == ["f", "h"]
+
+
+def test_catch_all_handlers_pinned():
+    """A failure the estimator cannot answer is caught once, where the
+    product asks: the witness and phase table in ``solve_miter``, clause
+    scores in ``score_clauses``; a worker crash is caught in ``_worker``.
+    A new catch-all is a visible edit here."""
+    assert [(p.stem, function) for p in MODULES
+            for function in catch_all_handlers(p.read_text())] == [
+        ("bench", "solve_miter"), ("bench", "_worker"),
+        ("heuristics", "score_clauses")]
 
 
 def test_backends_pinned():

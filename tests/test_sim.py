@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cascad.circuit import Circuit, GateKind
-from cascad.sim import (PatternTraces, SimError, SimulationPlan,
-                        exact_truth_table, exhaustive_patterns,
-                        sample_patterns, simulate)
+from cascad.sim import (TRUTH_TABLE_CAP, PatternTraces, SimError,
+                        SimulationPlan, exact_truth_table,
+                        exhaustive_patterns, sample_patterns, simulate)
 
 from conftest import (all_input_rows, eval_circuit, random_circuit,
                       run_workload_suite)
@@ -192,6 +192,12 @@ class TestExactTruthTable:
             c.add_pi()
         with pytest.raises(SimError, match="cap"):
             exact_truth_table(c)
+        # the cap is the widest table built: one PI more raises
+        assert exhaustive_patterns(TRUTH_TABLE_CAP).num_patterns == \
+            1 << TRUTH_TABLE_CAP
+        with pytest.raises(SimError, match=f"{TRUTH_TABLE_CAP + 1} PIs "
+                           f"exceeds the {TRUTH_TABLE_CAP}-PI"):
+            exhaustive_patterns(TRUTH_TABLE_CAP + 1)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_interpreter_everywhere(self, seed):
