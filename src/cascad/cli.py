@@ -17,7 +17,8 @@ from .solver import Solver, SolverConfig, Status
 
 
 class BadInput(Exception):
-    """A malformed input file; ``main`` prints it, like an ``OSError``, as
+    """A malformed input file, or one the command cannot use (a ``csat``
+    circuit with no outputs); ``main`` prints it, like an ``OSError``, as
     one line, exit 2."""
 
 
@@ -108,9 +109,7 @@ def cmd_csat(args):
     adaptive = AdaptiveUnsatPolicy(probe_budget_seconds=args.probe)
     miter = _load(parse_aiger, args.file)
     if not miter.primary_outputs:
-        print(f"cascad csat: {args.file} has no outputs to assert",
-              file=sys.stderr)
-        return 2
+        raise BadInput(f"{args.file} has no outputs to assert")
     outcome, fields = bench_mod.solve_miter(
         miter, args.mode, clause_filter, adaptive)
     code = _print_outcome(outcome)

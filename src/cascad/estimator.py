@@ -1,10 +1,10 @@
-"""Uniform probability queries over circuits: node, conditional, clause.
+"""Uniform probability queries over circuits: node, phase table, clause.
 
-Conditional probabilities are computed as trace ratios on one shared set of
-patterns (count(A and C) / count(C)), never as a quotient of independently
-estimated probabilities -- the quotient form amplifies error badly when the
-condition is polar.  Queries speak (gate, polarity) signals, never CNF
-literals: ``cascad.heuristics`` translates those.
+The phase table's conditional probabilities are computed as trace ratios on
+one shared set of patterns (count(A and C) / count(C)), never as a quotient
+of independently estimated probabilities -- the quotient form amplifies
+error badly when the condition is polar.  Queries speak (gate, polarity)
+signals, never CNF literals: ``cascad.heuristics`` translates those.
 """
 
 from __future__ import annotations
@@ -72,34 +72,12 @@ class Estimator:
         inputs = sample_patterns(plan, len(self.circuit.primary_inputs))
         return simulate(self.circuit, inputs)
 
-    def _condition(self, conditions) -> tuple[np.ndarray, int]:
-        """The row of patterns where every condition holds, and its count."""
-        t = self.traces
-        row = reduce(np.bitwise_and, (t.trace(*c) for c in conditions))
-        return row, t.popcount(row)
-
     # -- queries -----------------------------------------------------------
 
     def node_prob(self, gate: int, polarity: bool = True) -> float:
         t = self.traces
         p = t.count(gate) / t.num_patterns
         return p if polarity else 1.0 - p
-
-    def cond_prob(self, target: tuple[int, bool],
-                  conditions) -> float | None:
-        """P(target | every condition), each a (gate, polarity) signal;
-        None when no pattern meets the conditions."""
-        if not conditions:
-            raise EstimatorError("cond_prob requires at least one condition")
-        tgate, tpol = target
-        for cgate, cpol in conditions:
-            if cgate == tgate:
-                return 1.0 if cpol == tpol else 0.0
-        cond_row, n_cond = self._condition(conditions)
-        if n_cond == 0:
-            return None
-        t = self.traces
-        return t.popcount(cond_row & t.trace(tgate, tpol)) / n_cond
 
     def clause_prob(self, signals: list[tuple[int, bool]],
                     mode: str = "correlated") -> float:
@@ -129,10 +107,13 @@ class Estimator:
 
     def phase_table(self, po: int) -> dict[int, float]:
         """P(gate=1 | po=1) for every gate; {} when po is never 1, so there
-        is no information."""
-        cond_row, n_cond = self._condition(((po, True),))
+        is no information.  It answers for any gate ``po`` it is given, an
+        output or not."""
+        t = self.traces
+        cond_row = t.trace(po)
+        n_cond = t.popcount(cond_row)
         if n_cond == 0:
             return {}
         # float64 division of exact integer counts, as float(j) / n_cond
-        joint = self.traces.counts(cond_row)
+        joint = t.counts(cond_row)
         return dict(enumerate((joint / n_cond).tolist()))

@@ -9,6 +9,7 @@ abstain.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -162,8 +163,8 @@ class AdaptiveUnsatPolicy:
     probe_budget_seconds: float = 5.0
 
     def __post_init__(self):
-        if not self.probe_budget_seconds > 0:
-            raise PolicyError("probe budget must be positive")
+        if not 0 < self.probe_budget_seconds < math.inf:
+            raise PolicyError("probe budget must be positive and finite")
 
 
 @dataclass

@@ -13,19 +13,20 @@ import numpy as np
 import pytest
 
 from cascad.bench import gen_suite, par2, solve_miter
-from cascad.circuit import Circuit
-from cascad.cnf import CnfFormula, tseitin_encode
+from cascad.circuit import Circuit, parse_aiger
+from cascad.cnf import CnfFormula, lit_to_signal, tseitin_encode
 from cascad.drat import DratProof, check_proof
 from cascad.estimator import (Backend, Estimator, EstimatorConfig,
                               default_backend)
 from cascad.heuristics import (AdaptiveUnsatPolicy, ClauseFilterPolicy,
                                PhaseSelectionPolicy, adaptive_solve,
-                               run_clause_filter, score_clauses)
+                               run_clause_filter)
 from cascad.sim import exact_truth_table
 from cascad.solver import Solver, Status
 
 from conftest import (eval_circuit, pigeonhole, quotient_cond_prob,
                       random_3cnf, random_circuit, run_workload_suite, solve)
+from test_solver import load_perfbench_gen
 
 
 def _report(capsys, criterion, ok, detail):
@@ -38,7 +39,8 @@ def _report(capsys, criterion, ok, detail):
 def test_criterion_1_probability_oracle_fidelity(capsys):
     """Simulated probabilities track exact ones on 50 circuits: node error
     <= 0.02, conditional error <= 0.03 for conditions with P >= 0.05,
-    under 60 seconds."""
+    under 60 seconds.  A conditional is the query the product asks,
+    P(target | cond) = phase_table(cond)[target]."""
     t0 = time.monotonic()
     max_node = 0.0
     max_cond = 0.0
@@ -59,8 +61,8 @@ def test_criterion_1_probability_oracle_fidelity(capsys):
             tgt, cond = rng.randrange(len(c)), rng.choice(conds)
             if tgt == cond:
                 continue
-            q = (tgt, True), ((cond, True),)
-            re_, rs = exact.cond_prob(*q), sim.cond_prob(*q)
+            re_ = exact.phase_table(cond).get(tgt)
+            rs = sim.phase_table(cond).get(tgt)
             if re_ is None or rs is None:
                 continue
             max_cond = max(max_cond, abs(re_ - rs))
@@ -87,8 +89,8 @@ def test_criterion_2_division_amplification(capsys):
     est = Estimator(c, EstimatorConfig(backend=Backend.EXACT))
     p_cond = est.node_prob(acc)
     query = (pis[0], True), ((acc, True),)
-    exact_p = est.cond_prob(*query)  # = 1.0 by construction
-    trace_errs = [abs(est.cond_prob(*query) - 1.0) for _ in range(100)]
+    exact_p = est.phase_table(acc)[pis[0]]  # = 1.0 by construction
+    trace_errs = [abs(est.phase_table(acc)[pis[0]] - 1.0) for _ in range(100)]
     quot_errs = []
     for seed in range(100):
         q = quotient_cond_prob(est, *query, noise=0.003, noise_seed=seed)
@@ -217,17 +219,35 @@ def test_criterion_6_phase_guidance_effectiveness(capsys):
             f"geomean ratio {geomean:.3f} <= 0.8, {elapsed:.1f}s < 600s")
 
 
+def _record_filter(solver: Solver) -> list:
+    """Wrap ``solver.keep_learnts`` so that each call appends the learnt
+    database at that call and right after it to the returned list."""
+    seen = []
+    keep_learnts = solver.keep_learnts
+
+    def recorded(keep):
+        before = solver.export_learnts()
+        keep_learnts(keep)
+        seen.append((before, solver.export_learnts()))
+
+    solver.keep_learnts = recorded
+    return seen
+
+
 def test_criterion_7_clause_filter_protocol(capsys):
-    """The filter fires at the 50,000-conflict checkpoint (here: at solve end,
-    since every corpus instance finishes earlier), the retained set replays
-    exactly as {P < threshold} plus unscored keeps, final status is unchanged
-    at every threshold, and retention is threshold-monotone."""
+    """On three UNSAT 4-bit multiplier miters, the filter fires mid-solve
+    at its 150-conflict checkpoint; the learnt database right after it is
+    exactly {P < threshold} plus unscored keeps over that checkpoint's
+    snapshot, rescored here independently; the final status is unchanged at
+    every threshold; retention is threshold-monotone; and some threshold
+    drops a clause, so a filter that keeps everything fails."""
     thresholds = (0.8, 0.85, 0.9, 0.95)
-    corpus = [random_circuit(s, num_pis=8, num_gates=120) for s in (30, 31, 32)]
-    replay_ok = True
-    status_ok = True
-    monotone_ok = True
-    checkpoint_ok = True
+    checkpoint = 150
+    corpus = [parse_aiger(data) for _, data, _, _ in
+              load_perfbench_gen().multiplier_miters(1, [4] * 3)]
+    replay_ok = status_ok = monotone_ok = fired_ok = True
+    drops = False
+    all_kept = []
     for c in corpus:
         po = c.primary_outputs[0]
         cnf, vmap = tseitin_encode(c, [(po, True)])
@@ -235,26 +255,34 @@ def test_criterion_7_clause_filter_protocol(capsys):
         reference = solve(cnf).status
         kept_counts = []
         for threshold in thresholds:
-            policy = ClauseFilterPolicy(threshold=threshold)
+            policy = ClauseFilterPolicy(conflict_budget=checkpoint,
+                                        threshold=threshold)
             solver = Solver(cnf)
+            seen = _record_filter(solver)
             report = run_clause_filter(solver, policy, est, vmap)
             status_ok &= report.outcome.status is reference
-            checkpoint_ok &= (report.fired_mid_solve
-                              or report.fired_at_conflicts < 50_000)
-            # replay: rescore the same snapshots independently
-            snaps = [s for s in solver.export_learnts()]
-            scores, keep, _ = score_clauses(snaps, est, vmap, policy)
-            want_kept = {frozenset(s.lits) for s, p in zip(snaps, scores)
-                         if p is None or p < threshold}
-            replay_ok &= {frozenset(s.lits)
-                          for s, k in zip(snaps, keep) if k} == want_kept
+            fired_ok &= (report.fired_mid_solve and len(seen) == 1
+                         and report.fired_at_conflicts == checkpoint)
+            if len(seen) != 1:
+                continue
+            before, after = seen[0]
+            want = [s.lits for s, scored in zip(before, report.scores)
+                    if scored is None or est.clause_prob(
+                        [lit_to_signal(vmap, lit) for lit in s.lits]) < threshold]
+            replay_ok &= (report.total == len(before) > 0
+                          and report.kept == len(after)
+                          and sorted(map(sorted, want))
+                          == sorted(sorted(s.lits) for s in after))
+            drops |= report.kept < report.total
             kept_counts.append(report.kept)
         monotone_ok &= kept_counts == sorted(kept_counts)
-    ok = replay_ok and status_ok and monotone_ok and checkpoint_ok
+        all_kept.append(f"{kept_counts} of {report.total}")
+    ok = replay_ok and status_ok and monotone_ok and fired_ok and drops
     _report(capsys, 7, ok,
-            f"replay={replay_ok}, status-preserved={status_ok}, "
-            f"monotone retention={monotone_ok}, checkpoint rule={checkpoint_ok} "
-            f"at thresholds {thresholds}")
+            f"fired at {checkpoint}={fired_ok}, replay={replay_ok}, "
+            f"status-preserved={status_ok}, monotone retention={monotone_ok}, "
+            f"some clause dropped={drops}; kept at thresholds {thresholds}: "
+            f"{', '.join(all_kept)}")
 
 
 def test_criterion_8_adaptive_switch(capsys):

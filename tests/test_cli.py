@@ -409,6 +409,7 @@ class TestCsat:
         ("--budget", "0", "budget must be >= 1"),
         ("--probe", "0", "probe budget must be positive"),
         ("--probe", "nan", "probe budget must be positive"),
+        ("--probe", "inf", "probe budget must be positive and finite"),
     ])
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, flag, value,
                                      message):

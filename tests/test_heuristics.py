@@ -319,7 +319,7 @@ class TestRunClauseFilter:
 
 class TestAdaptive:
     def test_policy_validation(self):
-        for bad in (0, float("nan")):
+        for bad in (0, float("nan"), float("inf")):
             with pytest.raises(PolicyError, match="probe"):
                 AdaptiveUnsatPolicy(probe_budget_seconds=bad)
 

@@ -1,10 +1,10 @@
 """Every name a cascad module imports must be used in that module, and the
 package's exports, config, policy, score and filter-report fields, the
-parameters of ``solve_miter``, ``strash``, ``Solver``, ``adaptive_solve``
-and ``Estimator.cond_prob``, the options of ``cascad csat``, estimator
-backends, process-spawning imports and catch-all handlers are pinned: a new
-option, export, report field, backend, child-process path or catch-all is a
-visible edit here."""
+parameters of ``solve_miter``, ``strash``, ``Solver`` and
+``adaptive_solve``, the options of ``cascad csat``, the estimator's public
+queries and backends, process-spawning imports and catch-all handlers are
+pinned: a new option, export, report field, query, backend, child-process
+path or catch-all is a visible edit here."""
 
 import ast
 import dataclasses
@@ -84,13 +84,20 @@ def test_config_fields_pinned(capsys):
     assert parameter_names(Solver.__init__) == [
         "self", "cnf", "config", "phase_hook", "drat_sink"]
     assert parameter_names(adaptive_solve) == ["probe", "cnf", "policy"]
-    assert parameter_names(Estimator.cond_prob) == [
-        "self", "target", "conditions"]
     with pytest.raises(SystemExit):
         main(["csat", "--help"])
     usage = capsys.readouterr().out.split("\n\n")[0]
     assert re.findall(r"--[\w-]+", usage) == [
         "--mode", "--threshold", "--budget", "--score-mode", "--probe"]
+
+
+def test_estimator_queries_pinned():
+    """The estimator's public attributes: its trace set, the product's
+    three queries (witness, phase table, clause probability) and the node
+    probability that independent clause scoring multiplies."""
+    assert sorted(name for name in vars(Estimator)
+                  if not name.startswith("_")) == [
+        "clause_prob", "node_prob", "phase_table", "traces", "witness"]
 
 
 def test_removed_aliases_stay_removed():
