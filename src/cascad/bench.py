@@ -12,9 +12,10 @@ import csv
 import io
 import json
 import math
-import multiprocessing as mp
 import os
+import pickle
 import random
+import signal
 import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
@@ -33,6 +34,7 @@ from .sim import exact_truth_table
 from .solver import Solver, SolveOutcome, SolverConfig, SolverStats, Status
 
 MUTATION_RETRIES = 20
+PIPE_CHUNK = 1 << 16  # bytes of a child's record read at a time
 MODES = ("baseline", "phase", "clause-filter", "adaptive")
 
 
@@ -339,28 +341,44 @@ def run_case(case: BenchCase, config: BenchConfig) -> dict:
             "stats": outcome.stats.as_dict()}
 
 
-def _worker(case, config, conn):
+def _worker(case, config, fd: int):
+    """A forked child's whole run: the record of run_case, looked up by name
+    when the child runs, pickled into the pipe ``fd``.  The child always
+    leaves through ``os._exit``, so it never returns into the caller's code;
+    one that leaves without writing its record, as on a ``SystemExit``, is
+    recorded by the parent as ERROR."""
+    code = 1
     try:
-        record = run_case(case, config)
-    except Exception as e:  # crash recorded by the parent as ERROR
-        record = {"case": case.id, "config": config.label,
-                  "status": "ERROR", "error": repr(e)}
-    conn.send(record)
-    conn.close()
+        try:
+            record = run_case(case, config)
+        except Exception as e:  # crash recorded by the parent as ERROR
+            record = {"case": case.id, "config": config.label,
+                      "status": "ERROR", "error": repr(e)}
+        with open(fd, "wb") as pipe:
+            pickle.dump(record, pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_suite(cases: list[BenchCase], configs: list[BenchConfig],
               cutoff: float, jobs: int = 1,
               out_path: str | None = None) -> list[dict]:
-    """Run every (case, config) pair in an isolated process with a wall
-    cutoff; records are appended to out_path (JSON lines) as they finish."""
+    """Run every (case, config) pair in a forked child with a wall cutoff;
+    records are appended to out_path (JSON lines) as they finish.
+
+    The parent reads each child's record from a pipe until EOF and then
+    reaps the child.  A child that leaves no whole record is ERROR; one
+    still running at its cutoff is killed with SIGKILL and is TIMEOUT.  No
+    child outlives the call: on the way out, every one still running is
+    killed and reaped."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, not {jobs}")
     if not 0 < cutoff < math.inf:
         raise ValueError(f"cutoff must be positive and finite, not {cutoff}")
     tasks = [(case, cfg) for case in cases for cfg in configs]
     records: list[dict] = []
-    active: dict = {}  # result pipe -> (process, case, config, deadline)
+    active: dict = {}  # pipe read end -> (pid, chunks, case, config, deadline)
     sink = open(out_path, "a") if out_path else None
 
     def finish(record, case):
@@ -379,40 +397,47 @@ def run_suite(cases: list[BenchCase], configs: list[BenchConfig],
         while tasks or active:
             while tasks and len(active) < jobs:
                 case, cfg = tasks.pop(0)
-                parent, child = mp.Pipe()
-                proc = mp.Process(target=_worker, args=(case, cfg, child))
-                proc.start()
-                child.close()
-                active[parent] = (proc, case, cfg, time.monotonic() + cutoff)
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    os.close(read_end)
+                    _worker(case, cfg, write_end)
+                os.close(write_end)
+                active[read_end] = (pid, [], case, cfg,
+                                    time.monotonic() + cutoff)
             nearest = min(deadline for *_, deadline in active.values())
             ready = wait(list(active), max(0.0, nearest - time.monotonic()))
             now = time.monotonic()
-            for conn, (proc, case, cfg, deadline) in list(active.items()):
-                if conn in ready:
+            for fd, (pid, chunks, case, cfg, deadline) in list(active.items()):
+                if fd in ready:
+                    chunk = os.read(fd, PIPE_CHUNK)
+                    if chunk:
+                        chunks.append(chunk)
+                        continue
                     try:
-                        record = conn.recv()
-                    except EOFError:  # the worker died without a record
+                        record = pickle.loads(b"".join(chunks))
+                    except (EOFError, pickle.UnpicklingError):
+                        # the worker died without a whole record
                         record = {"case": case.id, "config": cfg.label,
                                   "status": "ERROR"}
-                    proc.join()
                 elif now >= deadline:
-                    proc.terminate()
-                    proc.join()
+                    os.kill(pid, signal.SIGKILL)
                     record = {"case": case.id, "config": cfg.label,
                               "status": "TIMEOUT"}
                 else:
                     continue
+                os.waitpid(pid, 0)
+                del active[fd]
+                os.close(fd)
                 if record["status"] in ("ERROR", "TIMEOUT"):
                     record.update(wall_seconds=cutoff, solving_seconds=cutoff,
                                   inference_seconds=0.0, stats={})
-                del active[conn]
-                conn.close()
                 finish(record, case)
     finally:
-        for conn, (proc, *_) in active.items():
-            proc.terminate()
-            proc.join()
-            conn.close()
+        for fd, (pid, *_) in active.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
         if sink:
             sink.close()
     return records

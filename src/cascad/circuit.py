@@ -431,16 +431,18 @@ def rebuild(src: Circuit, dst: Circuit, node_map: dict[int, int],
             edit=None) -> dict[int, int]:
     """Copy src's gates into dst in order, extending node_map.
 
-    Gates already in node_map are taken as mapped and unmapped PIs become
-    new PIs of dst.  NOTs go through add_not, so they are shared and a NOT
-    of a NOT collapses.  For AND gate i, edit(i, fanins), given the fanins
-    already mapped into dst, may return the dst node to use in place of
-    AND(fanins).
+    Gates already in node_map are taken as mapped and are not read;
+    unmapped PIs become new PIs of dst.  NOTs go through add_not, so they
+    are shared and a NOT of a NOT collapses.  For AND gate i, edit(i,
+    fanins), given the fanins already mapped into dst, may return the dst
+    node to use in place of AND(fanins).
     """
     add_and, add_not = dst.add_and, dst.add_not
-    for i, (kind, fanins) in enumerate(src.gates):
+    gates = src.gates
+    for i in range(len(gates)):
         if i in node_map:
             continue
+        kind, fanins = gates[i]
         if kind is _AND:
             fanins = (node_map[fanins[0]], node_map[fanins[1]])
             node = edit(i, fanins) if edit is not None else None
@@ -478,9 +480,10 @@ def strash(circuit: Circuit) -> Circuit:
     gate duplicated in the source, such as one both halves of a miter
     share, is built once.  A gate no output reads, directly or through
     other gates, is left out: it is entered in the node map before the
-    rebuild, which so skips it.  NOTs are shared and double negations
-    collapse as in every rebuild.  Every PI is kept, read or not, and the
-    PIs come first, in their order; every output is mapped, in its order.
+    rebuild, which so neither reads nor copies it.  NOTs are shared and
+    double negations collapse as in every rebuild.  Every PI is kept, read
+    or not, and the PIs come first, in their order; every output is
+    mapped, in its order.
     """
     out = Circuit()
     # no gate of the cone and no output names a gate outside it, so such a

@@ -77,8 +77,11 @@ class ClauseFilterPolicy:
     def __post_init__(self):
         if not (0.0 < self.threshold <= 1.0):
             raise PolicyError(f"threshold {self.threshold} outside (0, 1]")
-        if not self.conflict_budget >= 1:
-            raise PolicyError("conflict budget must be >= 1")
+        budget = self.conflict_budget
+        if isinstance(budget, bool) or not isinstance(budget, int) \
+                or budget < 1:
+            raise PolicyError(f"conflict budget must be >= 1 and an int, "
+                              f"not {budget!r}")
         if self.mode not in ("correlated", "independent"):
             raise PolicyError(f"bad mode {self.mode!r}")
 

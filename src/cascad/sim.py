@@ -18,6 +18,9 @@ from .circuit import Circuit, GateKind, ShapeError
 TRUTH_TABLE_CAP = 20  # 2^m rows is impractical beyond this
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# the word of bit b of the pattern index, b < 6: 0xAAAA..., 0xCCCC..., ...
+_IN_WORD_ROWS = [np.uint64(sum(1 << k for k in range(64) if k >> b & 1))
+                 for b in range(6)]
 
 
 class SimError(Exception):
@@ -157,20 +160,24 @@ def simulate(circuit: Circuit, inputs: PatternTraces) -> PatternTraces:
 
 
 def exhaustive_patterns(num_pis: int) -> PatternTraces:
-    """All 2^m input rows in PI-index-major binary counting order."""
+    """All 2^m input rows in PI-index-major binary counting order: PI j's
+    bit at pattern k is bit b = m - 1 - j of k.
+
+    A bit b < 6 has the same pattern in every word, so its row repeats one
+    constant word; a bit b >= 6 is constant over runs of 2^(b-6) words, so
+    its row is runs of zero words and all-one words, set in place."""
     if num_pis > TRUTH_TABLE_CAP:
         raise SimError(f"{num_pis} PIs exceeds the {TRUTH_TABLE_CAP}-PI truth-table cap")
     n = 1 << num_pis
     words = _word_rows(num_pis, n)
-    packed = _packed_bytes(words, n)
-    rows = np.arange(n, dtype=np.uint32)
     for j in range(num_pis):
-        # bit stays bound until the next shift is made: with each 2^m-wide
-        # temporary freed as soon as it is used, malloc gives its pages
-        # back and faults them in again (at m = 16, 9x the minor faults
-        # and 3x the time)
-        bit = (rows >> (num_pis - 1 - j)) & 1
-        packed[j] = np.packbits(bit.astype(np.uint8), bitorder="little")
+        b = num_pis - 1 - j
+        if b < 6:
+            words[j] = _IN_WORD_ROWS[b]
+        else:
+            words[j].reshape(-1, 2, 1 << (b - 6))[:, 1] = ~np.uint64(0)
+    if n < 64:  # one word, whose bits past pattern n - 1 stay zero
+        words &= np.uint64((1 << n) - 1)
     return PatternTraces(words, n)
 
 

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import time
 
 import pytest
@@ -608,6 +609,31 @@ class TestRunSuite:
         bases = [random_circuit(s, num_pis=4, num_gates=15) for s in (8, 9)]
         return gen_suite(bases, n_sat=1, n_unsat=1, seed=3)
 
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The pids of the children that run_suite forks, in fork order."""
+        pids = []
+        real_fork = os.fork
+
+        def recording_fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    @staticmethod
+    def reaped(pid):
+        """Whether ``pid`` is no longer a child of this process, running
+        or waiting to be reaped."""
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        return False
+
     def test_records_and_jsonl_append(self, tmp_path):
         out = str(tmp_path / "runs.jsonl")
         cases = self.suite()
@@ -642,8 +668,20 @@ class TestRunSuite:
         assert records[0]["status"] == "TIMEOUT"
         assert records[0]["wall_seconds"] == 0.2
 
+    def test_no_child_left_after_timeout(self, monkeypatch, forked):
+        import cascad.bench as bench_mod
+
+        def slow_case(case, config):
+            time.sleep(30)
+
+        monkeypatch.setattr(bench_mod, "run_case", slow_case)
+        records = run_suite(self.suite(), [BenchConfig("baseline")],
+                            cutoff=0.2, jobs=2)
+        assert [r["status"] for r in records] == ["TIMEOUT"] * 2
+        assert len(forked) == 2
+        assert all(map(self.reaped, forked))
+
     def test_worker_exit_without_record_is_error(self, monkeypatch):
-        import os
         import cascad.bench as bench_mod
 
         def dying_case(case, config):
@@ -655,6 +693,45 @@ class TestRunSuite:
         assert records[0]["status"] == "ERROR"
         assert records[0]["wall_seconds"] == 5.0
         assert records[0]["stats"] == {}
+
+    def test_system_exit_in_the_child_is_error(self, monkeypatch, tmp_path):
+        import cascad.bench as bench_mod
+
+        def exiting_case(case, config):
+            raise SystemExit(0)
+
+        monkeypatch.setattr(bench_mod, "run_case", exiting_case)
+        home = os.getpid()
+        try:
+            records = run_suite(self.suite()[:1], [BenchConfig("baseline")],
+                                cutoff=30.0)
+        finally:
+            if os.getpid() != home:  # a child back in the caller's code
+                (tmp_path / "escaped").touch()
+                os._exit(0)
+        assert not (tmp_path / "escaped").exists()
+        assert records[0]["status"] == "ERROR"
+        assert records[0]["stats"] == {}
+
+    def test_record_larger_than_a_pipe_buffer_arrives_whole(self,
+                                                             monkeypatch):
+        import cascad.bench as bench_mod
+        blob = bytes(range(256)) * 8192  # 2 MB; a pipe buffers 64 KB
+        real_run_case = bench_mod.run_case
+
+        def big_case(case, config):
+            return {**real_run_case(case, config), "blob": blob}
+
+        monkeypatch.setattr(bench_mod, "run_case", big_case)
+        cases = self.suite()
+        records = run_suite(cases, [BenchConfig("baseline")], cutoff=60.0,
+                            jobs=2)
+        assert sorted(r["case"] for r in records) == \
+            sorted(c.id for c in cases)
+        for r in records:
+            assert r["status"] in ("SAT", "UNSAT")
+            assert r["blob"] == blob
+            assert list(r)[:3] == ["case", "config", "status"]
 
     def test_crash_recorded_as_error(self):
         bad = BenchCase("sat-bad", None, "unknown", {})
@@ -670,32 +747,26 @@ class TestRunSuite:
         with pytest.raises(CorrectnessAlarm):
             run_suite([lying], [BenchConfig("baseline")], cutoff=60.0)
 
-    def test_alarm_reaps_every_worker(self, monkeypatch):
+    def test_alarm_reaps_every_worker(self, monkeypatch, forked):
         import cascad.bench as bench_mod
         cases = self.suite()
         sat_case = next(c for c in cases if c.expected == "SAT")
         slow = next(c for c in cases if c.expected == "UNSAT")
         lying = BenchCase(sat_case.id, sat_case.miter, "UNSAT",
                           sat_case.provenance)
-        real_run_case, real_process = bench_mod.run_case, bench_mod.mp.Process
-        procs = []
+        real_run_case = bench_mod.run_case
 
         def slow_or_real(case, config):
             if case.id == slow.id:
                 time.sleep(30)
             return real_run_case(case, config)
 
-        def recording_process(*args, **kwargs):
-            procs.append(real_process(*args, **kwargs))
-            return procs[-1]
-
         monkeypatch.setattr(bench_mod, "run_case", slow_or_real)
-        monkeypatch.setattr(bench_mod.mp, "Process", recording_process)
         with pytest.raises(CorrectnessAlarm):
             run_suite([slow, lying], [BenchConfig("baseline")], cutoff=60.0,
                       jobs=2)
-        assert len(procs) == 2
-        assert all(p.exitcode is not None for p in procs)
+        assert len(forked) == 2
+        assert all(map(self.reaped, forked))
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"jobs": 0}, "jobs"), ({"cutoff": 0.0}, "cutoff"),

@@ -431,6 +431,28 @@ class TestStrash:
         assert hp.primary_inputs == h.primary_inputs
         assert hp.primary_outputs == h.primary_outputs
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reads_no_gate_outside_the_cone(self, seed):
+        # a gate no output reads is never unpacked, so in a forked child
+        # its page of the parent's memory is never written
+        c = random_circuit(seed, num_pis=5, num_gates=60, not_prob=0.4)
+        c.set_outputs([len(c) - 1, len(c) // 2])
+        padded = pad_with_dead_logic(c, seed)
+        h = strash(padded)
+        live, stack = set(), list(padded.primary_outputs)
+        while stack:
+            g = stack.pop()
+            if g not in live:
+                live.add(g)
+                stack.extend(padded.gates[g].fanins)
+        dead = [i for i in range(len(padded)) if i not in live]
+        assert len(dead) > len(padded) // 4
+        for i in dead:
+            padded.gates[i] = object()  # unpacking it raises TypeError
+        hp = strash(padded)
+        assert (hp.gates, hp.primary_inputs, hp.primary_outputs) == \
+            (h.gates, h.primary_inputs, h.primary_outputs)
+
     def test_unread_pi_kept_in_its_place(self):
         c = Circuit()
         a, _b = c.add_pi(), c.add_pi()  # no output reads _b

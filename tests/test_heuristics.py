@@ -135,7 +135,7 @@ class TestClauseFilterPolicy:
             ClauseFilterPolicy(threshold=0.0)
         with pytest.raises(PolicyError, match="threshold"):
             ClauseFilterPolicy(threshold=1.2)
-        for bad in (0, float("nan")):
+        for bad in (0, float("nan"), float("inf"), 1.5, True):
             with pytest.raises(PolicyError, match="budget"):
                 ClauseFilterPolicy(conflict_budget=bad)
         with pytest.raises(PolicyError, match="mode"):

@@ -199,6 +199,20 @@ class TestExactTruthTable:
                            f"exceeds the {TRUTH_TABLE_CAP}-PI"):
             exhaustive_patterns(TRUTH_TABLE_CAP + 1)
 
+    @pytest.mark.parametrize("m", range(15))
+    def test_exhaustive_rows_match_binary_counting(self, m):
+        n = 1 << m
+        k = np.arange(n)
+        bits = (k >> (m - 1 - np.arange(m))[:, None]) & 1  # one row per PI
+        ref = np.zeros((m, (n + 63) // 64 * 8), dtype=np.uint8)
+        ref[:, :(n + 7) // 8] = np.packbits(bits.astype(np.uint8), axis=1,
+                                            bitorder="little")
+        words = exhaustive_patterns(m).words
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, ref.view(np.uint64))
+        if m < 6:  # one word, no bit past pattern n - 1 set
+            assert not (words >> np.uint64(n)).any()
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_interpreter_everywhere(self, seed):
         c = random_circuit(seed, num_pis=5, num_gates=50)
